@@ -23,7 +23,7 @@ func (s *System) Spans() SpanSink { return s.spans }
 
 // ReadyDepth returns the number of threads currently in the ready
 // queue. Bare accessor (see introspect.go): safe from thread context or
-// while the system is parked under a fabric coordinator.
+// while the system is parked under the fabric's turn rule.
 func (s *System) ReadyDepth() int { return s.ready.Len() }
 
 // FDWaitingNow returns the number of threads currently suspended on a

@@ -514,7 +514,7 @@ func (s *System) finish(err error, status any) {
 func (s *System) ExitStatus() any { return s.exitStatus }
 
 // Stop ends the simulation from outside thread context (e.g. a fabric
-// coordinator tearing down a fleet). It records err as the outcome and
+// tearing down a fleet). It records err as the outcome and
 // releases every parked thread goroutine; threads currently blocked in
 // a governed clock advance are unwound by their governor. Unlike
 // Shutdown it returns normally and is a no-op once finished.

@@ -13,7 +13,7 @@ import (
 
 // The fleet observability section of ptreport (-fleet): the fleet-echo
 // scenario run under the full plane — distributed spans, rollups, and
-// the coordinator watchdogs with thresholds tight enough that the
+// the fleet watchdogs with thresholds tight enough that the
 // scenario's scripted server pause trips them. The section ends with
 // the plane's two contracts, checked live: the span stream is
 // byte-identical across two runs, and a spans-off run of the same

@@ -10,11 +10,13 @@
 //
 // The synchronization protocol is conservative parallel discrete-event
 // simulation. Each host's clock carries a Governor (internal/vtime) that
-// parks the host whenever it wants to advance beyond its lease. A grant
-// is decided only when every live host is parked, so exactly one host
-// runs at any instant and the coordinator may freely inspect the parked
-// hosts' clocks. The picked host (smallest clock, host ID as tiebreak)
-// receives
+// parks the host whenever it wants to advance beyond its lease. There is
+// no coordinator goroutine: like the paper's dispatcher, which runs on
+// the thread leaving the library kernel, the decision is taken on the
+// goroutine of the host that parks (or finishes). At that instant every
+// other live host is already parked, so exactly one goroutine runs and
+// it may freely inspect the parked hosts' clocks. The picked host
+// (smallest clock, host ID as tiebreak) receives
 //
 //	grant = min(want, pending(h), lease(h))
 //	lease(h) = max( min over other live x of clock(x) + Delay,
@@ -34,6 +36,13 @@
 // instants; when E is Infinity, no thread anywhere is runnable and no
 // event is pending anywhere — a fleet-wide deadlock, reported with every
 // blocked thread on every host.
+//
+// A grant costs one channel handoff: the parking host sends it on the
+// picked host's channel and blocks on its own — or, when it picked
+// itself, returns it without blocking at all. Run only performs the start
+// rendezvous (which takes the first decision) and the teardown; whichever
+// host ends the run — on drain, a body error or a fleet-wide deadlock —
+// signals Run to tear the fleet down.
 //
 // Fault injection is scripted and deterministic: per-direction link loss
 // (lost data segments redeliver one RTO later), one-way partitions
@@ -135,16 +144,6 @@ type grantMsg struct {
 	kill         bool
 }
 
-// parkMsg is a host's report to the coordinator: either a park (the host
-// wants to advance now -> want and is blocked until granted) or its
-// completion.
-type parkMsg struct {
-	h         *Host
-	now, want vtime.Time
-	done      bool
-	err       error
-}
-
 // hostKill unwinds a host goroutine blocked in Grant during teardown.
 type hostKill struct{}
 
@@ -161,11 +160,14 @@ type Host struct {
 
 	grantCh chan grantMsg
 
-	// Coordinator-side view (touched only while the host is parked or
-	// before it starts).
+	// Decision-side view: written by the host as it parks, read by
+	// whichever goroutine takes the next decision (touched only while
+	// the host is parked or before it starts). Every live host is parked
+	// whenever a decision runs, so no parked flag is needed. killed
+	// marks a host torn down by killAll.
 	now, want vtime.Time
-	parked    bool
 	done      bool
+	killed    bool
 	pauses    []HostPause
 	pauseIdx  int
 	bodyErr   error
@@ -179,35 +181,41 @@ func (h *Host) TraceEvents() []core.TraceEvent {
 	return h.rec.Events
 }
 
-// hostGov adapts the coordinator protocol to vtime.Governor: every ask
-// parks the host on the fabric's channel and blocks until granted.
+// hostGov adapts the turn protocol to vtime.Governor: every ask parks the
+// host and takes the next decision on the asking goroutine. Unless the
+// host picked itself, it hands the grant over and blocks until granted.
 type hostGov struct{ h *Host }
 
 func (g *hostGov) Grant(now, want vtime.Time) (vtime.Time, vtime.Time) {
 	h := g.h
-	h.f.backCh <- parkMsg{h: h, now: now, want: want}
-	gm := <-h.grantCh
-	if gm.kill {
-		panic(hostKill{})
+	h.f.park(h, now, want)
+	gm, mine := h.f.handOff(h)
+	if !mine {
+		if gm = <-h.grantCh; gm.kill {
+			panic(hostKill{})
+		}
 	}
 	return gm.grant, gm.lease
 }
 
-// Fabric is the coordinator of one fleet run.
+// Fabric is one fleet run.
 type Fabric struct {
 	cfg    Config
 	hosts  []*Host
 	byName map[string]*Host
 	wires  map[[2]int]*wire
-	backCh chan parkMsg
+	// startCh carries the start-rendezvous parks; endCh is signalled once
+	// by the host that ends the run; exitCh by each host killAll unwinds.
+	startCh chan *Host
+	endCh   chan struct{}
+	exitCh  chan struct{}
 
-	nLive   int
-	nParked int
-	err     error
-	fp      uint64 // FNV-1a over the grant/done stream
-	flows   uint64
-	ran     bool
-	obs     *fleetObs // observability plane; nil when disabled
+	nLive int
+	err   error
+	fp    uint64 // FNV-1a over the grant/done stream
+	flows uint64
+	ran   bool
+	obs   *fleetObs // observability plane; nil when disabled
 }
 
 // New builds a fleet. Host bodies do not start until Run.
@@ -225,11 +233,13 @@ func New(cfg Config) (*Fabric, error) {
 		cfg.RTO = 4 * cfg.Delay
 	}
 	f := &Fabric{
-		cfg:    cfg,
-		byName: make(map[string]*Host),
-		wires:  make(map[[2]int]*wire),
-		backCh: make(chan parkMsg),
-		fp:     fnvOffset,
+		cfg:     cfg,
+		byName:  make(map[string]*Host),
+		wires:   make(map[[2]int]*wire),
+		startCh: make(chan *Host),
+		endCh:   make(chan struct{}),
+		exitCh:  make(chan struct{}),
+		fp:      fnvOffset,
 	}
 	if cfg.Obs.enabled() {
 		f.obs = newFleetObs(cfg.Obs, len(cfg.Hosts))
@@ -324,12 +334,15 @@ func (f *Fabric) Host(name string) *Host { return f.byName[name] }
 func (f *Fabric) Hosts() []*Host { return f.hosts }
 
 // Fingerprint returns the schedule fingerprint accumulated over every
-// coordinator decision of the run: two runs of the same fleet are
-// equivalent iff their fingerprints (and per-host traces) match.
+// turn decision of the run: two runs of the same fleet are equivalent
+// iff their fingerprints (and per-host traces) match.
 func (f *Fabric) Fingerprint() string { return fmt.Sprintf("%016x", f.fp) }
 
 // Run executes the fleet to completion and returns the first error (a
 // host body failure, or a fleet-wide deadlock). It may be called once.
+// Run takes no part in the turns after the first: it waits at the start
+// rendezvous, releases the first host, and then sleeps until the host
+// that ends the run wakes it for the teardown.
 func (f *Fabric) Run() error {
 	if f.ran {
 		return errors.New("fabric: Run called twice")
@@ -339,76 +352,101 @@ func (f *Fabric) Run() error {
 	for _, h := range f.hosts {
 		go h.run()
 	}
-	for {
-		// Wait until every live host is parked. Between grants exactly
-		// one host runs, so this receives exactly one message — except
-		// at startup, where all hosts park their init charges
-		// concurrently (harmless: parks are keyed by host, and nothing
-		// is decided until all have arrived).
-		for f.nParked < f.nLive {
-			m := <-f.backCh
-			if !m.done {
-				m.h.now, m.h.want, m.h.parked = m.now, m.want, true
-				f.nParked++
-				if f.obs != nil {
-					f.obs.onPark(m.h, m.now)
-				}
-				continue
-			}
-			m.h.done = true
-			f.nLive--
-			f.mix(uint64(m.h.ID), doneMark, 0)
-			if m.err != nil && f.err == nil {
-				f.err = fmt.Errorf("host %s: %w", m.h.Name, m.err)
-			}
-			if f.err != nil {
-				f.killAll()
-				return f.err
-			}
-			if f.drained() || f.nLive == 0 {
-				f.killAll()
-				return nil
-			}
-		}
-		e := f.fleetNext()
-		if e == vtime.Infinity {
-			f.err = errors.New(f.deadlockReport())
-			f.killAll()
-			return f.err
-		}
-		if f.obs != nil {
-			f.obs.sampleAt(f, e)
-			f.obs.checkWaitCycle(f)
-		}
-		h := f.pick()
-		grant, lease := f.grantFor(h, e)
-		f.mix(uint64(h.ID), uint64(h.want), uint64(grant))
-		if f.obs != nil {
-			f.obs.onGrant(f, h, grant)
-		}
-		h.parked = false
-		f.nParked--
-		h.grantCh <- grantMsg{grant: grant, lease: lease}
+	// Start rendezvous: every host parks its t=0 ask concurrently. The
+	// parks are keyed by host, and nothing is decided until all arrive.
+	for range f.hosts {
+		f.park(<-f.startCh, 0, 0)
+	}
+	if h, gm := f.decide(); h != nil {
+		h.grantCh <- gm
+		<-f.endCh
+	}
+	f.killAll()
+	return f.err
+}
+
+// park records h's ask to advance from now to want. Called by h itself,
+// on its own goroutine, while it holds the fleet's single turn (or by
+// Run at the start rendezvous).
+func (f *Fabric) park(h *Host, now, want vtime.Time) {
+	h.now, h.want = now, want
+	if f.obs != nil {
+		f.obs.onPark(h, now)
 	}
 }
 
-// run is one host's goroutine: execute the body under the thread system
-// and report completion. A teardown kill unwinds through here.
+// decide takes one turn decision with every live host parked: it picks
+// the next host and computes its grant, or, when nothing can ever happen
+// again, records the fleet-wide deadlock and returns a nil host.
+func (f *Fabric) decide() (*Host, grantMsg) {
+	e := f.fleetNext()
+	if e == vtime.Infinity {
+		f.err = errors.New(f.deadlockReport())
+		return nil, grantMsg{}
+	}
+	if f.obs != nil {
+		f.obs.sampleAt(f, e)
+		f.obs.checkWaitCycle(f)
+	}
+	h := f.pick()
+	grant, lease := f.grantFor(h, e)
+	f.mix(uint64(h.ID), uint64(h.want), uint64(grant))
+	if f.obs != nil {
+		f.obs.onGrant(f, h, grant)
+	}
+	return h, grantMsg{grant: grant, lease: lease}
+}
+
+// handOff passes the turn on from self, which has just parked (or, when
+// nil, finished): it decides, then either returns self's own grant and
+// true, or delivers the grant to the picked host — one channel handoff.
+// When the run is over it signals Run to tear the fleet down instead.
+func (f *Fabric) handOff(self *Host) (grantMsg, bool) {
+	h, gm := f.decide()
+	switch {
+	case h == nil:
+		f.endCh <- struct{}{}
+	case h == self:
+		return gm, true
+	default:
+		h.grantCh <- gm
+	}
+	return grantMsg{}, false
+}
+
+// run is one host's goroutine: execute the body under the thread system,
+// then record the completion and either end the run or pass the turn
+// on. A teardown kill unwinds through here and reports to killAll.
 func (h *Host) run() {
-	err := errors.New("fabric: host torn down")
+	var err error
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(hostKill); !ok {
 				panic(r)
 			}
 		}
-		h.f.backCh <- parkMsg{h: h, done: true, err: err}
+		f := h.f
+		if h.killed {
+			f.exitCh <- struct{}{}
+			return
+		}
+		h.done = true
+		f.nLive--
+		f.mix(uint64(h.ID), doneMark, 0)
+		if err != nil && f.err == nil {
+			f.err = fmt.Errorf("host %s: %w", h.Name, err)
+		}
+		if f.err != nil || f.drained() || f.nLive == 0 {
+			f.endCh <- struct{}{}
+			return
+		}
+		f.handOff(nil)
 	}()
 	// Start rendezvous: park once at t=0 before the body runs, so host
 	// bodies execute strictly one at a time from the very first instant
 	// (want == now marks a host that may act immediately once released;
 	// the grant values are not applied to the clock).
-	h.f.backCh <- parkMsg{h: h, now: 0, want: 0}
+	h.f.startCh <- h
 	if gm := <-h.grantCh; gm.kill {
 		panic(hostKill{})
 	}
@@ -422,11 +460,12 @@ func (h *Host) run() {
 	}
 }
 
-// pick selects the parked host with the smallest (clock, ID).
+// pick selects the live host with the smallest (clock, ID); called with
+// every live host parked.
 func (f *Fabric) pick() *Host {
 	var best *Host
 	for _, h := range f.hosts {
-		if !h.parked || h.done {
+		if h.done {
 			continue
 		}
 		if best == nil || h.now < best.now {
@@ -552,9 +591,9 @@ func (f *Fabric) drained() bool {
 
 // killAll tears down every live host: first Stop releases the host's
 // parked threads and lets its Run return, then the kill grant unwinds
-// the one goroutine blocked in Grant. Each host sends exactly one done
-// message, consumed here, so the coordinator exits with no goroutine
-// still talking to it.
+// the one goroutine blocked in Grant (or in the start rendezvous). Each
+// killed host reports its exit exactly once, consumed here, so Run
+// returns with no goroutine still talking to the fabric.
 func (f *Fabric) killAll() {
 	reason := f.err
 	if reason == nil {
@@ -564,25 +603,18 @@ func (f *Fabric) killAll() {
 		if h.done {
 			continue
 		}
+		h.killed = true
 		h.Sys.Stop(reason)
 		h.grantCh <- grantMsg{kill: true}
-		for {
-			m := <-f.backCh
-			if m.done && m.h == h {
-				h.done = true
-				break
-			}
-			// Parks from the dying host are impossible (its threads are
-			// dead); parks from others cannot happen while they are
-			// parked. Drop anything unexpected defensively.
-		}
+		<-f.exitCh
+		h.done = true
 	}
 	if f.obs != nil {
 		f.obs.teardown(f)
 	}
 }
 
-// FNV-1a over the coordinator's decision stream.
+// FNV-1a over the fleet's decision stream.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211

@@ -100,6 +100,12 @@ func TestFleetDeterminism(t *testing.T) {
 	if fp1 != fp2 {
 		t.Fatalf("fingerprints differ: %s vs %s", fp1, fp2)
 	}
+	// Pinned across commits, not only between two runs of one build: a
+	// change to who takes the turn decisions must not change a single one.
+	const want = "36e7d254bcbb8400"
+	if fp1 != want {
+		t.Fatalf("fingerprint %s, want %s: the decision stream changed", fp1, want)
+	}
 	for name, pair := range map[string][2][]core.TraceEvent{"srv": {s1, s2}, "cli": {c1, c2}} {
 		a, b := pair[0], pair[1]
 		if len(a) != len(b) {
@@ -113,32 +119,61 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
-func TestFleetDeadlock(t *testing.T) {
-	cfg := Config{
-		Hosts: []HostSpec{
-			{Name: "a", Body: func(h *Host) error {
-				l, err := h.IO.Listen("x", 1)
-				if err != nil {
-					return err
-				}
-				_, err = l.Accept() // nobody ever dials: blocks forever
-				return err
-			}},
-			{Name: "b", Body: func(h *Host) error {
-				l, err := h.IO.Listen("y", 1)
-				if err != nil {
-					return err
-				}
-				_, err = l.Accept()
-				return err
-			}},
-		},
+// acceptForever is a host body that parks on a listener nobody dials.
+func acceptForever(addr string) func(h *Host) error {
+	return func(h *Host) error {
+		l, err := h.IO.Listen(addr, 1)
+		if err != nil {
+			return err
+		}
+		_, err = l.Accept()
+		return err
 	}
+}
+
+// deadlockConfig is a fleet in which every host waits forever.
+func deadlockConfig() Config {
+	return Config{Hosts: []HostSpec{
+		{Name: "a", Body: acceptForever("x")},
+		{Name: "b", Body: acceptForever("y")},
+	}}
+}
+
+// drainFleet is echoFleet whose server, after the echo, keeps waiting for
+// a connection that never comes: the client's drain must kill it.
+func drainFleet(t *testing.T) (*Fabric, *int) {
+	return echoFleet(t, func(c *Config) {
+		body := c.Hosts[0].Body
+		c.Hosts[0].Body = func(h *Host) error {
+			if err := body(h); err != nil {
+				return err
+			}
+			return acceptForever("echo2")(h)
+		}
+	})
+}
+
+var errBoom = errors.New("boom")
+
+func mustNew(t *testing.T, cfg Config) *Fabric {
+	t.Helper()
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	err = f.Run()
+	return f
+}
+
+// bodyErrorConfig is a fleet whose host a fails at once while b waits.
+func bodyErrorConfig() Config {
+	return Config{Hosts: []HostSpec{
+		{Name: "a", Body: func(h *Host) error { return errBoom }},
+		{Name: "b", Body: acceptForever("x")},
+	}}
+}
+
+func TestFleetDeadlock(t *testing.T) {
+	err := mustNew(t, deadlockConfig()).Run()
 	if err == nil || !strings.Contains(err.Error(), "fleet deadlock") {
 		t.Fatalf("want fleet deadlock, got %v", err)
 	}
@@ -149,22 +184,7 @@ func TestFleetDeadlock(t *testing.T) {
 
 func TestDrainTearsDownServer(t *testing.T) {
 	// The server accepts forever; Drain on the client ends the fleet.
-	f, got := echoFleet(t, func(c *Config) {
-		body := c.Hosts[0].Body
-		c.Hosts[0].Body = func(h *Host) error {
-			if err := body(h); err != nil {
-				return err
-			}
-			// Keep the host alive waiting for a connection that never
-			// comes; the drain must kill it without an error.
-			l, err := h.IO.Listen("echo2", 1)
-			if err != nil {
-				return err
-			}
-			_, err = l.Accept()
-			return err
-		}
-	})
+	f, got := drainFleet(t)
 	if err := f.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -174,26 +194,8 @@ func TestDrainTearsDownServer(t *testing.T) {
 }
 
 func TestHostBodyErrorFailsFleet(t *testing.T) {
-	boom := errors.New("boom")
-	cfg := Config{
-		Hosts: []HostSpec{
-			{Name: "a", Body: func(h *Host) error { return boom }},
-			{Name: "b", Body: func(h *Host) error {
-				l, err := h.IO.Listen("x", 1)
-				if err != nil {
-					return err
-				}
-				_, err = l.Accept()
-				return err
-			}},
-		},
-	}
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	err = f.Run()
-	if err == nil || !strings.Contains(err.Error(), "host a") || !errors.Is(err, boom) {
+	err := mustNew(t, bodyErrorConfig()).Run()
+	if err == nil || !strings.Contains(err.Error(), "host a") || !errors.Is(err, errBoom) {
 		t.Fatalf("want wrapped boom from host a, got %v", err)
 	}
 }
@@ -259,14 +261,7 @@ func TestCrossHostRefused(t *testing.T) {
 			// a host whose body has completed is down, and dialing a down
 			// host hangs (timeout territory), exactly like real TCP. Park
 			// the body on an unrelated listener; the drain tears it down.
-			{Name: "srv", Body: func(h *Host) error {
-				l, err := h.IO.Listen("other", 1)
-				if err != nil {
-					return err
-				}
-				_, err = l.Accept()
-				return err
-			}},
+			{Name: "srv", Body: acceptForever("other")},
 			{Name: "cli", Body: func(h *Host) error {
 				_, dialErr = h.IO.Dial("srv:nope")
 				return nil

@@ -1,7 +1,7 @@
 // The fleet observability plane (DESIGN.md §14): distributed spans
 // stitched across hosts by wire-message piggybacking, per-host wire and
 // grant counters rolled up into fleet snapshots at virtual-time
-// intervals, and watchdogs over the coordinator's own vantage point —
+// intervals, and watchdogs over the turn decisions' own vantage point —
 // grant starvation, oversized single-turn advances, and cross-host wait
 // cycles among fully idle hosts. Everything here observes and never
 // charges: no virtual clock moves because observability is on, so every
@@ -69,13 +69,13 @@ type HostWireStats struct {
 	PartDropped int64 // segments swallowed forever
 }
 
-// HostGrantStats summarizes the coordinator's view of one host.
+// HostGrantStats summarizes the turn decisions' view of one host.
 type HostGrantStats struct {
 	Grants  int64          // turns granted
 	MaxLag  vtime.Duration // worst clock lag behind the fleet max at grant
 	MaxTurn vtime.Duration // largest single-turn virtual advance
 
-	// Coordinator-internal turn tracking.
+	// Decision-internal turn tracking.
 	lastGrant vtime.Time
 	granted   bool
 }
@@ -102,9 +102,10 @@ type FleetFinding struct {
 	Detail string
 }
 
-// fleetObs is the coordinator-side state of the plane. All of it is
-// touched only from the coordinator goroutine or from a host while it
-// holds the fleet's single running turn, so no locking is needed.
+// fleetObs is the decision-side state of the plane. All of it is touched
+// only by the goroutine holding the fleet's single turn — a host while
+// it runs or takes a turn decision, or Run at the start rendezvous and
+// teardown — so no locking is needed.
 type fleetObs struct {
 	cfg  ObsConfig
 	recs []*obs.Recorder // per-host span recorders; nil unless Spans
@@ -172,7 +173,7 @@ func (o *fleetObs) wireLost(w *wire, retries int) {
 	s.PartDropped++
 }
 
-// onGrant runs at every coordinator grant, while all live hosts are
+// onGrant runs at every turn decision, while all live hosts are
 // parked: count the turn, track the host's lag behind the fleet max,
 // and fire the starvation watchdog.
 func (o *fleetObs) onGrant(f *Fabric, h *Host, grant vtime.Time) {
@@ -227,7 +228,8 @@ func (o *fleetObs) onPark(h *Host, now vtime.Time) {
 // sampleAt takes a rollup sample when fleet time crosses the next
 // boundary. Called with every live host parked, at the fleet-wide
 // next-action bound e, so reading the parked hosts' systems is safe
-// (the park channel send established happens-before).
+// (each park happened-before this decision through the chain of grant
+// handoffs since).
 func (o *fleetObs) sampleAt(f *Fabric, e vtime.Time) {
 	if !o.cfg.Rollup || e == vtime.Infinity || e < o.nextSample {
 		return
@@ -262,7 +264,7 @@ func (o *fleetObs) checkWaitCycle(f *Fabric) {
 	}
 	var mask uint64
 	for _, h := range f.hosts {
-		if !h.done && h.parked && h.ID < 64 && h.eff() == vtime.Infinity {
+		if !h.done && h.ID < 64 && h.eff() == vtime.Infinity {
 			mask |= 1 << uint(h.ID)
 		}
 	}

@@ -113,6 +113,15 @@ func (c *refClock) PopDue() (Event, bool) {
 	return Event{ID: e.id, At: e.at, Payload: e.payload}, true
 }
 
+func (c *refClock) PeekDue() (Event, bool) {
+	c.scrub()
+	if len(c.heap) == 0 || c.heap[0].at > c.now {
+		return Event{}, false
+	}
+	e := c.heap[0]
+	return Event{ID: e.id, At: e.at, Payload: e.payload}, true
+}
+
 func (c *refClock) Advance(d Duration) { c.now = c.now.Add(d) }
 
 func (c *refClock) Step(d Duration) (advanced Duration, due bool) {

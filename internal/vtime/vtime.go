@@ -204,7 +204,9 @@ type Clock struct {
 	// cancelling or popping a timer at the cached instant invalidates
 	// it. Advancing the clock never changes the armed set, so the memo
 	// survives fixup — this is what keeps NextExpiry O(1) even when the
-	// earliest region is a populous far-future slot.
+	// earliest region is a populous far-future slot. "No timer" needs no
+	// memo beside it: npending == 0 answers it exactly, and arming
+	// (the only way out of it) bumps npending.
 	cachedNext Time
 	cachedOK   bool
 
@@ -220,9 +222,9 @@ type Clock struct {
 	// allocates nothing and a cancel-heavy storm cannot accumulate
 	// tombstones. The list needs no lock: the clock is only ever touched
 	// by the single running thread (uniprocessor discipline).
-	free     *timerEntry
-	freeLen  int
-	liveLen  int
+	free    *timerEntry
+	freeLen int
+	liveLen int
 }
 
 // NewClock returns a clock at time zero with no timers armed.
@@ -448,6 +450,13 @@ func (c *Clock) findMinRegion() (level, slot int, ok bool) {
 // first cascade. Each entry moves at most once per level, so a drain of n
 // timers costs O(n·L) amortized.
 func (c *Clock) fixup() {
+	if c.wt == c.now {
+		return // every wheel entry is strictly after the anchor: none is due
+	}
+	if c.npending == 0 {
+		c.wt = c.now // nothing armed anywhere: catch up without a scan
+		return
+	}
 	for {
 		l, s, ok := c.findMinRegion()
 		if !ok {
@@ -504,12 +513,16 @@ func (c *Clock) fixup() {
 	}
 }
 
-// NextExpiry returns the expiry of the earliest armed timer.
+// NextExpiry returns the expiry of the earliest armed timer. It is O(1)
+// while the memo holds and on a clock with no armed timer at all.
 func (c *Clock) NextExpiry() (Time, bool) {
 	if c.cachedOK {
 		return c.cachedNext, true
 	}
 	c.fixup()
+	if c.npending == 0 {
+		return 0, false
+	}
 	if e := c.due.head; e != nil {
 		c.cachedNext, c.cachedOK = e.at, true
 		return e.at, true

@@ -110,3 +110,21 @@ func BenchmarkStepWithFarTimer(b *testing.B) {
 		c.Step(10)
 	}
 }
+
+// BenchmarkNextExpiryEmpty measures the expiry query on a clock with no
+// armed timer whose anchor lags a moving clock — the shape of a parked
+// fabric host polled at every grant. It must be O(1) at 0 allocs/op.
+func BenchmarkNextExpiryEmpty(b *testing.B) {
+	c := NewClock()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Advance(1 << 20)
+		_, expirySink = c.NextExpiry()
+	}
+	if expirySink {
+		b.Fatal("empty clock reported a timer")
+	}
+}
+
+// expirySink keeps the measured NextExpiry call from being optimized away.
+var expirySink bool

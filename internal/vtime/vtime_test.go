@@ -152,10 +152,45 @@ func TestStepFullWhenNoTimers(t *testing.T) {
 	}
 }
 
+// TestNextExpiryEmpty walks the "no timer" answer through every way into
+// and out of it.
 func TestNextExpiryEmpty(t *testing.T) {
 	c := NewClock()
-	if _, ok := c.NextExpiry(); ok {
-		t.Fatal("expiry on empty clock")
+	expect := func(step string, wantAt Time, wantOK bool) {
+		t.Helper()
+		if at, ok := c.NextExpiry(); ok != wantOK || (ok && at != wantAt) {
+			t.Fatalf("%s: NextExpiry = (%v, %v), want (%v, %v)", step, at, ok, wantAt, wantOK)
+		}
+	}
+	expect("fresh clock", 0, false)
+	c.Advance(1000)
+	expect("empty clock after an advance", 0, false)
+
+	id := c.ScheduleAfter(500, "a")
+	expect("arm right after an empty query", 1500, true)
+	c.Cancel(id)
+	expect("cancelled the only timer", 0, false)
+
+	c.ScheduleAfter(10, "b")
+	c.ScheduleAfter(20, "c")
+	expect("two armed", 1010, true)
+	c.Advance(20)
+	for _, want := range []string{"b", "c"} {
+		if ev, ok := c.PopDue(); !ok || ev.Payload != want {
+			t.Fatalf("PopDue = (%+v, %v), want %s", ev, ok, want)
+		}
+	}
+	expect("drained to empty", 0, false)
+	if ev, ok := c.PeekDue(); ok {
+		t.Fatalf("PeekDue on a drained clock = %+v", ev)
+	}
+
+	c.ScheduleAt(Infinity, "inf")
+	expect("timer at Infinity", Infinity, true)
+	c.Advance(1)
+	expect("timer at Infinity after an advance", Infinity, true)
+	if _, ok := c.PeekDue(); ok {
+		t.Fatal("timer at Infinity reported due")
 	}
 }
 

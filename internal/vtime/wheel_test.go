@@ -191,3 +191,80 @@ func TestWheelFarFutureAndInfinity(t *testing.T) {
 		t.Fatalf("NextExpiry = %v, %v; want Infinity", at, ok)
 	}
 }
+
+// TestWheelQueriesMatchHeapEveryOp compares NextExpiry and PeekDue with
+// the reference heap after every single operation. The sequences are
+// kept sparse, so the wheel keeps draining to empty and refilling, and
+// the anchor is often already caught up: the empty-clock and caught-up
+// fast paths must be indistinguishable from a full scan. Some arms land
+// at Infinity, which must read as "a timer at Infinity", never as "no
+// timer"; others land in the past and are due at once.
+func TestWheelQueriesMatchHeapEveryOp(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, r := NewClock(), newRefClock()
+		var live []TimerID
+		check := func(round int, op string) {
+			t.Helper()
+			at, ok := c.NextExpiry()
+			rat, rok := r.NextExpiry()
+			if ok != rok || (ok && at != rat) {
+				t.Fatalf("seed %d round %d after %s: NextExpiry wheel=(%v,%v) heap=(%v,%v)", seed, round, op, at, ok, rat, rok)
+			}
+			ev, ok := c.PeekDue()
+			rev, rok := r.PeekDue()
+			if ok != rok || ev != rev {
+				t.Fatalf("seed %d round %d after %s: PeekDue wheel=(%+v,%v) heap=(%+v,%v)", seed, round, op, ev, ok, rev, rok)
+			}
+		}
+		arm := func(at Time, round int) {
+			id, rid := c.ScheduleAt(at, round), r.ScheduleAt(at, round)
+			if id != rid {
+				t.Fatalf("seed %d round %d: wheel id %d != heap id %d", seed, round, id, rid)
+			}
+			live = append(live, id)
+		}
+		check(-1, "start")
+		for round := 0; round < 3000; round++ {
+			var op string
+			switch k := rng.Intn(10); {
+			case k < 3:
+				op = "arm"
+				arm(c.Now().Add(Duration(rng.Int63n(1<<uint(rng.Intn(24))))), round)
+			case k < 6:
+				op = "cancel"
+				if len(live) == 0 {
+					break
+				}
+				i := rng.Intn(len(live))
+				id := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				if got, want := c.Cancel(id), r.Cancel(id); got != want {
+					t.Fatalf("seed %d round %d: Cancel(%d) wheel=%v heap=%v", seed, round, id, got, want)
+				}
+			case k < 8:
+				op = "advance"
+				d := Duration(rng.Int63n(1 << uint(rng.Intn(22))))
+				c.Advance(d)
+				r.Advance(d)
+			case k < 9:
+				op = "pop"
+				ev, ok := c.PopDue()
+				rev, rok := r.PopDue()
+				if ok != rok || ev != rev {
+					t.Fatalf("seed %d round %d: PopDue wheel=(%+v,%v) heap=(%+v,%v)", seed, round, ev, ok, rev, rok)
+				}
+			default:
+				if rng.Intn(4) == 0 {
+					op = "arm-infinity"
+					arm(Infinity, round)
+				} else {
+					op = "arm-past"
+					arm(c.Now()-Time(rng.Int63n(1000)), round)
+				}
+			}
+			check(round, op)
+		}
+	}
+}

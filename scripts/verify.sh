@@ -182,6 +182,11 @@ go test -race ./internal/metrics/ ./internal/fabric/
 go run ./examples/fleet > "$t/fleet1.txt"
 go run ./examples/fleet > "$t/fleet2.txt"
 cmp "$t/fleet1.txt" "$t/fleet2.txt"
+# The double run only compares a build with itself; the golden pins the
+# fleet's decision stream (fingerprint, trace hash, per-host results)
+# across commits, so a rewrite that reordered grants deterministically
+# still fails here.
+cmp scripts/golden/fleet.txt "$t/fleet1.txt"
 go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -dcout "" > "$t/dc1.txt"
 go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -dcout "" > "$t/dc2.txt"
 cmp "$t/dc1.txt" "$t/dc2.txt"
