@@ -279,6 +279,44 @@ func BenchmarkContextSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkContextSwitchCont is BenchmarkContextSwitch between two
+// continuation threads: they yield to each other while main waits in
+// Join, so each iteration is again two switches, now handed over on one
+// runner goroutine. The virtual cost per switch is the same.
+func BenchmarkContextSwitchCont(b *testing.B) {
+	s := pthreads.New(pthreads.Config{})
+	err := s.Run(func() {
+		// Step entries 1 and 2 are the partners' first dispatches; entry
+		// 3 is the first return from a yield, where timing starts.
+		const warm = 3
+		entries, end := 0, warm+2*b.N
+		var v0 pthreads.Time
+		var step pthreads.ContFunc
+		step = func(k *pthreads.Cont) {
+			entries++
+			switch entries {
+			case warm:
+				b.ResetTimer()
+				v0 = s.Now()
+			case end:
+				b.StopTimer()
+				reportVirtual(b, s, v0, 2*b.N)
+			}
+			if entries < end {
+				k.Yield(step)
+			}
+		}
+		attr := pthreads.DefaultAttr()
+		x, _ := s.CreateCont(attr, step, nil)
+		y, _ := s.CreateCont(attr, step, nil)
+		s.Join(x)
+		s.Join(y)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSignalInternal is Table 2 row 10: pthread_kill to a suspended
 // thread, measured to handler entry.
 func BenchmarkSignalInternal(b *testing.B) {

@@ -38,7 +38,7 @@ import (
 // cost on the hottest I/O path — and NetEcho's allocs/op staying 0 with
 // spans off is a -diff-gated contract.
 const defaultHostPattern = "EnqueueDequeue|PeekMaxLoaded|Remove$|MutexNoContention|" +
-	"MutexProtocols|ContextSwitch$|SemaphoreSync$|ThreadCreate$|RingRecorderEvent|NetEcho$|" +
+	"MutexProtocols|ContextSwitch$|ContextSwitchCont$|SemaphoreSync$|ThreadCreate$|RingRecorderEvent|NetEcho$|" +
 	"NetEchoSpans$|MutexMetricsOn$|MutexMetricsOff$|DispatchMetricsOn$|DispatchMetricsOff$"
 
 // hostBench is one parsed benchmark result line.

@@ -16,7 +16,10 @@ import (
 // represented only by their TCB plus the small resume descriptor below.
 // Wakeup re-binds a pooled runner goroutine and resumes the recorded
 // wait point, so a million parked threads cost a few cache lines each
-// instead of a goroutine stack.
+// instead of a goroutine stack. The runner released by the parking (or
+// exiting) thread is the one rebound, so a switch between two
+// continuation threads stays on one goroutine: the runner unwinds the
+// leaving step and runs the next one from runnerLoop, with no channel.
 //
 // The representation is purely host-side: every virtual charge, trace
 // event, metrics call, and queue operation a continuation thread
@@ -168,6 +171,11 @@ func (k *Cont) FDOp(fd unixkern.FD, dir FDDir, what string, timeout vtime.Durati
 type contRunner struct {
 	resume chan resumeMsg
 	t      *Thread // bound thread; nil while idle (kernel-context access only)
+	// again marks a baton the runner passed to itself: the dispatcher
+	// bound the runner's next thread to the runner that was leaving, so
+	// runnerLoop resumes it directly once the leaving frames unwind.
+	// Only the runner's own goroutine reads or writes it.
+	again bool
 }
 
 // runnerIdleMax bounds the idle-runner pool; excess runners are killed
@@ -219,20 +227,49 @@ func (s *System) releaseRunner(t *Thread) {
 	}
 }
 
+// passBaton transfers control to next, the thread just dispatched. from
+// is the runner the calling context is leaving (nil on a goroutine
+// thread). When the dispatcher bound next to that same runner, no
+// goroutine changes hands: the runner marks itself to step again once
+// the caller unwinds, and nothing is sent. Otherwise the resume goes on
+// next's channel, and the send is the caller's last touch of the system.
+func (s *System) passBaton(next *Thread, from *contRunner) {
+	if from != nil && next.runner == from {
+		s.stats.RunnerTrampolines++
+		from.again = true
+		return
+	}
+	s.stats.BatonSends++
+	next.resumeCh() <- resumeMsg{}
+}
+
 // runnerLoop is the body of one runner goroutine: wait for a resume (a
 // bind's wakeup), run the bound thread until it parks, exits, or the
-// system finishes.
+// system finishes. A baton the runner passed to itself (r.again) is
+// taken without the channel, after the shutdown checks the select
+// would make: a finished system or a pending kill ends the runner.
 func (s *System) runnerLoop(r *contRunner) {
 	for {
-		select {
-		case msg := <-r.resume:
-			if msg.kill {
+		if r.again {
+			r.again = false
+			// A kill is the only message that can be waiting. finished
+			// needs no synchronization here: finish runs on the thread
+			// that holds the baton, or (Stop) while every thread of the
+			// system is parked, so it happens before this check.
+			if s.finished || len(r.resume) != 0 {
 				return
 			}
-			if !s.runnerStep(r) {
+		} else {
+			select {
+			case msg := <-r.resume:
+				if msg.kill {
+					return
+				}
+			case <-s.doneCh:
 				return
 			}
-		case <-s.doneCh:
+		}
+		if !s.runnerStep(r) {
 			return
 		}
 	}
@@ -371,7 +408,7 @@ func (s *System) contBlock(k *Cont, reason BlockReason, what string) bool {
 }
 
 // contLeave is the continuation analogue of leaveKernel at a declared
-// park point: run the dispatcher in handoff mode, then either send the
+// park point: run the dispatcher in handoff mode, then either pass the
 // baton to the selected thread (parked — the calling runner is already
 // released and must unwind without touching shared state), or, if the
 // dispatcher reselected this thread without a switch, run leaveKernel's
@@ -380,6 +417,7 @@ func (s *System) contLeave(t *Thread) (parked bool) {
 	if !s.kernelFlag {
 		panic("core: contLeave outside kernel")
 	}
+	r := t.runner
 	// The kernel-exit decision hooks never fire here — the thread's
 	// state is not Running at a park point, exactly as in leaveKernel.
 	s.exploreSquelch = false
@@ -387,10 +425,10 @@ func (s *System) contLeave(t *Thread) (parked bool) {
 	s.dispatch()
 	s.contHandoff = false
 	if next := s.contBaton; next != nil {
-		// All reads of the parked thread are done; the baton send is the
-		// last action before the unwind.
+		// All reads of the parked thread are done; passing the baton is
+		// the last action before the unwind.
 		s.contBaton = nil
-		next.resumeCh() <- resumeMsg{}
+		s.passBaton(next, r)
 		return true
 	}
 	// Reselected: this thread was made ready again during the dispatch

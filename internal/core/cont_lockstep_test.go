@@ -38,6 +38,7 @@ func lockstepRun(t *testing.T, main func(s *System)) ([]string, vtime.Time, Stat
 	}
 	st := s.Stats()
 	st.ContThreads, st.ContParked, st.RunnerBinds = 0, 0, 0
+	st.BatonSends, st.RunnerTrampolines = 0, 0
 	st.RunnerLive, st.RunnerPeak = 0, 0
 	st.ArenaChunks, st.ArenaSlotBytes = 0, 0
 	return tr.lines, s.Now(), st

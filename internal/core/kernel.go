@@ -285,10 +285,12 @@ func (s *System) contextSwitch(next *Thread) {
 
 	// A terminated or handoff-parking continuation thread releases its
 	// runner before the incoming thread is bound, so a wakeup can reuse
-	// it immediately (the released runner's goroutine is still unwinding;
-	// a rebind's resume waits in its buffered channel).
+	// it immediately: the baton then never leaves the runner's goroutine
+	// (passBaton). A runner rebound later instead may still be unwinding;
+	// the rebind's resume waits in its buffered channel.
 	exiting := prev.state == StateTerminated
 	handoff := s.contHandoff && !exiting
+	from := prev.runner // still bound to prev unless released below
 	if exiting && prev.runner != nil {
 		s.releaseRunner(prev)
 	}
@@ -308,18 +310,20 @@ func (s *System) contextSwitch(next *Thread) {
 	}
 
 	if handoff {
-		// contLeave sends the baton itself, after its last read of the
+		// contLeave passes the baton itself, after its last read of the
 		// parked thread; record the selected thread for it.
 		s.contBaton = next
 		return
 	}
 
-	// Everything after the send may run concurrently with the new
-	// thread, so the exit decision is taken first: a terminated caller
-	// returns (its goroutine unwinds), everyone else parks. A system
-	// shutdown that lands in this window is delivered through the park
-	// channel as a kill message.
-	next.resumeCh() <- resumeMsg{}
+	// Everything after a send may run concurrently with the new thread,
+	// so the exit decision is taken first: a terminated caller returns
+	// (its goroutine unwinds, and a runner that kept the baton steps
+	// again), everyone else parks. A thread that parks still holds its
+	// runner, so next cannot be bound to it and the baton is a send. A
+	// system shutdown that lands in this window is delivered through
+	// the park channel as a kill message.
+	s.passBaton(next, from)
 	if exiting {
 		return
 	}

@@ -135,6 +135,11 @@ type Stats struct {
 	RunnerPeak     int64 // high-water mark of RunnerLive
 	ArenaChunks    int64 // chunks carved by the TCB and cont-frame arenas
 	ArenaSlotBytes int64 // host bytes per TCB arena slot
+
+	// Baton transport (host-side; see passBaton): how each dispatch
+	// reached its thread's execution context. Kill messages not counted.
+	BatonSends        int64 // resumes sent on a thread's or runner's channel
+	RunnerTrampolines int64 // switches taken on the calling runner, no send
 }
 
 // sigactionRec is the process-wide action table entry for one signal
@@ -197,8 +202,10 @@ type System struct {
 
 	// Parked-continuation machinery (see cont.go). contHandoff marks a
 	// contLeave-driven dispatch: contextSwitch records the selected
-	// thread in contBaton and returns without sending, so contLeave can
-	// send the baton itself after its last read of the parked thread.
+	// thread in contBaton and returns without passing the baton, so
+	// contLeave can pass it itself after its last read of the parked
+	// thread — as a mark on its own runner when the selected thread was
+	// bound to it, as a channel send otherwise (passBaton).
 	// The runner pool is kernel-context state: no lock needed.
 	contHandoff bool
 	contBaton   *Thread
@@ -468,6 +475,7 @@ func (s *System) Run(main func()) error {
 	s.ensureResume(t)
 	t.started = true
 	go s.trampoline(t)
+	s.stats.BatonSends++
 	t.resume <- resumeMsg{}
 
 	<-s.doneCh

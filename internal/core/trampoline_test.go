@@ -1,0 +1,349 @@
+package core
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// Tests of the baton transport: a switch between two continuation
+// threads stays on the calling runner (RunnerTrampolines), every other
+// switch sends on the incoming context's channel (BatonSends), and a
+// system that ends while the runner trampolines leaves no goroutine
+// behind.
+
+// condRing is a token ring of n members under one mutex, one condition
+// variable per member, in the canonical "while not my turn: wait" loop.
+// The holder passes the token by signalling its successor and waiting on
+// its own variable. After hops hops the holder stops the ring and every
+// member exits. onHop runs with the mutex held after each hop.
+type condRing struct {
+	s     *System
+	m     *Mutex
+	cv    []*Cond
+	turn  int
+	hops  int
+	limit int
+	stop  bool
+	onHop func(hop int)
+}
+
+func newCondRing(s *System, n, hops int) *condRing {
+	g := &condRing{s: s, m: s.MustMutex(MutexAttr{Name: "ring"}), limit: hops}
+	for i := 0; i < n; i++ {
+		g.cv = append(g.cv, s.NewCond("hop"))
+	}
+	return g
+}
+
+// pass is one visit of member i with the mutex held: it reports
+// whether i must wait for the token (false: the ring stopped, the mutex
+// is released and the member exits).
+func (g *condRing) pass(i int) (wait bool) {
+	for !g.stop {
+		if g.turn != i {
+			return true
+		}
+		if g.hops == g.limit {
+			g.stop = true
+			for _, c := range g.cv {
+				c.Signal()
+			}
+			break
+		}
+		g.hops++
+		g.turn = (i + 1) % len(g.cv)
+		g.cv[g.turn].Signal()
+		if g.onHop != nil {
+			g.onHop(g.hops)
+		}
+	}
+	g.m.Unlock()
+	return false
+}
+
+// startCont creates the members as continuation threads at the
+// caller's priority.
+func (g *condRing) startCont() []*Thread {
+	var ths []*Thread
+	for i := range g.cv {
+		var check ContFunc
+		check = func(k *Cont) {
+			if g.pass(i) {
+				k.CondWait(g.cv[i], g.m, check)
+			}
+		}
+		th, _ := g.s.CreateCont(DefaultAttr(), func(k *Cont) { k.Lock(g.m, check) }, nil)
+		ths = append(ths, th)
+	}
+	return ths
+}
+
+// startGoroutine creates the same members as goroutine threads.
+func (g *condRing) startGoroutine() []*Thread {
+	var ths []*Thread
+	for i := range g.cv {
+		th, _ := g.s.Create(DefaultAttr(), func(any) any {
+			g.m.Lock()
+			for g.pass(i) {
+				g.cv[i].Wait(g.m)
+			}
+			return nil
+		}, nil)
+		ths = append(ths, th)
+	}
+	return ths
+}
+
+// closer creates a continuation thread below the caller's priority that
+// joins ths. It runs only once every member has exited, so a main that
+// joins the closer is switched to and from exactly once.
+func closer(s *System, ths []*Thread) *Thread {
+	attr := DefaultAttr()
+	attr.Priority = s.Self().Priority() - 1
+	var join ContFunc
+	i := 0
+	join = func(k *Cont) {
+		if i < len(ths) {
+			i++
+			k.Join(ths[i-1], join)
+		}
+	}
+	th, _ := s.CreateCont(attr, join, nil)
+	return th
+}
+
+// TestTrampolineCondRing: in a continuation-only ring every switch is
+// taken on the one runner. Only main's start, main's switch into the
+// ring and the switch back to main at the end send a baton.
+func TestTrampolineCondRing(t *testing.T) {
+	const members, hops = 64, 10000
+	s := New(Config{})
+	var mid0, mid1 Stats
+	err := s.Run(func() {
+		g := newCondRing(s, members, hops)
+		g.onHop = func(hop int) {
+			switch hop {
+			case 100:
+				mid0 = s.Stats()
+			case hops:
+				mid1 = s.Stats()
+			}
+		}
+		s.Join(closer(s, g.startCont()))
+		if g.hops != hops {
+			t.Errorf("ring made %d hops, want %d", g.hops, hops)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	st := s.Stats()
+	if st.BatonSends != 3 {
+		t.Errorf("BatonSends = %d, want 3 (main's start, into the ring, back to main)", st.BatonSends)
+	}
+	if want := st.ContextSwitches - 2; st.RunnerTrampolines != want {
+		t.Errorf("RunnerTrampolines = %d, want %d (every switch but the two from and to main)",
+			st.RunnerTrampolines, want)
+	}
+	if st.RunnerPeak != 1 {
+		t.Errorf("RunnerPeak = %d, want 1", st.RunnerPeak)
+	}
+	sw := mid1.ContextSwitches - mid0.ContextSwitches
+	if sw < hops-100 {
+		t.Errorf("%d switches over %d hops", sw, hops-100)
+	}
+	if got := mid1.RunnerTrampolines - mid0.RunnerTrampolines; got != sw {
+		t.Errorf("mid-ring: %d trampolines for %d switches", got, sw)
+	}
+	if got := mid1.BatonSends - mid0.BatonSends; got != 0 {
+		t.Errorf("mid-ring: %d baton sends, want 0", got)
+	}
+}
+
+// TestTrampolineGoroutineRing: the same ring on goroutine threads sends
+// a baton for every switch and never trampolines.
+func TestTrampolineGoroutineRing(t *testing.T) {
+	const members, hops = 64, 10000
+	s := New(Config{})
+	err := s.Run(func() {
+		g := newCondRing(s, members, hops)
+		for _, th := range g.startGoroutine() {
+			s.Join(th)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	st := s.Stats()
+	if st.ContextSwitches < hops {
+		t.Errorf("%d switches over %d hops", st.ContextSwitches, hops)
+	}
+	// The extra send is main's start, which is not a context switch.
+	if st.BatonSends != st.ContextSwitches+1 {
+		t.Errorf("BatonSends = %d, want ContextSwitches+1 = %d", st.BatonSends, st.ContextSwitches+1)
+	}
+	if st.RunnerTrampolines != 0 {
+		t.Errorf("RunnerTrampolines = %d, want 0", st.RunnerTrampolines)
+	}
+}
+
+// awaitGoroutines waits, bounded, for the host goroutine count to fall
+// back to before.
+func awaitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: before New %d, after Run %d", before, after)
+	}
+}
+
+// TestTrampolineTeardown ends a continuation-only ring while its runner
+// trampolines: Shutdown from a step, a deadlock of the whole ring, and a
+// panic in a step. Run reports each, and every runner and thread
+// goroutine ends.
+func TestTrampolineTeardown(t *testing.T) {
+	const members, at = 16, 500
+	cases := []struct {
+		name  string
+		onHop func(s *System, g *condRing)
+		check func(t *testing.T, s *System, err error)
+	}{
+		{
+			name:  "shutdown",
+			onHop: func(s *System, g *condRing) { s.Shutdown("stopped") },
+			check: func(t *testing.T, s *System, err error) {
+				if err != nil || s.ExitStatus() != "stopped" {
+					t.Errorf("Run = %v, status %v; want nil, stopped", err, s.ExitStatus())
+				}
+			},
+		},
+		{
+			// The token goes to no member, so every member waits forever.
+			name:  "deadlock",
+			onHop: func(s *System, g *condRing) { g.turn = -1 },
+			check: func(t *testing.T, s *System, err error) {
+				if err == nil || !strings.Contains(err.Error(), "deadlock") {
+					t.Errorf("Run = %v, want a deadlock report", err)
+				}
+			},
+		},
+		{
+			name:  "panic",
+			onHop: func(s *System, g *condRing) { panic("boom") },
+			check: func(t *testing.T, s *System, err error) {
+				if err == nil || !strings.Contains(err.Error(), "panic in") ||
+					!strings.Contains(err.Error(), "boom") {
+					t.Errorf("Run = %v, want the step's panic", err)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			s := New(Config{})
+			err := s.Run(func() {
+				g := newCondRing(s, members, 2*at)
+				g.onHop = func(hop int) {
+					if hop == at {
+						// Each hop after the first follows a switch.
+						if st := s.Stats(); st.RunnerTrampolines < at-1 {
+							t.Errorf("only %d trampolines by hop %d", st.RunnerTrampolines, at)
+						}
+						tc.onHop(s, g)
+					}
+				}
+				s.Join(closer(s, g.startCont()))
+				t.Errorf("ring ran to completion")
+			})
+			tc.check(t, s, err)
+			awaitGoroutines(t, before)
+		})
+	}
+}
+
+// TestLockstepExitChain: each continuation's last step returns and its
+// exit hands the processor to the next continuation, on the exiting
+// thread's runner. Schedules match the goroutine version exactly.
+func TestLockstepExitChain(t *testing.T) {
+	const n = 8
+	var st Stats
+	chain := func(s *System, create func(attr Attr, i int) *Thread) {
+		var ths []*Thread
+		for i := 0; i < n; i++ {
+			ths = append(ths, create(lockstepAttr(s, "w", 0), i))
+		}
+		for i, th := range ths {
+			if v, _ := s.Join(th); v != i {
+				t.Errorf("join %d = %v", i, v)
+			}
+		}
+	}
+	lockstep(t,
+		func(s *System) {
+			chain(s, func(attr Attr, i int) *Thread {
+				th, _ := s.Create(attr, func(any) any { return i }, nil)
+				return th
+			})
+		},
+		func(s *System) {
+			chain(s, func(attr Attr, i int) *Thread {
+				th, _ := s.CreateCont(attr, func(k *Cont) { k.Ret = i }, nil)
+				return th
+			})
+			st = s.Stats()
+		})
+	// Main joins w0 first: w0 is dispatched by a send, w1..w7 each by
+	// the exit of its predecessor, and w7's exit sends back to main.
+	if st.RunnerTrampolines != n-1 {
+		t.Errorf("RunnerTrampolines = %d, want %d exits handed on", st.RunnerTrampolines, n-1)
+	}
+	if st.BatonSends != 3 {
+		t.Errorf("BatonSends = %d, want 3", st.BatonSends)
+	}
+}
+
+// TestRunnerTrampolineStopsOnShutdown: a runner holding a baton it
+// passed to itself takes the exits its select would take. With the
+// system finished, or a kill waiting on its channel, it ends without
+// running the bound thread's step.
+func TestRunnerTrampolineStopsOnShutdown(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		finished, kill bool
+	}{{"finished", true, false}, {"kill", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			ran := false
+			th := &Thread{sys: s, state: StateRunning}
+			th.cont = &Cont{s: s, t: th, first: true, next: func(*Cont) { ran = true }}
+			s.current = th
+			r := &contRunner{resume: make(chan resumeMsg, 1), t: th, again: true}
+			if tc.finished {
+				s.Stop(nil)
+			}
+			if tc.kill {
+				r.resume <- resumeMsg{kill: true}
+			}
+			done := make(chan struct{})
+			go func() {
+				s.runnerLoop(r)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("runner did not end")
+			}
+			if ran {
+				t.Error("runner stepped its thread after shutdown")
+			}
+		})
+	}
+}

@@ -39,6 +39,7 @@ func ioLockstep(t *testing.T, goroutine, cont func(s *core.System, x *IO)) {
 		}
 		st := s.Stats()
 		st.ContThreads, st.ContParked, st.RunnerBinds = 0, 0, 0
+		st.BatonSends, st.RunnerTrampolines = 0, 0
 		st.RunnerLive, st.RunnerPeak = 0, 0
 		st.ArenaChunks, st.ArenaSlotBytes = 0, 0
 		return tr.lines, s.Now(), st
