@@ -57,63 +57,71 @@ func (c *Cond) Waiters() int { return c.waiters.Len() }
 // point for cancellation; a cancelled waiter reacquires the mutex before
 // its cleanup handlers run.
 func (c *Cond) Wait(m *Mutex) error {
-	return c.wait(m, -1)
+	var w waitOp
+	w.cv, w.mu = c, m
+	c.s.condWait(&w)
+	return w.Err
 }
 
 // TimedWait is Wait with a relative timeout; it returns ETIMEDOUT if the
 // condition variable was not signaled within d of virtual time. The mutex
 // is held again on return regardless.
 func (c *Cond) TimedWait(m *Mutex, d vtime.Duration) error {
-	if d < 0 {
-		return EINVAL.Or()
-	}
-	return c.wait(m, d)
+	var w waitOp
+	w.cv, w.mu, w.d, w.timed = c, m, d, true
+	c.s.condWait(&w)
+	return w.Err
 }
 
-func (c *Cond) wait(m *Mutex, d vtime.Duration) error {
-	s := c.s
+// condWait is Wait and TimedWait over a frame (see waitOp).
+func (s *System) condWait(w *waitOp) (parked bool) {
 	t := s.current
-	if m == nil || m.owner != t {
-		t.errno = EPERM
-		return EPERM.Or()
-	}
-	if c.mutex != nil && c.mutex != m {
-		// Different mutexes used with one condition variable.
-		t.errno = EINVAL
-		return EINVAL.Or()
-	}
-	if m.eng != nil {
-		// Engine mutexes have no suspend queue, and the signal hand-off
-		// below morphs cond waiters onto exactly that queue (see
-		// enginemutex.go).
-		t.errno = EINVAL
-		return EINVAL.Or()
-	}
-	s.TestCancel()
+	c, m := w.cv, w.mu
+	if w.phase == 0 {
+		if w.timed && w.d < 0 {
+			w.Err = EINVAL.Or()
+			return false
+		}
+		if m == nil || m.owner != t {
+			return w.fail(t, EPERM)
+		}
+		if c.mutex != nil && c.mutex != m {
+			// Different mutexes used with one condition variable.
+			return w.fail(t, EINVAL)
+		}
+		if m.eng != nil {
+			// Engine mutexes have no suspend queue, and the signal
+			// hand-off below morphs cond waiters onto exactly that queue
+			// (see enginemutex.go).
+			return w.fail(t, EINVAL)
+		}
+		s.TestCancel()
 
-	s.enterKernel()
-	s.stats.CondWaits++
-	s.cpu.ChargeInstr(instrCondEnqueue)
-	c.mutex = m
-	t.waitingCond = c
-	t.condMutex = m
-	t.wake = wakeNone
-	c.waiters.Enqueue(t, t.prio)
-	s.traceObj(EvCond, t, c.name, "wait", "")
-	if s.metrics != nil {
-		s.metrics.CondWaitStart(s.clock.Now(), t, c)
+		s.enterKernel()
+		s.stats.CondWaits++
+		s.cpu.ChargeInstr(instrCondEnqueue)
+		c.mutex = m
+		t.waitingCond = c
+		t.condMutex = m
+		t.wake = wakeNone
+		c.waiters.Enqueue(t, t.prio)
+		s.traceObj(EvCond, t, c.name, "wait", "")
+		if s.metrics != nil {
+			s.metrics.CondWaitStart(s.clock.Now(), t, c)
+		}
+		if w.timed {
+			t.cvTag.t, t.cvTag.c = t, c
+			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, w.d, &t.cvTag)
+		}
+		// Release the mutex atomically with the suspension: we are
+		// inside the kernel, so no other thread can intervene between
+		// the unlock and the block.
+		s.unlockForWaitLocked(m)
+		w.phase = 1
+		if s.block(w.declared, BlockCond, c.waitName) {
+			return true
+		}
 	}
-
-	if d >= 0 {
-		t.cvTag.t, t.cvTag.c = t, c
-		t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, d, &t.cvTag)
-	}
-
-	// Release the mutex atomically with the suspension: we are inside
-	// the kernel, so no other thread can intervene between the unlock
-	// and the block.
-	s.unlockForWaitLocked(m)
-	s.blockCurrent(BlockCond, c.waitName)
 
 	// Woken. Every path below ends with the mutex held.
 	s.cpu.ChargeInstr(instrCondResume)
@@ -141,8 +149,7 @@ func (c *Cond) wait(m *Mutex, d vtime.Duration) error {
 		s.mutexLock(m)
 		c.dropMutexIfIdle()
 		s.TestCancel()
-		t.errno = ETIMEDOUT
-		return ETIMEDOUT.Or()
+		return w.fail(t, ETIMEDOUT)
 	case wakeCancel:
 		// Cancelled while waiting: reacquire the mutex so cleanup
 		// handlers observe a deterministic mutex state, then act. The
@@ -157,7 +164,7 @@ func (c *Cond) wait(m *Mutex, d vtime.Duration) error {
 	}
 	c.dropMutexIfIdle()
 	s.TestCancel()
-	return nil
+	return false
 }
 
 // dropMutexIfIdle clears the condvar→mutex association once the last

@@ -1,11 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strconv"
-
-	"pthreads/internal/hw"
-	"pthreads/internal/sched"
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
@@ -21,11 +16,12 @@ import (
 // continuation threads stays on one goroutine: the runner unwinds the
 // leaving step and runs the next one from runnerLoop, with no channel.
 //
-// The representation is purely host-side: every virtual charge, trace
-// event, metrics call, and queue operation a continuation thread
-// performs is a transcription of the goroutine path's, in the same
-// order, so schedules stay bit-identical between the two
-// representations (pinned by the lockstep tests in cont_lockstep_test.go).
+// The representation is purely host-side. A declared operation runs the
+// very function a goroutine thread's call runs (see waitOp): the two
+// differ only at the park, so every virtual charge, trace event,
+// metrics call, and queue operation is the same code in the same order,
+// and schedules are bit-identical between the two representations
+// (pinned by the lockstep tests in cont_lockstep_test.go).
 //
 // The key invariant making the rest of the library work unchanged:
 // while a continuation thread is bound to a runner, the runner IS its
@@ -42,24 +38,16 @@ import (
 // as the next step once the operation completes.
 type ContFunc func(k *Cont)
 
-// contOp identifies the declared blocking operation of a step.
-type contOp int
-
-const (
-	contOpNone contOp = iota
-	contOpFD
-	contOpSleep
-	contOpYield
-	contOpLock
-	contOpWait
-	contOpTimedWait
-	contOpJoin
-)
-
-// Cont is a continuation thread's resume descriptor: the recorded wait
-// point, its operands, and the results the resumed step reads. It is
-// the whole host-side cost of a parked thread beyond the TCB. Frames
-// are arena-backed and recycled when the thread is reclaimed.
+// Cont is a continuation thread's resume descriptor: the declared
+// operation and its frame, the step to run when it completes, and the
+// thread's argument, status and scratch slots. It is the whole
+// host-side cost of a parked thread beyond the TCB. Frames are
+// arena-backed and recycled when the thread is reclaimed.
+//
+// The declared operation's results are the frame's exported fields,
+// promoted here: Err (its error result), N (a byte count, written by
+// the I/O jacket), Rem (Sleep's remaining time) and Val (Join's exit
+// status). Declaring an operation clears all four.
 type Cont struct {
 	s *System
 	t *Thread
@@ -68,34 +56,15 @@ type Cont struct {
 	parked bool // currently parked without a goroutine
 
 	next ContFunc // continuation recorded by the pending op (or next step)
-
-	op      contOp
-	opPhase int // 0 before the park, 1 after; drivers re-enter here
-
-	// Operands of the declared operation.
-	d         vtime.Duration
-	deadline  vtime.Time
-	blockedAt vtime.Time
-	fd        unixkern.FD
-	dir       FDDir
-	what      string
-	fdop      FDOp
-	mu        *Mutex
-	cv        *Cond
-	target    *Thread
+	// op is the declared blocking operation, re-entered at the frame's
+	// phase after the park; nil when the step declared none.
+	op func(*System, *waitOp) (parked bool)
+	waitOp
 
 	// Arg is the creation argument (CreateCont's arg).
 	Arg any
 	// Ret is the thread's exit status when the last step returns.
 	Ret any
-	// Err is the declared operation's error result.
-	Err error
-	// N is a byte-count result slot (the I/O jacket writes it).
-	N int
-	// Rem is Sleep's remaining-time result.
-	Rem vtime.Duration
-	// Val is Join's exit-status result.
-	Val any
 	// Env is a scratch slot for jacket layers that thread their own
 	// state through a step chain without a closure.
 	Env any
@@ -107,62 +76,63 @@ func (k *Cont) Self() *Thread { return k.t }
 // Sys returns the owning system.
 func (k *Cont) Sys() *System { return k.s }
 
-// declare records the step's blocking operation. A step gets one.
-func (k *Cont) declare(op contOp, next ContFunc) {
-	if k.op != contOpNone {
+// declare records the step's blocking operation and returns its frame,
+// at phase 0 with every result cleared, so an operation that fails
+// never shows an earlier one's results. The caller sets the operands
+// the operation reads. A step gets one.
+func (k *Cont) declare(op func(*System, *waitOp) bool, next ContFunc) *waitOp {
+	if k.op != nil {
 		panic("core: continuation step declared two blocking operations")
 	}
-	k.op = op
-	k.opPhase = 0
-	k.next = next
-	k.Err = nil
+	k.op, k.next = op, next
+	w := &k.waitOp
+	w.phase, w.timed = 0, false
+	w.Err, w.N, w.Rem, w.Val = nil, 0, 0, nil
+	return w
 }
 
 // Sleep declares a Sleep(d) park; then runs after the sleep with k.Rem
 // holding the remaining time (see System.Sleep).
 func (k *Cont) Sleep(d vtime.Duration, then ContFunc) {
-	k.d = d
-	k.declare(contOpSleep, then)
+	k.declare((*System).sleepOp, then).d = d
 }
 
 // Yield declares a sched_yield park (see System.Yield).
 func (k *Cont) Yield(then ContFunc) {
-	k.declare(contOpYield, then)
+	k.declare((*System).yieldOp, then)
 }
 
 // Lock declares a mutex acquisition; a contended wait parks without a
 // goroutine. then runs with the mutex held (or k.Err set, see
 // Mutex.Lock).
 func (k *Cont) Lock(m *Mutex, then ContFunc) {
-	k.mu = m
-	k.declare(contOpLock, then)
+	k.declare((*System).lockOp, then).mu = m
 }
 
 // CondWait declares a condition wait (Cond.Wait); the mutex is held
 // again when then runs, with k.Err as Wait's result.
 func (k *Cont) CondWait(c *Cond, m *Mutex, then ContFunc) {
-	k.cv, k.mu, k.d = c, m, -1
-	k.declare(contOpWait, then)
+	w := k.declare((*System).condWait, then)
+	w.cv, w.mu = c, m
 }
 
 // CondTimedWait declares a timed condition wait (Cond.TimedWait).
 func (k *Cont) CondTimedWait(c *Cond, m *Mutex, d vtime.Duration, then ContFunc) {
-	k.cv, k.mu, k.d = c, m, d
-	k.declare(contOpTimedWait, then)
+	w := k.declare((*System).condWait, then)
+	w.cv, w.mu, w.d, w.timed = c, m, d, true
 }
 
 // Join declares a join on t (System.Join); then runs with k.Val holding
 // the target's exit status and k.Err Join's result.
 func (k *Cont) Join(t *Thread, then ContFunc) {
-	k.target = t
-	k.declare(contOpJoin, then)
+	k.declare((*System).joinOp, then).target = t
 }
 
 // FDOp declares a blocking-jacket descriptor operation
 // (System.FDBlockingOp); then runs with k.Err as the jacket result.
 func (k *Cont) FDOp(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, op FDOp, then ContFunc) {
-	k.fd, k.dir, k.what, k.d, k.fdop = fd, dir, what, timeout, op
-	k.declare(contOpFD, then)
+	w := k.declare((*System).fdOp, then)
+	w.fd, w.dir, w.what, w.d, w.fdop = fd, dir, what, timeout, op
 }
 
 // contRunner is one pooled runner goroutine. While bound, it is the
@@ -221,10 +191,7 @@ func (s *System) releaseRunner(t *Thread) {
 		return
 	}
 	s.runnerLive--
-	select {
-	case r.resume <- resumeMsg{kill: true}:
-	default:
-	}
+	sendKill(r.resume)
 }
 
 // passBaton transfers control to next, the thread just dispatched. from
@@ -275,45 +242,20 @@ func (s *System) runnerLoop(r *contRunner) {
 	}
 }
 
-// runnerStep resumes the bound thread. It returns false when the runner
-// must die (system shutdown). Mirrors the trampoline's recover contract:
-// killPanic tears the runner down silently; any other escaped panic is a
-// crash of the simulated process.
+// runnerStep resumes the bound thread until it parks, exits (through
+// the ordinary termination path), or the system finishes. It returns
+// false when the runner must die: the unwind contract is the
+// trampoline's (see unwound).
 func (s *System) runnerStep(r *contRunner) (ok bool) {
 	t := r.t
 	completed := false
-	defer func() {
-		rec := recover()
-		switch {
-		case rec == nil && completed:
-			ok = true
-		case rec == nil:
-			s.finish(fmt.Errorf("%v: goroutine exited prematurely (runtime.Goexit, e.g. t.Fatal in thread code)", t), nil)
-		default:
-			if _, kill := rec.(killPanic); kill {
-				return
-			}
-			s.finish(fmt.Errorf("panic in %v: %v", t, rec), nil)
-		}
-	}()
-
-	// Mirror of park()'s post-receive mask restore.
-	if s.maskedForSwitch {
-		s.maskedForSwitch = false
-		s.proc.RestoreMask(s.preSwitchMask)
-	}
-	s.contResume(t.cont)
-	completed = true
-	return
-}
-
-// contResume runs the thread until it parks or finishes; a finished
-// thread exits through the ordinary termination path.
-func (s *System) contResume(k *Cont) {
-	status, exited := s.contBody(k)
-	if exited {
+	defer func() { ok = s.unwound(t, completed, recover()) }()
+	s.unmaskAfterSwitch()
+	if status, exited := s.contBody(t.cont); exited {
 		s.exitCurrent(status)
 	}
+	completed = true
+	return
 }
 
 // contBody is the continuation analogue of trampoline+callBody: run the
@@ -321,28 +263,20 @@ func (s *System) contResume(k *Cont) {
 // steps; convert Exit unwinding into a return value.
 func (s *System) contBody(k *Cont) (status any, exited bool) {
 	defer func() {
-		if r := recover(); r != nil {
-			if ep, isExit := r.(exitPanic); isExit {
-				status, exited = ep.status, true
-				return
-			}
-			panic(r)
+		if st, ok := exitStatus(recover()); ok {
+			status, exited = st, true
 		}
 	}()
-	if k.first {
-		// First dispatch: the trampoline prologue (no poll — the
-		// dispatching context already ran leaveKernel's tail).
-		k.first = false
-		s.drainFakeCalls()
-		s.armSliceOnUserReturn()
-	} else {
-		// Wakeup from a declared park: the tail of the leaveKernel that
-		// handed the processor away runs on the resumed side, exactly as
-		// it does for a goroutine thread returning from park.
+	// A wakeup from a declared park runs the tail of the leaveKernel
+	// that handed the processor away, exactly as a goroutine thread
+	// returning from park does. The first dispatch is the trampoline
+	// prologue: no poll, the dispatching context already ran the tail.
+	if !k.first {
 		s.pollOutsideKernel()
-		s.drainFakeCalls()
-		s.armSliceOnUserReturn()
 	}
+	k.first = false
+	s.drainFakeCalls()
+	s.armSliceOnUserReturn()
 	if s.contSteps(k) {
 		return nil, false
 	}
@@ -351,15 +285,16 @@ func (s *System) contBody(k *Cont) (status any, exited bool) {
 
 // contSteps drives the step machine: run the pending declared operation
 // (if any), then successive steps until one parks or no continuation
-// remains.
+// remains. An operation that parked has released the runner and passed
+// the baton: the caller unwinds without touching k or its thread, and
+// the next dispatch re-enters the operation at its frame's phase.
 func (s *System) contSteps(k *Cont) (parked bool) {
 	for {
-		if k.op != contOpNone {
-			if s.contDrive(k) {
+		if k.op != nil {
+			if k.op(s, &k.waitOp) {
 				return true
 			}
-			k.op, k.opPhase = contOpNone, 0
-			continue
+			k.op = nil
 		}
 		next := k.next
 		if next == nil {
@@ -368,495 +303,4 @@ func (s *System) contSteps(k *Cont) (parked bool) {
 		k.next = nil
 		next(k)
 	}
-}
-
-// contDrive dispatches to the declared operation's driver. Each driver
-// is a phase-numbered transcription of its goroutine original with
-// identical virtual charges, traces, and metrics ordering; it returns
-// true when the thread parked (the runner is already released and the
-// baton sent — the caller must unwind without touching k or its thread).
-func (s *System) contDrive(k *Cont) (parked bool) {
-	switch k.op {
-	case contOpFD:
-		return s.contDriveFD(k)
-	case contOpSleep:
-		return s.contDriveSleep(k)
-	case contOpYield:
-		return s.contDriveYield(k)
-	case contOpLock:
-		return s.contDriveLock(k)
-	case contOpWait, contOpTimedWait:
-		return s.contDriveWait(k)
-	case contOpJoin:
-		return s.contDriveJoin(k)
-	}
-	panic("core: unknown continuation operation")
-}
-
-// contBlock is blockCurrent with the goroutine park replaced by the
-// continuation handoff. Returns true when the thread parked.
-func (s *System) contBlock(k *Cont, reason BlockReason, what string) bool {
-	t := k.t
-	t.state = StateBlocked
-	t.blockReason = reason
-	t.waitingFor = what
-	s.cancelSliceTimer()
-	s.trace(EvState, t, "blocked", what)
-	s.mState(t)
-	s.dispatcherFlag = true
-	return s.contLeave(t)
-}
-
-// contLeave is the continuation analogue of leaveKernel at a declared
-// park point: run the dispatcher in handoff mode, then either pass the
-// baton to the selected thread (parked — the calling runner is already
-// released and must unwind without touching shared state), or, if the
-// dispatcher reselected this thread without a switch, run leaveKernel's
-// tail and continue inline.
-func (s *System) contLeave(t *Thread) (parked bool) {
-	if !s.kernelFlag {
-		panic("core: contLeave outside kernel")
-	}
-	r := t.runner
-	// The kernel-exit decision hooks never fire here — the thread's
-	// state is not Running at a park point, exactly as in leaveKernel.
-	s.exploreSquelch = false
-	s.contHandoff = true
-	s.dispatch()
-	s.contHandoff = false
-	if next := s.contBaton; next != nil {
-		// All reads of the parked thread are done; passing the baton is
-		// the last action before the unwind.
-		s.contBaton = nil
-		s.passBaton(next, r)
-		return true
-	}
-	// Reselected: this thread was made ready again during the dispatch
-	// (restart-arc signal handling) and chosen without a switch. Finish
-	// the kernel exit as leaveKernel would.
-	s.pollOutsideKernel()
-	s.drainFakeCalls()
-	s.armSliceOnUserReturn()
-	return false
-}
-
-// --- Drivers ----------------------------------------------------------------
-//
-// Each driver transcribes its goroutine original (named in the comment)
-// with blockCurrent replaced by contBlock and the post-park code re-entered
-// at opPhase 1 after a wakeup. The originals stay untouched; the lockstep
-// tests pin byte-identical schedules between the two.
-
-// contDriveSleep transcribes System.Sleep.
-func (s *System) contDriveSleep(k *Cont) bool {
-	t := k.t
-	if k.opPhase == 0 {
-		s.TestCancel()
-		if k.d <= 0 {
-			k.Rem = 0
-			return false
-		}
-		k.deadline = s.clock.Now().Add(k.d)
-		s.enterKernel()
-		t.waitTimer = s.kern.SetTimer(s.proc, sigalrm, k.d, t, false)
-		t.wake = wakeNone
-		what := "sleep"
-		if s.tracer != nil {
-			what = fmt.Sprintf("sleep %v", k.d)
-		}
-		k.opPhase = 1
-		if s.contBlock(k, BlockSleep, what) {
-			return true
-		}
-	}
-	switch t.wake {
-	case wakeTimer:
-		k.Rem = 0
-	case wakeCancel:
-		s.TestCancel() // exits
-		k.Rem = 0
-	case wakeInterrupt:
-		if rem := k.deadline.Sub(s.clock.Now()); rem > 0 {
-			k.Rem = rem
-		} else {
-			k.Rem = 0
-		}
-	default:
-		panic("core: sleep woke with unexpected cause")
-	}
-	return false
-}
-
-// contDriveYield transcribes System.Yield.
-func (s *System) contDriveYield(k *Cont) bool {
-	t := k.t
-	if k.opPhase == 0 {
-		s.enterKernel()
-		t.state = StateReady
-		s.cpu.ChargeInstr(instrReadyQueueOp)
-		s.ready.Enqueue(t, t.prio)
-		s.trace(EvState, t, "ready", "yield")
-		s.mState(t)
-		s.dispatcherFlag = true
-		k.opPhase = 1
-		if s.contLeave(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// contDriveLock transcribes Mutex.Lock + lockSlow.
-func (s *System) contDriveLock(k *Cont) bool {
-	t := k.t
-	m := k.mu
-	if k.opPhase == 0 {
-		if m.owner == t {
-			t.errno = EDEADLK
-			k.Err = EDEADLK.Or()
-			return false
-		}
-		if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		if m.eng != nil {
-			// Engine mutexes spin with yields; the runner stays bound.
-			s.engineLock(m)
-			return false
-		}
-		if s.acquireAtomic(m, t) {
-			s.afterAcquire(m, t)
-			return false
-		}
-		// lockSlow, split at the park.
-		s.enterKernel()
-		s.stats.MutexContentions++
-		m.Contentions++
-		if s.tracer != nil {
-			s.traceObj(EvMutex, t, m.name, "block", fmt.Sprintf("owner=%v", m.owner))
-		}
-		if m.lockWord.Load() == 0 {
-			s.atoms.TAS(&m.lockWord)
-			m.ownerWord.Store(int64(t.id))
-			m.owner = t
-			s.leaveKernel()
-			s.afterAcquire(m, t)
-			return false
-		}
-		if s.metrics != nil {
-			s.metrics.MutexContended(s.clock.Now(), t, m, m.owner)
-		}
-		if m.protocol == ProtocolInherit {
-			s.boostOwnerChain(m, t.prio)
-		}
-		t.waitingMutex = m
-		m.waiters.Enqueue(t, t.prio)
-		t.wake = wakeNone
-		k.opPhase = 1
-		if s.contBlock(k, BlockMutex, m.waitName) {
-			return true
-		}
-	}
-	// Woken: the unlocker handed us ownership directly.
-	s.cpu.ChargeInstr(instrLockResume)
-	if m.owner != t {
-		panic(fmt.Sprintf("core: %v woke from mutex %s without ownership", t, m.name))
-	}
-	t.waitingMutex = nil
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "lock", "after contention")
-	}
-	if s.explorer != nil {
-		s.exploreLockPoint()
-	} else if s.cfg.Pervert == PervertMutexSwitch {
-		s.pervertMutexSwitch()
-	}
-	return false
-}
-
-// contDriveWait transcribes Cond.wait (Wait and TimedWait).
-func (s *System) contDriveWait(k *Cont) bool {
-	t := k.t
-	c, m := k.cv, k.mu
-	if k.opPhase == 0 {
-		if k.op == contOpTimedWait && k.d < 0 {
-			k.Err = EINVAL.Or()
-			return false
-		}
-		if m == nil || m.owner != t {
-			t.errno = EPERM
-			k.Err = EPERM.Or()
-			return false
-		}
-		if c.mutex != nil && c.mutex != m {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		if m.eng != nil {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		s.TestCancel()
-
-		s.enterKernel()
-		s.stats.CondWaits++
-		s.cpu.ChargeInstr(instrCondEnqueue)
-		c.mutex = m
-		t.waitingCond = c
-		t.condMutex = m
-		t.wake = wakeNone
-		c.waiters.Enqueue(t, t.prio)
-		s.traceObj(EvCond, t, c.name, "wait", "")
-		if s.metrics != nil {
-			s.metrics.CondWaitStart(s.clock.Now(), t, c)
-		}
-		if k.d >= 0 {
-			t.cvTag.t, t.cvTag.c = t, c
-			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, k.d, &t.cvTag)
-		}
-		s.unlockForWaitLocked(m)
-		k.opPhase = 1
-		if s.contBlock(k, BlockCond, c.waitName) {
-			return true
-		}
-	}
-	// Woken. Every path below ends with the mutex held.
-	s.cpu.ChargeInstr(instrCondResume)
-	t.waitingCond = nil
-	t.condMutex = nil
-	if t.waitTimer != 0 {
-		s.kern.DisarmInternal(t.waitTimer)
-		t.waitTimer = 0
-	}
-	switch t.wake {
-	case wakeCondSignal, wakeGrant:
-	case wakeInterrupt:
-		// Spurious wakeup; the fake-call wrapper reacquired the mutex.
-	case wakeTimeout:
-		s.mutexLock(m)
-		c.dropMutexIfIdle()
-		s.TestCancel()
-		t.errno = ETIMEDOUT
-		k.Err = ETIMEDOUT.Or()
-		return false
-	case wakeCancel:
-		s.mutexLock(m)
-		c.dropMutexIfIdle()
-		s.TestCancel() // exits
-	default:
-		panic("core: condition wait woke with unexpected cause")
-	}
-	c.dropMutexIfIdle()
-	s.TestCancel()
-	return false
-}
-
-// contDriveJoin transcribes System.Join.
-func (s *System) contDriveJoin(k *Cont) bool {
-	t := k.t
-	target := k.target
-	blocked := k.opPhase != 0
-	if k.opPhase == 0 {
-		if err := s.checkThread(target); err != OK {
-			k.Err = err.Or()
-			return false
-		}
-		if target == t {
-			t.errno = EDEADLK
-			k.Err = EDEADLK.Or()
-			return false
-		}
-		if target.detached {
-			t.errno = EINVAL
-			k.Err = EINVAL.Or()
-			return false
-		}
-		s.TestCancel()
-
-		s.enterKernel()
-		if target.state == StateNew {
-			s.activateLocked(target)
-		}
-		if target.state != StateTerminated {
-			t.joinTarget = target
-			target.joiners = append(target.joiners, t)
-			t.wake = wakeNone
-			k.opPhase = 1
-			if s.contBlock(k, BlockJoin, "join "+target.String()) {
-				return true
-			}
-			blocked = true
-		} else {
-			s.leaveKernel()
-		}
-	}
-	if blocked && t.wake == wakeCancel {
-		s.TestCancel() // exits
-	}
-	k.Val = target.retval
-	if s.tracer != nil {
-		s.traceObj(EvJoin, t, target.name, strconv.Itoa(int(target.id)), "")
-	}
-	if s.spans != nil {
-		s.spans.ThreadJoined(s.clock.Now(), int32(t.id), int32(target.id),
-			t.name, target.name)
-	}
-	s.enterKernel()
-	s.reclaim(target)
-	s.leaveKernel()
-	return false
-}
-
-// contDriveFD transcribes fdBlocking (the FDOp form).
-func (s *System) contDriveFD(k *Cont) bool {
-	t := k.t
-	fd, dir, timeout, op := k.fd, k.dir, k.d, k.fdop
-	if k.opPhase == 0 {
-		s.TestCancel()
-		if timeout > 0 {
-			k.deadline = s.clock.Now().Add(timeout)
-		}
-		s.enterKernel()
-	} else if !s.contFDWake(k) {
-		return false
-	}
-	for {
-		done, more := op.Attempt()
-		if done {
-			if more {
-				s.fdWakeTop(fd, dir, "chain")
-			}
-			s.leaveKernel()
-			return false
-		}
-		if t.cancelState == CancelControlled && t.cancelPending {
-			s.leaveKernel()
-			s.TestCancel() // exits
-		}
-		if timeout > 0 {
-			rem := k.deadline.Sub(s.clock.Now())
-			if rem <= 0 {
-				s.stats.FDTimeouts++
-				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", k.what)
-				}
-				s.leaveKernel()
-				k.Err = ETIMEDOUT.Or()
-				return false
-			}
-			t.fdTag.t = t
-			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, &t.fdTag)
-		}
-		s.fdEnqueue(fd, dir, t)
-		t.wake = wakeNone
-		s.stats.FDWaits++
-		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", k.what)
-		}
-		k.blockedAt = s.clock.Now()
-		s.fdBlockedNow++
-		k.opPhase = 1
-		if s.contBlock(k, BlockFD, k.what) {
-			return true
-		}
-		if !s.contFDWake(k) {
-			return false
-		}
-	}
-}
-
-// contFDWake runs fdBlocking's post-park bookkeeping and wake switch.
-// It returns true when the wake was a designation (wakeIO) — the caller
-// retries the operation with the kernel flag set again — and false when
-// the jacket call completed with k.Err as its result.
-func (s *System) contFDWake(k *Cont) (retry bool) {
-	t := k.t
-	fd, dir := k.fd, k.dir
-	s.fdBlockedNow--
-	s.stats.FDBlockedNS += int64(s.clock.Now().Sub(k.blockedAt))
-	if s.metrics != nil {
-		s.metrics.FDBlocked(k.blockedAt, t, int(fd), dir, s.clock.Now().Sub(k.blockedAt))
-	}
-	if t.waitTimer != 0 {
-		s.kern.DisarmInternal(t.waitTimer)
-		t.waitTimer = 0
-	}
-	switch t.wake {
-	case wakeIO:
-		s.enterKernel()
-		return true
-	case wakeTimeout:
-		s.stats.FDTimeouts++
-		k.Err = ETIMEDOUT.Or()
-		return false
-	case wakeInterrupt:
-		s.stats.FDEINTRs++
-		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", k.what)
-		}
-		k.Err = EINTR.Or()
-		return false
-	case wakeCancel:
-		s.TestCancel() // exits via the cancellation machinery
-		k.Err = EINTR.Or()
-		return false
-	default:
-		panic("core: fd wait woke with unexpected cause")
-	}
-}
-
-// CreateCont starts a continuation thread whose first step is fn
-// (pthread_create for the parked-continuation representation). The
-// validation, charges, traces, and activation are identical to Create's,
-// so the two representations schedule bit-identically; only the host
-// backing differs — no goroutine is created until first dispatch, and
-// none is held across declared parks.
-func (s *System) CreateCont(attr Attr, fn ContFunc, arg any) (*Thread, error) {
-	if fn == nil {
-		return nil, EINVAL.Or()
-	}
-	if attr.InheritSched && s.current != nil {
-		attr.Priority = s.current.basePrio
-		attr.Policy = s.current.policy
-	}
-	if attr.Priority == 0 && attr.StackSize == 0 && !sched.ValidPrio(attr.Priority) {
-		attr.Priority = sched.DefaultPrio
-	}
-	if !sched.ValidPrio(attr.Priority) {
-		return nil, EINVAL.Or()
-	}
-	if attr.StackSize != 0 && attr.StackSize < hw.MinStackSize {
-		return nil, EINVAL.Or()
-	}
-
-	s.enterKernel()
-	t := s.allocTCB(attr)
-	k := s.contArena.Get()
-	k.s, k.t, k.first, k.next, k.Arg = s, t, true, fn, arg
-	t.cont = k
-	s.addThread(t)
-	s.liveCnt++
-	s.stats.ThreadsCreated++
-	s.stats.ContThreads++
-	s.trace(EvState, t, "created", attr.Name)
-	if s.tracer != nil {
-		s.traceObj(EvFork, s.current, t.name, strconv.Itoa(int(t.id)), "")
-	}
-	if s.spans != nil && s.current != nil {
-		s.spans.ThreadForked(s.clock.Now(), int32(s.current.id), int32(t.id),
-			s.current.name, t.name)
-	}
-	if attr.Lazy {
-		t.state = StateNew
-		t.waitingFor = "activation"
-		s.mState(t)
-	} else {
-		s.activateLocked(t)
-	}
-	s.leaveKernel()
-	return t, nil
 }

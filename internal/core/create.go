@@ -13,7 +13,23 @@ import (
 // StateNew and activated — with its resources allocated — only when first
 // needed.
 func (s *System) Create(attr Attr, fn func(arg any) any, arg any) (*Thread, error) {
-	if fn == nil {
+	return s.create(attr, fn, nil, arg)
+}
+
+// CreateCont starts a continuation thread whose first step is step
+// (pthread_create for the parked-continuation representation). Only the
+// host backing differs from Create: no goroutine is created until first
+// dispatch, and none is held across declared parks.
+func (s *System) CreateCont(attr Attr, step ContFunc, arg any) (*Thread, error) {
+	return s.create(attr, nil, step, arg)
+}
+
+// create is the one body of Create and CreateCont: the validation,
+// charges, traces, and activation are the same for both
+// representations, so they schedule bit-identically. Exactly one of fn
+// and step is used.
+func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any) (*Thread, error) {
+	if fn == nil && step == nil {
 		return nil, EINVAL.Or()
 	}
 	if attr.InheritSched && s.current != nil {
@@ -32,9 +48,17 @@ func (s *System) Create(attr Attr, fn func(arg any) any, arg any) (*Thread, erro
 
 	s.enterKernel()
 	t := s.allocTCB(attr)
-	s.ensureResume(t)
-	t.fn = fn
-	t.arg = arg
+	if step != nil {
+		k := s.contArena.Get()
+		k.s, k.t, k.first, k.next, k.Arg = s, t, true, step, arg
+		k.declared = true
+		t.cont = k
+		s.stats.ContThreads++
+	} else {
+		s.ensureResume(t)
+		t.fn = fn
+		t.arg = arg
+	}
 	s.addThread(t)
 	s.liveCnt++
 	s.stats.ThreadsCreated++
@@ -103,37 +127,49 @@ func (s *System) SetErrno(e Errno) { s.current.errno = e }
 // interruption point for cancellation. Joining a lazy thread activates
 // it.
 func (s *System) Join(t *Thread) (any, error) {
-	if err := s.checkThread(t); err != OK {
-		return nil, err.Or()
-	}
-	cur := s.current
-	if t == cur {
-		cur.errno = EDEADLK
-		return nil, EDEADLK.Or()
-	}
-	if t.detached {
-		cur.errno = EINVAL
-		return nil, EINVAL.Or()
-	}
-	s.TestCancel()
+	var w waitOp
+	w.target = t
+	s.joinOp(&w)
+	return w.Val, w.Err
+}
 
-	s.enterKernel()
-	if t.state == StateNew {
-		s.activateLocked(t)
-	}
-	if t.state != StateTerminated {
-		cur.joinTarget = t
-		t.joiners = append(t.joiners, cur)
-		cur.wake = wakeNone
-		s.blockCurrent(BlockJoin, "join "+t.String())
-		if cur.wake == wakeCancel {
-			s.TestCancel() // exits
+// joinOp is Join over a frame (see waitOp).
+func (s *System) joinOp(w *waitOp) (parked bool) {
+	cur, t := s.current, w.target
+	if w.phase == 0 {
+		if err := s.checkThread(t); err != OK {
+			w.Err = err.Or()
+			return false
 		}
-	} else {
-		s.leaveKernel()
+		if t == cur {
+			return w.fail(cur, EDEADLK)
+		}
+		if t.detached {
+			return w.fail(cur, EINVAL)
+		}
+		s.TestCancel()
+
+		s.enterKernel()
+		if t.state == StateNew {
+			s.activateLocked(t)
+		}
+		if t.state == StateTerminated {
+			s.leaveKernel()
+		} else {
+			cur.joinTarget = t
+			t.joiners = append(t.joiners, cur)
+			cur.wake = wakeNone
+			w.phase = 1
+			if s.block(w.declared, BlockJoin, "join "+t.String()) {
+				return true
+			}
+		}
+	}
+	if w.phase != 0 && cur.wake == wakeCancel {
+		s.TestCancel() // exits
 	}
 
-	ret := t.retval
+	w.Val = t.retval
 	if s.tracer != nil {
 		// Join edge for the race checker: target → joiner.
 		s.traceObj(EvJoin, cur, t.name, strconv.Itoa(int(t.id)), "")
@@ -145,7 +181,7 @@ func (s *System) Join(t *Thread) (any, error) {
 	s.enterKernel()
 	s.reclaim(t)
 	s.leaveKernel()
-	return ret, nil
+	return false
 }
 
 // Detach marks the thread detached (pthread_detach): its resources are
@@ -192,7 +228,7 @@ func (s *System) Once(o *OnceControl, fn func()) error {
 			t := s.current
 			o.waiters = append(o.waiters, t)
 			t.wake = wakeNone
-			s.blockCurrent(BlockSuspend, "once")
+			s.block(false, BlockSuspend, "once")
 			continue // re-check state
 		case 0:
 			o.state = 1

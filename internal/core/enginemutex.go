@@ -18,7 +18,7 @@ package core
 // Priority protocols are rejected at NewMutex: inheritance and ceiling
 // need the suspend queue (there is no one to boost when waiters spin),
 // and a spinning waiter would invert priorities silently. Condition
-// variables are likewise rejected in Cond.wait — the kernel's signal
+// variables are likewise rejected in the condition wait — the kernel's signal
 // hand-off morphs cond waiters onto the mutex suspend queue, which an
 // engine mutex does not have.
 

@@ -143,7 +143,10 @@ func (s *System) fdLabel(fd unixkern.FD, dir FDDir) string {
 // after the handler ran); cancellation terminates it as an interruption
 // point.
 func (s *System) FDBlockingCall(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, attempt func() (done, more bool)) error {
-	return s.fdBlocking(fd, dir, what, timeout, nil, attempt)
+	var w waitOp
+	w.fd, w.dir, w.what, w.d = fd, dir, what, timeout
+	s.fdWait(&w, attempt)
+	return w.Err
 }
 
 // FDOp is the allocation-free form of a jacket attempt: a reusable
@@ -157,32 +160,81 @@ type FDOp interface {
 // layer (internal/io) keeps a free list of these, so a steady-state
 // read/write loop allocates nothing.
 func (s *System) FDBlockingOp(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, op FDOp) error {
-	return s.fdBlocking(fd, dir, what, timeout, op, nil)
+	var w waitOp
+	w.fd, w.dir, w.what, w.d, w.fdop = fd, dir, what, timeout, op
+	s.fdWait(&w, nil)
+	return w.Err
 }
 
-// fdBlocking is the shared jacket loop; exactly one of op and attempt is
-// non-nil. The virtual costs charged are identical for both forms.
-func (s *System) fdBlocking(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, op FDOp, attempt func() (done, more bool)) error {
-	s.TestCancel()
+// fdOp is fdWait in the form a continuation declares: the attempt is the
+// FDOp in the frame.
+func (s *System) fdOp(w *waitOp) (parked bool) { return s.fdWait(w, nil) }
+
+// fdWait is the jacket loop over a frame (see waitOp). The attempt is
+// attempt when it is non-nil and w.fdop otherwise; the virtual costs
+// charged are identical for both forms. attempt stays a parameter, out
+// of the frame, so the closures FDBlockingCall is handed do not escape.
+func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked bool) {
 	t := s.current
-	var deadline vtime.Time
-	if timeout > 0 {
-		deadline = s.clock.Now().Add(timeout)
+	fd, dir := w.fd, w.dir
+	if w.phase == 0 {
+		s.TestCancel()
+		if w.d > 0 {
+			w.deadline = s.clock.Now().Add(w.d)
+		}
+		s.enterKernel()
 	}
-	s.enterKernel()
 	for {
+		if w.phase != 0 {
+			// Back from the park at the bottom of the loop.
+			s.fdBlockedNow--
+			s.stats.FDBlockedNS += int64(s.clock.Now().Sub(w.blockedAt))
+			if s.metrics != nil {
+				s.metrics.FDBlocked(w.blockedAt, t, int(fd), dir, s.clock.Now().Sub(w.blockedAt))
+			}
+			if t.waitTimer != 0 {
+				s.kern.DisarmInternal(t.waitTimer)
+				t.waitTimer = 0
+			}
+			switch t.wake {
+			case wakeIO:
+				// Designated by a completion: retry the operation.
+				// Another thread may have consumed the readiness first, in
+				// which case the loop simply re-blocks.
+				s.enterKernel()
+			case wakeTimeout:
+				s.stats.FDTimeouts++
+				w.Err = ETIMEDOUT.Or()
+				return false
+			case wakeInterrupt:
+				// A user signal handler interrupted the wait; it already
+				// ran (fake call) and the jacket call reports EINTR.
+				s.stats.FDEINTRs++
+				if s.tracer != nil {
+					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", w.what)
+				}
+				w.Err = EINTR.Or()
+				return false
+			case wakeCancel:
+				s.TestCancel() // exits via the cancellation machinery
+				w.Err = EINTR.Or()
+				return false
+			default:
+				panic("core: fd wait woke with unexpected cause")
+			}
+		}
 		var done, more bool
-		if op != nil {
-			done, more = op.Attempt()
-		} else {
+		if attempt != nil {
 			done, more = attempt()
+		} else {
+			done, more = w.fdop.Attempt()
 		}
 		if done {
 			if more {
 				s.fdWakeTop(fd, dir, "chain")
 			}
 			s.leaveKernel()
-			return nil
+			return false
 		}
 		// A cancellation that arrived while this thread was designated
 		// (ready but not yet dispatched) must not be followed by an
@@ -191,15 +243,16 @@ func (s *System) fdBlocking(fd unixkern.FD, dir FDDir, what string, timeout vtim
 			s.leaveKernel()
 			s.TestCancel() // exits
 		}
-		if timeout > 0 {
-			rem := deadline.Sub(s.clock.Now())
+		if w.d > 0 {
+			rem := w.deadline.Sub(s.clock.Now())
 			if rem <= 0 {
 				s.stats.FDTimeouts++
 				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", what)
+					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", w.what)
 				}
 				s.leaveKernel()
-				return ETIMEDOUT.Or()
+				w.Err = ETIMEDOUT.Or()
+				return false
 			}
 			t.fdTag.t = t
 			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, &t.fdTag)
@@ -208,42 +261,13 @@ func (s *System) fdBlocking(fd unixkern.FD, dir FDDir, what string, timeout vtim
 		t.wake = wakeNone
 		s.stats.FDWaits++
 		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", what)
+			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", w.what)
 		}
-		blockedAt := s.clock.Now()
+		w.blockedAt = s.clock.Now()
 		s.fdBlockedNow++
-		s.blockCurrent(BlockFD, what)
-		s.fdBlockedNow--
-		s.stats.FDBlockedNS += int64(s.clock.Now().Sub(blockedAt))
-		if s.metrics != nil {
-			s.metrics.FDBlocked(blockedAt, t, int(fd), dir, s.clock.Now().Sub(blockedAt))
-		}
-		if t.waitTimer != 0 {
-			s.kern.DisarmInternal(t.waitTimer)
-			t.waitTimer = 0
-		}
-		switch t.wake {
-		case wakeIO:
-			// Designated by a completion: retry the operation. Another
-			// thread may have consumed the readiness first, in which case
-			// the loop simply re-blocks.
-			s.enterKernel()
-		case wakeTimeout:
-			s.stats.FDTimeouts++
-			return ETIMEDOUT.Or()
-		case wakeInterrupt:
-			// A user signal handler interrupted the wait; it already ran
-			// (fake call) and the jacket call reports EINTR.
-			s.stats.FDEINTRs++
-			if s.tracer != nil {
-				s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", what)
-			}
-			return EINTR.Or()
-		case wakeCancel:
-			s.TestCancel() // exits via the cancellation machinery
-			return EINTR.Or()
-		default:
-			panic("core: fd wait woke with unexpected cause")
+		w.phase = 1
+		if s.block(w.declared, BlockFD, w.what) {
+			return true
 		}
 	}
 }

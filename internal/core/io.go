@@ -17,38 +17,47 @@ import (
 // (like sleep(3) returning nonzero after EINTR), or 0 after a full sleep.
 // Sleep is an interruption point for cancellation.
 func (s *System) Sleep(d vtime.Duration) vtime.Duration {
-	s.TestCancel()
-	if d <= 0 {
-		return 0
-	}
+	var w waitOp
+	w.d = d
+	s.sleepOp(&w)
+	return w.Rem
+}
+
+// sleepOp is Sleep over a frame (see waitOp).
+func (s *System) sleepOp(w *waitOp) (parked bool) {
 	t := s.current
-	deadline := s.clock.Now().Add(d)
-
-	s.enterKernel()
-	t.waitTimer = s.kern.SetTimer(s.proc, sigalrm, d, t, false)
-	t.wake = wakeNone
-	// The duration-carrying label is only rendered for traces; the plain
-	// label keeps an untraced sleep storm allocation-free.
-	what := "sleep"
-	if s.tracer != nil {
-		what = fmt.Sprintf("sleep %v", d)
+	if w.phase == 0 {
+		s.TestCancel()
+		if w.d <= 0 {
+			return false
+		}
+		w.deadline = s.clock.Now().Add(w.d)
+		s.enterKernel()
+		t.waitTimer = s.kern.SetTimer(s.proc, sigalrm, w.d, t, false)
+		t.wake = wakeNone
+		// The duration-carrying label is only rendered for traces; the
+		// plain label keeps an untraced sleep storm allocation-free.
+		what := "sleep"
+		if s.tracer != nil {
+			what = fmt.Sprintf("sleep %v", w.d)
+		}
+		w.phase = 1
+		if s.block(w.declared, BlockSleep, what) {
+			return true
+		}
 	}
-	s.blockCurrent(BlockSleep, what)
-
 	switch t.wake {
 	case wakeTimer:
-		return 0
 	case wakeCancel:
 		s.TestCancel() // exits
-		return 0
 	case wakeInterrupt:
-		if rem := deadline.Sub(s.clock.Now()); rem > 0 {
-			return rem
+		if rem := w.deadline.Sub(s.clock.Now()); rem > 0 {
+			w.Rem = rem
 		}
-		return 0
 	default:
 		panic("core: sleep woke with unexpected cause")
 	}
+	return false
 }
 
 // AioRead issues an asynchronous read that completes after latency,
@@ -67,7 +76,7 @@ func (s *System) AioRead(latency vtime.Duration, bytes int) (int, error) {
 	s.enterKernel()
 	t.aioID = s.kern.Aio(s.proc, latency, bytes, t)
 	t.wake = wakeNone
-	s.blockCurrent(BlockIO, "aio read")
+	s.block(false, BlockIO, "aio read")
 
 	switch t.wake {
 	case wakeIO:
@@ -124,7 +133,7 @@ func (dv *Device) Transfer(bytes int) (int, error) {
 	id, _ := s.kern.AioDevice(dv.d, s.proc, bytes, t)
 	t.aioID = id
 	t.wake = wakeNone
-	s.blockCurrent(BlockIO, "device "+dv.d.Name)
+	s.block(false, BlockIO, "device "+dv.d.Name)
 
 	switch t.wake {
 	case wakeIO:

@@ -310,7 +310,7 @@ func (s *System) contextSwitch(next *Thread) {
 	}
 
 	if handoff {
-		// contLeave passes the baton itself, after its last read of the
+		// leave passes the baton itself, after its last read of the
 		// parked thread; record the selected thread for it.
 		s.contBaton = next
 		return
@@ -338,10 +338,14 @@ func (s *System) park(t *Thread) {
 	if msg.kill {
 		panic(killPanic{})
 	}
+	s.unmaskAfterSwitch()
+}
+
+// unmaskAfterSwitch runs on the context a switch resumed. If signals were
+// disabled across the switch out of a universal handler, it re-enables
+// them (sigreturn-style, no extra system call).
+func (s *System) unmaskAfterSwitch() {
 	if s.maskedForSwitch {
-		// Signals were disabled across the switch out of a universal
-		// handler; the resumed context re-enables them (sigreturn-style,
-		// no extra system call).
 		s.maskedForSwitch = false
 		s.proc.RestoreMask(s.preSwitchMask)
 	}
@@ -395,11 +399,57 @@ func (s *System) makeReady(t *Thread, atHead bool) {
 	s.mState(t)
 }
 
-// blockCurrent marks the current thread blocked and runs the dispatcher to
-// hand the processor over. Must be called inside the kernel; returns (with
-// the kernel flag clear and fake calls drained) once the thread is
+// waitOp is the frame of one blocking operation: its operands, its
+// results, and how far it got. Each blocking operation (sleepOp,
+// yieldOp, lockOp, condWait, joinOp, fdWait) is written once, as a
+// function over this frame split at its park: phase 0 runs up to the
+// park, phase 1 after it. The park (block or leave) is the one step
+// that differs between the thread representations. A goroutine-backed
+// call keeps the frame on its own stack and leaves the kernel through
+// leaveKernel, continuing past the park when the thread runs again. A
+// continuation's declared operation keeps the frame in its Cont: the
+// park releases the runner and reports parked, the operation returns
+// at once, and contSteps re-enters it at phase 1 once the thread is
 // dispatched again.
-func (s *System) blockCurrent(reason BlockReason, what string) {
+type waitOp struct {
+	fd       unixkern.FD
+	phase    uint8 // 0 before the park, 1 after
+	declared bool  // a continuation's declared operation (see leave)
+	timed    bool  // condWait: TimedWait(d) rather than Wait
+
+	// Operands.
+	dir       FDDir
+	d         vtime.Duration
+	deadline  vtime.Time
+	blockedAt vtime.Time
+	what      string
+	fdop      FDOp
+	mu        *Mutex
+	cv        *Cond
+	target    *Thread
+
+	// Err is the operation's error result.
+	Err error
+	// N is a byte-count result slot (the I/O jacket writes it).
+	N int
+	// Rem is Sleep's remaining-time result.
+	Rem vtime.Duration
+	// Val is Join's exit-status result.
+	Val any
+}
+
+// fail ends the operation with errno e, which also becomes the calling
+// thread's errno.
+func (w *waitOp) fail(t *Thread, e Errno) (parked bool) {
+	t.errno = e
+	w.Err = e.Or()
+	return false
+}
+
+// block marks the current thread blocked at a blocking operation's park
+// point and hands the processor over (see leave). Must be called inside
+// the kernel.
+func (s *System) block(declared bool, reason BlockReason, what string) (parked bool) {
 	t := s.current
 	t.state = StateBlocked
 	t.blockReason = reason
@@ -408,7 +458,41 @@ func (s *System) blockCurrent(reason BlockReason, what string) {
 	s.trace(EvState, t, "blocked", what)
 	s.mState(t)
 	s.dispatcherFlag = true
-	s.leaveKernel()
+	return s.leave(declared)
+}
+
+// leave exits the kernel at a park point, where the dispatcher always
+// runs. A goroutine-backed call leaves through leaveKernel and returns
+// (with the kernel flag clear and fake calls drained) once the thread is
+// dispatched again. A continuation's declared operation dispatches in
+// handoff mode instead: contextSwitch releases the runner and records
+// the selected thread in contBaton, and leave passes it the baton after
+// its last read of the parked thread. It then reports parked, and the
+// caller must unwind without touching the thread.
+func (s *System) leave(declared bool) (parked bool) {
+	if !declared {
+		s.leaveKernel()
+		return false
+	}
+	r := s.current.runner
+	// The kernel-exit decision hooks never fire here — the thread's
+	// state is not Running at a park point, exactly as in leaveKernel.
+	s.exploreSquelch = false
+	s.contHandoff = true
+	s.dispatch()
+	s.contHandoff = false
+	if next := s.contBaton; next != nil {
+		s.contBaton = nil
+		s.passBaton(next, r)
+		return true
+	}
+	// Reselected: this thread was made ready again during the dispatch
+	// (restart-arc signal handling) and chosen without a switch. Finish
+	// the kernel exit as leaveKernel would.
+	s.pollOutsideKernel()
+	s.drainFakeCalls()
+	s.armSliceOnUserReturn()
+	return false
 }
 
 // setPriority changes a thread's current priority, repositioning it in
@@ -504,6 +588,16 @@ func (s *System) cancelSliceTimer() {
 // Yield voluntarily releases the processor: the calling thread moves to
 // the tail of its priority queue (sched_yield).
 func (s *System) Yield() {
+	var w waitOp
+	s.yieldOp(&w)
+}
+
+// yieldOp is Yield over a frame (see waitOp). The thread parks ready,
+// not blocked.
+func (s *System) yieldOp(w *waitOp) (parked bool) {
+	if w.phase != 0 {
+		return false
+	}
 	s.enterKernel()
 	t := s.current
 	t.state = StateReady
@@ -512,7 +606,8 @@ func (s *System) Yield() {
 	s.trace(EvState, t, "ready", "yield")
 	s.mState(t)
 	s.dispatcherFlag = true
-	s.leaveKernel()
+	w.phase = 1
+	return s.leave(w.declared)
 }
 
 // Compute models d worth of user computation by the calling thread.

@@ -152,26 +152,10 @@ func (m *Mutex) Owner() *Thread { return m.owner }
 // EINVAL if the caller's priority exceeds the ceiling.
 func (m *Mutex) Lock() error {
 	s := m.s
-	t := s.current
-	if m.owner == t {
-		t.errno = EDEADLK
-		return EDEADLK.Or()
+	if e := s.lockCheck(m); e != OK {
+		return e.Or()
 	}
-	if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
-		t.errno = EINVAL
-		return EINVAL.Or()
-	}
-	if m.eng != nil {
-		s.engineLock(m)
-		return nil
-	}
-	// Uncontended fast path, entirely in user mode: the Figure 4
-	// sequence plus ownership bookkeeping, no kernel entry.
-	if s.acquireAtomic(m, t) {
-		s.afterAcquire(m, t)
-		return nil
-	}
-	s.lockSlow(m)
+	s.mutexLock(m)
 	return nil
 }
 
@@ -180,13 +164,8 @@ func (m *Mutex) Lock() error {
 func (m *Mutex) TryLock() error {
 	s := m.s
 	t := s.current
-	if m.owner == t {
-		t.errno = EDEADLK
-		return EDEADLK.Or()
-	}
-	if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
-		t.errno = EINVAL
-		return EINVAL.Or()
+	if e := s.lockCheck(m); e != OK {
+		return e.Or()
 	}
 	if m.eng != nil {
 		if !s.engineTryLock(m) {
@@ -303,58 +282,105 @@ func (s *System) afterAcquire(m *Mutex, t *Thread) {
 	}
 }
 
-// mutexLock is the full lock path, shared by the fake-call wrapper's
-// conditional-wait reacquisition and the timeout/cancel paths of the
-// condition wait.
-func (s *System) mutexLock(m *Mutex) {
+// lockCheck is the argument check of a lock attempt by the calling
+// thread: EDEADLK if it already holds m, EINVAL if its priority exceeds
+// m's ceiling. A failure also becomes the thread's errno.
+func (s *System) lockCheck(m *Mutex) Errno {
 	t := s.current
+	if m.owner == t {
+		t.errno = EDEADLK
+	} else if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
+		t.errno = EINVAL
+	} else {
+		return OK
+	}
+	return t.errno
+}
+
+// mutexLock is the lock operation past the argument check, shared by
+// Lock, the fake-call wrapper's conditional-wait reacquisition and the
+// timeout/cancel paths of the condition wait. The uncontended paths run
+// ahead of the frame; only the contended one needs it.
+func (s *System) mutexLock(m *Mutex) {
+	if !s.lockFast(m) {
+		var w waitOp
+		w.mu = m
+		s.lockSlow(&w)
+	}
+}
+
+// lockFast acquires m without suspending when it can: an engine mutex
+// spins with yields, and a free native mutex is taken entirely in user
+// mode (the Figure 4 sequence plus ownership bookkeeping, no kernel
+// entry). It reports false when the caller must suspend.
+func (s *System) lockFast(m *Mutex) bool {
 	if m.eng != nil {
 		s.engineLock(m)
-		return
+		return true
 	}
+	t := s.current
 	if s.acquireAtomic(m, t) {
 		s.afterAcquire(m, t)
-		return
+		return true
 	}
-	s.lockSlow(m)
+	return false
+}
+
+// lockOp is Mutex.Lock over a frame (see waitOp).
+func (s *System) lockOp(w *waitOp) (parked bool) {
+	if w.phase == 0 {
+		if e := s.lockCheck(w.mu); e != OK {
+			w.Err = e.Or()
+			return false
+		}
+		if s.lockFast(w.mu) {
+			return false
+		}
+	}
+	return s.lockSlow(w)
 }
 
 // lockSlow is the contended half of the lock operation: enter the kernel
 // and suspend until the unlocker hands over ownership.
-func (s *System) lockSlow(m *Mutex) {
-	t := s.current
+func (s *System) lockSlow(w *waitOp) (parked bool) {
+	t, m := s.current, w.mu
+	if w.phase == 0 {
+		// Contention: enter the kernel and suspend.
+		s.enterKernel()
+		s.stats.MutexContentions++
+		m.Contentions++
+		if s.tracer != nil {
+			s.traceObj(EvMutex, t, m.name, "block", fmt.Sprintf("owner=%v", m.owner))
+		}
 
-	// Contention: enter the kernel and suspend.
-	s.enterKernel()
-	s.stats.MutexContentions++
-	m.Contentions++
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "block", fmt.Sprintf("owner=%v", m.owner))
-	}
+		// Re-test under kernel protection: the owner may have released
+		// between the failed test-and-set and kernel entry.
+		if m.lockWord.Load() == 0 {
+			s.atoms.TAS(&m.lockWord)
+			m.ownerWord.Store(int64(t.id))
+			m.owner = t
+			s.leaveKernel()
+			s.afterAcquire(m, t)
+			return false
+		}
 
-	// Re-test under kernel protection: the owner may have released
-	// between the failed test-and-set and kernel entry.
-	if m.lockWord.Load() == 0 {
-		s.atoms.TAS(&m.lockWord)
-		m.ownerWord.Store(int64(t.id))
-		m.owner = t
-		s.leaveKernel()
-		s.afterAcquire(m, t)
-		return
+		if s.metrics != nil {
+			// Reported before the inheritance boost charges its queue
+			// ops, so the contention timestamp matches the "block" trace
+			// event above.
+			s.metrics.MutexContended(s.clock.Now(), t, m, m.owner)
+		}
+		if m.protocol == ProtocolInherit {
+			s.boostOwnerChain(m, t.prio)
+		}
+		t.waitingMutex = m
+		m.waiters.Enqueue(t, t.prio)
+		t.wake = wakeNone
+		w.phase = 1
+		if s.block(w.declared, BlockMutex, m.waitName) {
+			return true
+		}
 	}
-
-	if s.metrics != nil {
-		// Reported before the inheritance boost charges its queue ops, so
-		// the contention timestamp matches the "block" trace event above.
-		s.metrics.MutexContended(s.clock.Now(), t, m, m.owner)
-	}
-	if m.protocol == ProtocolInherit {
-		s.boostOwnerChain(m, t.prio)
-	}
-	t.waitingMutex = m
-	m.waiters.Enqueue(t, t.prio)
-	t.wake = wakeNone
-	s.blockCurrent(BlockMutex, m.waitName)
 
 	// Woken: the unlocker handed us ownership directly. Resuming the
 	// interrupted lock operation re-establishes its frame and re-checks
@@ -372,6 +398,7 @@ func (s *System) lockSlow(m *Mutex) {
 	} else if s.cfg.Pervert == PervertMutexSwitch {
 		s.pervertMutexSwitch()
 	}
+	return false
 }
 
 // mutexUnlock releases the mutex, restoring any priority boost and

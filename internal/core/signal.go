@@ -534,7 +534,7 @@ func (s *System) Sigwait(set unixkern.Sigset) (unixkern.Signal, error) {
 	s.checkProcessPending()
 	if t.inSigwait {
 		// Nothing pended for us during checkProcessPending: block.
-		s.blockCurrent(BlockSigwait, "sigwait "+set.String())
+		s.block(false, BlockSigwait, "sigwait "+set.String())
 	} else {
 		// checkProcessPending satisfied the wait synchronously: rule 3
 		// recorded the signal and wake cause without a queue

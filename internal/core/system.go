@@ -200,10 +200,10 @@ type System struct {
 	// traced I/O workload formats each label once instead of per event.
 	fdNames map[fdKey]string
 
-	// Parked-continuation machinery (see cont.go). contHandoff marks a
-	// contLeave-driven dispatch: contextSwitch records the selected
-	// thread in contBaton and returns without passing the baton, so
-	// contLeave can pass it itself after its last read of the parked
+	// Parked-continuation machinery (see cont.go). contHandoff marks the
+	// dispatch of a declared park (leave): contextSwitch records the
+	// selected thread in contBaton and returns without passing the baton,
+	// so leave can pass it itself after its last read of the parked
 	// thread — as a mark on its own runner when the selected thread was
 	// bound to it, as a channel send otherwise (passBaton).
 	// The runner pool is kernel-context state: no lock needed.
@@ -496,26 +496,25 @@ func (s *System) finish(err error, status any) {
 		if t == nil || t == s.current || t.state == StateTerminated {
 			continue
 		}
-		if t.cont != nil {
-			// A bound runner is killed through its own channel; a parked
-			// continuation has no goroutine to release, and idle runners
-			// die on doneCh below.
-			if r := t.runner; r != nil {
-				select {
-				case r.resume <- resumeMsg{kill: true}:
-				default:
-				}
-			}
-			continue
-		}
-		if t.started {
-			select {
-			case t.resume <- resumeMsg{kill: true}:
-			default:
-			}
+		// A started goroutine thread, or a continuation bound to a
+		// runner, is killed through the channel it parks on; a parked
+		// continuation has no goroutine to release, and idle runners die
+		// on doneCh below.
+		if t.started || t.runner != nil {
+			sendKill(t.resumeCh())
 		}
 	}
 	close(s.doneCh)
+}
+
+// sendKill sends a kill to the execution context parked on ch. It never
+// blocks: the channel is 1-buffered, and a full one already holds a
+// message for the context.
+func sendKill(ch chan resumeMsg) {
+	select {
+	case ch <- resumeMsg{kill: true}:
+	default:
+	}
 }
 
 // ExitStatus returns the value passed to Shutdown/exit, if any.
@@ -540,26 +539,7 @@ func (s *System) Shutdown(status any) {
 // trampoline is the goroutine body backing one thread.
 func (s *System) trampoline(t *Thread) {
 	completed := false
-	defer func() {
-		r := recover()
-		switch {
-		case r == nil && completed:
-			return
-		case r == nil:
-			// runtime.Goexit (e.g. t.FailNow called from a thread
-			// body): the goroutine is unwinding without a panic. The
-			// whole system would hang waiting for this thread, so end
-			// the process with a diagnosis instead.
-			s.finish(fmt.Errorf("%v: goroutine exited prematurely (runtime.Goexit, e.g. t.Fatal in thread code)", t), nil)
-		default:
-			if _, ok := r.(killPanic); ok {
-				return // system shutdown
-			}
-			// A user panic escaped the thread body: fatal, like an
-			// unhandled fault crashing the process.
-			s.finish(fmt.Errorf("panic in %v: %v", t, r), nil)
-		}
-	}()
+	defer func() { s.unwound(t, completed, recover()) }()
 
 	s.park(t)
 	s.drainFakeCalls()
@@ -570,20 +550,50 @@ func (s *System) trampoline(t *Thread) {
 	completed = true
 }
 
+// unwound classifies how the execution context of thread t ended, given
+// whether it ran to completion and the panic value it recovered. It
+// reports true only for a clean completion. A killPanic is a system
+// shutdown and ends the context silently. A goroutine unwinding without
+// a panic is runtime.Goexit (e.g. t.FailNow called from a thread body):
+// the whole system would hang waiting for this thread, so the process
+// ends with a diagnosis instead. Any other panic escaped the thread body
+// and is fatal, like an unhandled fault crashing the process.
+func (s *System) unwound(t *Thread, completed bool, rec any) bool {
+	switch {
+	case rec == nil && completed:
+		return true
+	case rec == nil:
+		s.finish(fmt.Errorf("%v: goroutine exited prematurely (runtime.Goexit, e.g. t.Fatal in thread code)", t), nil)
+	default:
+		if _, kill := rec.(killPanic); !kill {
+			s.finish(fmt.Errorf("panic in %v: %v", t, rec), nil)
+		}
+	}
+	return false
+}
+
 // callBody runs the thread function, converting Exit unwinding into a
 // return value.
 func (s *System) callBody(t *Thread) (status any) {
 	defer func() {
-		if r := recover(); r != nil {
-			switch v := r.(type) {
-			case exitPanic:
-				status = v.status
-			default:
-				panic(r)
-			}
+		if st, ok := exitStatus(recover()); ok {
+			status = st
 		}
 	}()
 	return t.fn(t.arg)
+}
+
+// exitStatus converts Exit unwinding, recovered as rec, into the thread's
+// exit status (exited true). Nothing recovered reports false; any other
+// panic continues unwinding.
+func exitStatus(rec any) (status any, exited bool) {
+	if rec == nil {
+		return nil, false
+	}
+	if ep, ok := rec.(exitPanic); ok {
+		return ep.status, true
+	}
+	panic(rec)
 }
 
 // Exit terminates the calling thread with the given status
@@ -648,14 +658,7 @@ func (s *System) exitCurrent(status any) {
 // runProtected runs fn, absorbing Exit unwinding (used for cleanup
 // handlers and TSD destructors on an already-exiting thread).
 func (s *System) runProtected(fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(exitPanic); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer func() { exitStatus(recover()) }()
 	fn()
 }
 

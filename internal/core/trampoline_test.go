@@ -286,13 +286,13 @@ func TestLockstepExitChain(t *testing.T) {
 		}
 	}
 	lockstep(t,
-		func(s *System) {
+		func(s *System, _ func(...any)) {
 			chain(s, func(attr Attr, i int) *Thread {
 				th, _ := s.Create(attr, func(any) any { return i }, nil)
 				return th
 			})
 		},
-		func(s *System) {
+		func(s *System, _ func(...any)) {
 			chain(s, func(attr Attr, i int) *Thread {
 				th, _ := s.CreateCont(attr, func(k *Cont) { k.Ret = i }, nil)
 				return th

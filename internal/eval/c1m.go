@@ -19,7 +19,7 @@ import (
 // move while a million threads are parked.
 //
 // The parked threads block in a condition wait — a kernel-mediated
-// park through the same contLeave handoff every other wait point uses
+// park through the same declared-op handoff every other wait point uses
 // — so the measured footprint is the honest per-thread cost: TCB,
 // continuation frame, simulated stack, and wait-queue slot.
 

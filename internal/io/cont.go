@@ -2,7 +2,6 @@ package io
 
 import (
 	"pthreads/internal/core"
-	"pthreads/internal/net"
 	"pthreads/internal/obs"
 	"pthreads/internal/vtime"
 )
@@ -11,9 +10,9 @@ import (
 // with the suspension expressed as a declared continuation op (k.FDOp):
 // a thread blocked in it holds no goroutine, only its TCB plus the
 // pooled per-call state below. The jacket bookkeeping — span, pooled
-// attempt struct, error mapping — is identical to Read's, threaded
-// through k.Env instead of a closure so steady-state reads allocate
-// nothing.
+// attempt struct, error mapping — is Read's own two halves (readStart
+// and readDone), threaded through k.Env instead of a closure so
+// steady-state reads allocate nothing.
 
 // contReadState carries one ContRead call's jacket state across the
 // park. Arena-backed and recycled when the call completes.
@@ -44,39 +43,21 @@ func (c *Conn) contRead(k *core.Cont, max int, d vtime.Duration, then core.ContF
 		then(k)
 		return
 	}
-	ref := c.x.openConnSpan(obs.KRead, c.readWhat, c.trace, c.parent)
-	op := c.x.getOp(c.nc, false, max)
-	if ref != obs.NoSpan {
-		sp := c.x.spans.Span(ref)
-		op.sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
-	}
+	ref, op := c.readStart(max)
 	st := c.x.getContRead()
 	st.c, st.op, st.ref, st.then, st.prevEnv = c, op, ref, then, k.Env
 	k.Env = st
 	k.FDOp(c.nc.FD(), core.FDRead, c.readWhat, d, op, contReadDone)
 }
 
-// contReadDone is the completion step: the post-park half of Conn.read,
-// shared by every ContRead (no per-call closure).
+// contReadDone is the completion step, shared by every ContRead (no
+// per-call closure): Conn.read's post-park half, then the caller's step.
 func contReadDone(k *core.Cont) {
 	st := k.Env.(*contReadState)
 	c, op, ref, then := st.c, st.op, st.ref, st.then
 	k.Env = st.prevEnv
 	c.x.putContRead(st)
-	n, opErr := op.n, op.opErr
-	c.x.putOp(op)
-	if err := k.Err; err != nil {
-		c.x.closeSpan(ref, err)
-		k.N = 0
-		then(k)
-		return
-	}
-	rerr := mapErr(opErr)
-	if ref != obs.NoSpan {
-		c.x.spans.Adopt(ref, c.nc.Flow())
-		c.x.closeSpan(ref, rerr)
-	}
-	k.N, k.Err = n, rerr
+	k.N, k.Err = c.readDone(ref, op, k.Err)
 	then(k)
 }
 

@@ -2,10 +2,12 @@ package io
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pthreads/internal/core"
 	"pthreads/internal/net"
+	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
@@ -27,14 +29,17 @@ func (tr *ioLockstepTracer) Event(ev core.TraceEvent) {
 }
 
 // ioLockstep runs the goroutine and continuation variants of a jacket
-// scenario and diffs traces, final clocks, and stats (with the
-// host-side representation counters zeroed).
-func ioLockstep(t *testing.T, goroutine, cont func(s *core.System, x *IO)) {
+// scenario and diffs traces, final clocks, stats (with the host-side
+// representation counters zeroed), and the results each variant
+// recorded through rec. It returns the goroutine variant's results.
+func ioLockstep(t *testing.T, goroutine, cont func(s *core.System, x *IO, rec func(...any))) string {
 	t.Helper()
-	run := func(main func(s *core.System, x *IO)) ([]string, vtime.Time, core.Stats) {
+	run := func(main func(s *core.System, x *IO, rec func(...any))) ([]string, vtime.Time, core.Stats, string) {
 		tr := &ioLockstepTracer{}
+		var results []string
+		rec := func(v ...any) { results = append(results, strings.TrimSuffix(fmt.Sprintln(v...), "\n")) }
 		s := core.New(core.Config{Tracer: tr})
-		if err := s.Run(func() { main(s, New(s, net.Config{})) }); err != nil {
+		if err := s.Run(func() { main(s, New(s, net.Config{}), rec) }); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		st := s.Stats()
@@ -42,15 +47,18 @@ func ioLockstep(t *testing.T, goroutine, cont func(s *core.System, x *IO)) {
 		st.BatonSends, st.RunnerTrampolines = 0, 0
 		st.RunnerLive, st.RunnerPeak = 0, 0
 		st.ArenaChunks, st.ArenaSlotBytes = 0, 0
-		return tr.lines, s.Now(), st
+		return tr.lines, s.Now(), st, strings.Join(results, "; ")
 	}
-	gl, gt, gs := run(goroutine)
-	cl, ct, cs := run(cont)
+	gl, gt, gs, gr := run(goroutine)
+	cl, ct, cs, cr := run(cont)
 	if gt != ct {
 		t.Errorf("final clock diverged: goroutine %v, cont %v", gt, ct)
 	}
 	if gs != cs {
 		t.Errorf("stats diverged:\ngoroutine %+v\ncont      %+v", gs, cs)
+	}
+	if gr != cr {
+		t.Errorf("results diverged:\ngoroutine %q\ncont      %q", gr, cr)
 	}
 	if len(gl) != len(cl) {
 		t.Errorf("trace length diverged: goroutine %d, cont %d", len(gl), len(cl))
@@ -60,14 +68,15 @@ func ioLockstep(t *testing.T, goroutine, cont func(s *core.System, x *IO)) {
 			t.Fatalf("trace diverged at event %d:\ngoroutine %s\ncont      %s", i, gl[i], cl[i])
 		}
 	}
+	return gr
 }
 
 // TestLockstepContRead parks a reader on an empty connection until the
 // peer writes — the full SIGIO wake path (park, readiness, completion,
 // span-free jacket bookkeeping) in both representations.
 func TestLockstepContRead(t *testing.T) {
-	scenario := func(read func(s *core.System, c *Conn)) func(s *core.System, x *IO) {
-		return func(s *core.System, x *IO) {
+	scenario := func(read func(s *core.System, c *Conn)) func(s *core.System, x *IO, rec func(...any)) {
+		return func(s *core.System, x *IO, _ func(...any)) {
 			l, err := x.Listen("srv", 4)
 			if err != nil {
 				t.Fatalf("listen: %v", err)
@@ -132,8 +141,8 @@ func isTimeout(err error) bool {
 // the timed-fd-wait arc (timer arm, ETIMEDOUT, timer cancel) in both
 // representations.
 func TestLockstepContReadTimeout(t *testing.T) {
-	scenario := func(read func(s *core.System, c *Conn) *core.Thread) func(s *core.System, x *IO) {
-		return func(s *core.System, x *IO) {
+	scenario := func(read func(s *core.System, c *Conn) *core.Thread) func(s *core.System, x *IO, rec func(...any)) {
+		return func(s *core.System, x *IO, _ func(...any)) {
 			l, err := x.Listen("srv", 4)
 			if err != nil {
 				t.Fatalf("listen: %v", err)
@@ -186,4 +195,65 @@ func TestLockstepContReadTimeout(t *testing.T) {
 			return th
 		}),
 	)
+}
+
+// readWakeups is the scenario of TestLockstepContReadWakeups: the given
+// number of reader threads block in an 8-byte read on one connection,
+// then drive wakes them. Each reader records its read's result; main
+// joins them all.
+func readWakeups(readers int, drive func(s *core.System, sc *Conn, rs []*core.Thread), cont bool) func(s *core.System, x *IO, rec func(...any)) {
+	return func(s *core.System, x *IO, rec func(...any)) {
+		s.Sigaction(unixkern.SIGUSR1, func(unixkern.Signal, *unixkern.SigInfo, *core.SigContext) { rec("handler") }, 0)
+		l, _ := x.Listen("srv", 4)
+		c, _ := x.Dial("srv")
+		sc, _ := l.Accept()
+		attr := core.DefaultAttr()
+		attr.Priority = s.Self().Priority() + 1
+		var rs []*core.Thread
+		for i := 0; i < readers; i++ {
+			attr.Name = fmt.Sprint("reader", i)
+			var th *core.Thread
+			if cont {
+				th, _ = s.CreateCont(attr, func(k *core.Cont) {
+					c.ContRead(k, 8, func(k *core.Cont) { rec(k.N, k.Err) })
+				}, nil)
+			} else {
+				th, _ = s.Create(attr, func(any) any { rec(c.Read(8)); return nil }, nil)
+			}
+			rs = append(rs, th)
+		}
+		drive(s, sc, rs)
+		for _, th := range rs {
+			v, err := s.Join(th)
+			rec(v, err)
+		}
+		sc.Close()
+		c.Close()
+		l.Close()
+	}
+}
+
+// TestLockstepContReadWakeups covers the fd-wait arcs other than a
+// plain completion: a handled signal (EINTR), cancellation of a blocked
+// reader, and a chain wake from one completion carrying data for two
+// readers.
+func TestLockstepContReadWakeups(t *testing.T) {
+	signal := func(s *core.System, _ *Conn, rs []*core.Thread) { s.Kill(rs[0], unixkern.SIGUSR1) }
+	cancel := func(s *core.System, _ *Conn, rs []*core.Thread) { s.Cancel(rs[0]) }
+	write := func(s *core.System, sc *Conn, _ []*core.Thread) { sc.Write(16) }
+	for _, a := range []struct {
+		name, want string
+		readers    int
+		drive      func(s *core.System, sc *Conn, rs []*core.Thread)
+	}{
+		{"eintr", "handler; 0 EINTR; <nil> <nil>", 1, signal},
+		{"cancelled", "PTHREAD_CANCELED <nil>", 1, cancel},
+		{"chain", "8 <nil>; 8 <nil>; <nil> <nil>; <nil> <nil>", 2, write},
+	} {
+		t.Run(a.name, func(t *testing.T) {
+			if got := ioLockstep(t, readWakeups(a.readers, a.drive, false), readWakeups(a.readers, a.drive, true)); got != a.want {
+				t.Errorf("results = %q, want %q", got, a.want)
+			}
+		})
+	}
 }

@@ -388,13 +388,27 @@ func (c *Conn) read(max int, d vtime.Duration) (int, error) {
 	if max < 0 {
 		return 0, core.EINVAL.Or()
 	}
+	ref, op := c.readStart(max)
+	return c.readDone(ref, op, c.x.sys.FDBlockingOp(c.nc.FD(), core.FDRead, c.readWhat, d, op))
+}
+
+// readStart is the half of a read before the park, shared with
+// ContRead: it opens the read span and checks out the pooled attempt,
+// carrying the span context.
+func (c *Conn) readStart(max int) (obs.SpanRef, *connOp) {
 	ref := c.x.openConnSpan(obs.KRead, c.readWhat, c.trace, c.parent)
 	op := c.x.getOp(c.nc, false, max)
 	if ref != obs.NoSpan {
 		sp := c.x.spans.Span(ref)
 		op.sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
 	}
-	err := c.x.sys.FDBlockingOp(c.nc.FD(), core.FDRead, c.readWhat, d, op)
+	return ref, op
+}
+
+// readDone is the half of a read after the wake, shared with ContRead:
+// given the jacket call's result err, it recycles the attempt, closes
+// the span, and maps the attempt's outcome to the read's result.
+func (c *Conn) readDone(ref obs.SpanRef, op *connOp, err error) (int, error) {
 	n, opErr := op.n, op.opErr
 	c.x.putOp(op)
 	if err != nil {

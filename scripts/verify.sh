@@ -2,13 +2,15 @@
 # Tier-1 verification: build + full test suite, vet, and the race
 # detector over the packages with the hottest concurrency-adjacent code.
 # (The simulation itself is single-goroutine-at-a-time by construction;
-# -race still guards the baton-passing and pool machinery.)
+# -race still guards the baton-passing and pool machinery, including the
+# continuation paths of io (ContRead) and sem (ContP) across the runner
+# handoff.)
 set -ex
 cd "$(dirname "$0")/.."
 go build ./...
 go test ./...
 go vet ./...
-go test -race ./internal/core/ ./internal/sched/
+go test -race ./internal/core/ ./internal/sched/ ./internal/io/ ./internal/sem/
 
 # Schedule-exploration smoke: bounded search must find the seeded bugs
 # (deadlock, lost update), shrink them, and replay the minimized token to
