@@ -15,8 +15,9 @@
 // the thread leaving the library kernel, the decision is taken on the
 // goroutine of the host that parks (or finishes). At that instant every
 // other live host is already parked, so exactly one goroutine runs and
-// it may freely inspect the parked hosts' clocks. The picked host
-// (smallest clock, host ID as tiebreak) receives
+// it may freely inspect the parked hosts' clocks. One pass over the
+// hosts picks the next one (smallest clock, host ID as tiebreak), which
+// receives
 //
 //	grant = min(want, pending(h), lease(h))
 //	lease(h) = max( min over other live x of clock(x) + Delay,
@@ -37,12 +38,16 @@
 // event is pending anywhere — a fleet-wide deadlock, reported with every
 // blocked thread on every host.
 //
-// A grant costs one channel handoff: the parking host sends it on the
-// picked host's channel and blocks on its own — or, when it picked
-// itself, returns it without blocking at all. Run only performs the start
-// rendezvous (which takes the first decision) and the teardown; whichever
-// host ends the run — on drain, a body error or a fleet-wide deadlock —
-// signals Run to tear the fleet down.
+// Most grants cost no goroutine switch at all. A parked host's governed
+// advance lives in its Clock (vtime.Regrant), so the deciding goroutine
+// applies a grant to the picked host's clock itself; if the advance asks
+// again, the host parks again and the next decision follows on the same
+// goroutine. Only a grant that completes an advance, or releases a host
+// from the start rendezvous, resumes that host's goroutine: one channel
+// handoff, or none when the host picked itself. Run only performs the
+// start rendezvous (which takes the first decision) and the teardown;
+// whichever host ends the run — on drain, a body error or a fleet-wide
+// deadlock — signals Run to tear the fleet down.
 //
 // Fault injection is scripted and deterministic: per-direction link loss
 // (lost data segments redeliver one RTO later), one-way partitions
@@ -55,6 +60,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -137,14 +143,7 @@ type Config struct {
 	explorer *fleetCtl
 }
 
-// grantMsg resumes a parked host: advance to grant, free-run below
-// lease. kill tears the host down instead.
-type grantMsg struct {
-	grant, lease vtime.Time
-	kill         bool
-}
-
-// hostKill unwinds a host goroutine blocked in Grant during teardown.
+// hostKill unwinds a host goroutine blocked in Wait during teardown.
 type hostKill struct{}
 
 // Host is one simulated machine of the fleet.
@@ -158,19 +157,26 @@ type Host struct {
 	spec HostSpec
 	rec  *trace.Recorder
 
-	grantCh chan grantMsg
+	// grantCh resumes the host's goroutine once a grant completes its
+	// advance or releases it from the start rendezvous; true tears the
+	// host down instead.
+	grantCh chan bool
 
-	// Decision-side view: written by the host as it parks, read by
-	// whichever goroutine takes the next decision (touched only while
-	// the host is parked or before it starts). Every live host is parked
-	// whenever a decision runs, so no parked flag is needed. killed
-	// marks a host torn down by killAll.
-	now, want vtime.Time
-	done      bool
-	killed    bool
-	pauses    []HostPause
-	pauseIdx  int
-	bodyErr   error
+	// Decision-side view: written as the host parks, read by whichever
+	// goroutine takes the next decision (touched only while the host is
+	// parked or before it starts). Every live host is parked whenever a
+	// decision runs, so no parked flag is needed. eff is the earliest
+	// instant the host can act: its want, lowered by the earliest event
+	// on its wheel — computed at park, and lowered again by every wire
+	// arrival landed on it while it stays parked. released marks a host
+	// out of the start rendezvous; killed a host torn down by killAll.
+	now, want, eff vtime.Time
+	released       bool
+	done           bool
+	killed         bool
+	pauses         []HostPause
+	pauseIdx       int
+	bodyErr        error
 }
 
 // TraceEvents returns the host's recorded trace (Config.Trace only).
@@ -181,21 +187,25 @@ func (h *Host) TraceEvents() []core.TraceEvent {
 	return h.rec.Events
 }
 
-// hostGov adapts the turn protocol to vtime.Governor: every ask parks the
-// host and takes the next decision on the asking goroutine. Unless the
-// host picked itself, it hands the grant over and blocks until granted.
+// hostGov adapts the turn protocol to vtime.Governor: an ask parks the
+// host and takes the turn decisions on the asking goroutine. Unless a
+// grant completes the host's own advance there, it blocks until another
+// host's decisions complete it.
 type hostGov struct{ h *Host }
 
-func (g *hostGov) Grant(now, want vtime.Time) (vtime.Time, vtime.Time) {
+func (g *hostGov) Wait(now, want vtime.Time) {
 	h := g.h
 	h.f.park(h, now, want)
-	gm, mine := h.f.handOff(h)
-	if !mine {
-		if gm = <-h.grantCh; gm.kill {
-			panic(hostKill{})
-		}
+	if !h.f.handOff(h) {
+		h.sleep()
 	}
-	return gm.grant, gm.lease
+}
+
+// sleep blocks the host's goroutine until the fabric wakes it.
+func (h *Host) sleep() {
+	if kill := <-h.grantCh; kill {
+		panic(hostKill{})
+	}
 }
 
 // Fabric is one fleet run.
@@ -216,6 +226,10 @@ type Fabric struct {
 	flows uint64
 	ran   bool
 	obs   *fleetObs // observability plane; nil when disabled
+
+	// beforeDecide, when set (tests only), runs at every turn decision
+	// with every live host parked.
+	beforeDecide func()
 }
 
 // New builds a fleet. Host bodies do not start until Run.
@@ -251,7 +265,7 @@ func New(cfg Config) (*Fabric, error) {
 		if _, dup := f.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("fabric: duplicate host %q", spec.Name)
 		}
-		h := &Host{ID: i, Name: spec.Name, f: f, spec: spec, grantCh: make(chan grantMsg)}
+		h := &Host{ID: i, Name: spec.Name, f: f, spec: spec, grantCh: make(chan bool)}
 		hcfg := spec.Cfg
 		hcfg.ExternalEvents = true
 		if cfg.Trace {
@@ -308,6 +322,7 @@ func New(cfg Config) (*Fabric, error) {
 				prng:  mixSeed(uint64(cfg.Seed), uint64(i), uint64(j)),
 				src:   i,
 				dst:   j,
+				to:    f.hosts[j],
 				obs:   f.obs,
 			}
 			for _, l := range cfg.Loss {
@@ -357,61 +372,67 @@ func (f *Fabric) Run() error {
 	for range f.hosts {
 		f.park(<-f.startCh, 0, 0)
 	}
-	if h, gm := f.decide(); h != nil {
-		h.grantCh <- gm
+	if h, _, _ := f.decide(); h != nil {
+		f.wake(h)
 		<-f.endCh
 	}
 	f.killAll()
 	return f.err
 }
 
-// park records h's ask to advance from now to want. Called by h itself,
-// on its own goroutine, while it holds the fleet's single turn (or by
-// Run at the start rendezvous).
+// park records h's ask to advance from now to want, and caches the
+// earliest instant it can act. Called on the goroutine that holds the
+// fleet's single turn: h's own as it asks, the deciding one as a grant
+// runs h's advance to its next ask, or Run's at the start rendezvous.
 func (f *Fabric) park(h *Host, now, want vtime.Time) {
-	h.now, h.want = now, want
+	h.now, h.want, h.eff = now, want, want
+	if at, ok := h.Sys.Clock().NextExpiry(); ok && at < want {
+		h.eff = at
+	}
 	if f.obs != nil {
 		f.obs.onPark(h, now)
 	}
 }
 
-// decide takes one turn decision with every live host parked: it picks
-// the next host and computes its grant, or, when nothing can ever happen
-// again, records the fleet-wide deadlock and returns a nil host.
-func (f *Fabric) decide() (*Host, grantMsg) {
-	e := f.fleetNext()
-	if e == vtime.Infinity {
-		f.err = errors.New(f.deadlockReport())
-		return nil, grantMsg{}
+// handOff passes the turn on from self, which has just parked (or, when
+// nil, finished). It takes turn decisions until one must resume a host's
+// goroutine. A grant to a released host is applied right here: Regrant
+// runs the host's advance on, and if the advance asks again, the host
+// parks and the next decision follows on this goroutine. A grant that
+// completes an advance resumes its host — self by returning true, any
+// other host through its grantCh, as does a release from the start
+// rendezvous. When the run is over, handOff signals Run to tear the
+// fleet down instead.
+func (f *Fabric) handOff(self *Host) bool {
+	for {
+		h, grant, lease := f.decide()
+		if h == nil {
+			f.endCh <- struct{}{}
+			return false
+		}
+		if h.released {
+			c := h.Sys.Clock()
+			if want, ask := c.Regrant(grant, lease); ask {
+				f.park(h, c.Now(), want)
+				continue
+			}
+		}
+		if h == self {
+			return true
+		}
+		f.wake(h)
+		return false
 	}
-	if f.obs != nil {
-		f.obs.sampleAt(f, e)
-		f.obs.checkWaitCycle(f)
-	}
-	h := f.pick()
-	grant, lease := f.grantFor(h, e)
-	f.mix(uint64(h.ID), uint64(h.want), uint64(grant))
-	if f.obs != nil {
-		f.obs.onGrant(f, h, grant)
-	}
-	return h, grantMsg{grant: grant, lease: lease}
 }
 
-// handOff passes the turn on from self, which has just parked (or, when
-// nil, finished): it decides, then either returns self's own grant and
-// true, or delivers the grant to the picked host — one channel handoff.
-// When the run is over it signals Run to tear the fleet down instead.
-func (f *Fabric) handOff(self *Host) (grantMsg, bool) {
-	h, gm := f.decide()
-	switch {
-	case h == nil:
-		f.endCh <- struct{}{}
-	case h == self:
-		return gm, true
-	default:
-		h.grantCh <- gm
+// wake resumes h's goroutine after a grant completed its advance or
+// released it from the start rendezvous.
+func (f *Fabric) wake(h *Host) {
+	h.released = true
+	if f.obs != nil {
+		f.obs.grants[h.ID].Wakes++
 	}
-	return grantMsg{}, false
+	h.grantCh <- false
 }
 
 // run is one host's goroutine: execute the body under the thread system,
@@ -447,9 +468,7 @@ func (h *Host) run() {
 	// (want == now marks a host that may act immediately once released;
 	// the grant values are not applied to the clock).
 	h.f.startCh <- h
-	if gm := <-h.grantCh; gm.kill {
-		panic(hostKill{})
-	}
+	h.sleep()
 	err = h.Sys.Run(func() {
 		if e := h.spec.Body(h); e != nil {
 			h.bodyErr = e
@@ -460,62 +479,58 @@ func (h *Host) run() {
 	}
 }
 
-// pick selects the live host with the smallest (clock, ID); called with
-// every live host parked.
-func (f *Fabric) pick() *Host {
-	var best *Host
-	for _, h := range f.hosts {
-		if h.done {
+// decide takes one turn decision with every live host parked, in one
+// pass over the hosts. It finds E, the earliest instant anything can
+// happen anywhere in the fleet; the host with the smallest (clock, ID),
+// which runs next; and the smallest clock among the others, which
+// bounds its lease. It returns the picked host with its grant and
+// lease, or, when E is Infinity and nothing can ever happen again,
+// records the fleet-wide deadlock and returns a nil host.
+func (f *Fabric) decide() (h *Host, grant, lease vtime.Time) {
+	if f.beforeDecide != nil {
+		f.beforeDecide()
+	}
+	e, others := vtime.Infinity, vtime.Infinity
+	for _, x := range f.hosts {
+		if x.done {
 			continue
 		}
-		if best == nil || h.now < best.now {
-			best = h
+		if x.eff < e {
+			e = x.eff
+		}
+		switch {
+		case h == nil:
+			h = x
+		case x.now < h.now:
+			others, h = h.now, x
+		case x.now < others:
+			others = x.now
 		}
 	}
-	return best
-}
-
-// eff is the earliest instant host h can possibly act: the target of its
-// parked ask, lowered by any event already scheduled on its wheel
-// (including arrivals other hosts landed after it parked — the parked
-// ask cannot know about those). Safe to call only while h is parked.
-func (h *Host) eff() vtime.Time {
-	w := h.want
-	if at, ok := h.Sys.Clock().NextExpiry(); ok && at < w {
-		w = at
+	if e == vtime.Infinity {
+		f.err = errors.New(f.deadlockReport())
+		return nil, 0, 0
 	}
-	return w
-}
-
-// fleetNext returns E, the earliest instant anything can happen anywhere
-// in the fleet. Infinity means fleet-wide deadlock. Called with every
-// live host parked.
-func (f *Fabric) fleetNext() vtime.Time {
-	e := vtime.Infinity
-	for _, h := range f.hosts {
-		if h.done {
-			continue
-		}
-		if w := h.eff(); w < e {
-			e = w
-		}
+	if f.obs != nil {
+		f.obs.sampleAt(f, e)
+		f.obs.checkWaitCycle(f)
 	}
-	return e
+	grant, lease = f.grantFor(h, e, others)
+	f.mix(uint64(h.ID), uint64(h.want), uint64(grant))
+	if f.obs != nil {
+		f.obs.onGrant(f, h, grant)
+	}
+	return h, grant, lease
 }
 
 // grantFor computes the granted frontier and lease for h, applying any
 // pause window the grant crosses. e is the fleet-wide next-action bound
-// from fleetNext.
-func (f *Fabric) grantFor(h *Host, e vtime.Time) (grant, lease vtime.Time) {
-	lease = vtime.Infinity
-	for _, x := range f.hosts {
-		if x == h || x.done {
-			continue
-		}
-		if l := satAdd(x.now, f.cfg.Delay); l < lease {
-			lease = l
-		}
-	}
+// and others the smallest clock among the other live hosts (Infinity
+// when h is the only one).
+func (f *Fabric) grantFor(h *Host, e, others vtime.Time) (grant, lease vtime.Time) {
+	// No other host's message departs before its clock, so none lands
+	// before that clock plus Delay.
+	lease = satAdd(others, f.cfg.Delay)
 	// Fleet fast-forward: no host acts before e, so no new arrival can
 	// land anywhere before e+Delay.
 	if eb := satAdd(e, f.cfg.Delay); eb > lease {
@@ -533,11 +548,12 @@ func (f *Fabric) grantFor(h *Host, e vtime.Time) (grant, lease vtime.Time) {
 	}
 	// Clamp to the host's own earliest pending event so arrivals are
 	// processed at their true instants, not wherever the lease happens
-	// to lie. An already-due event (at <= now — possible when an arrival
-	// raced the park at the same instant, or after a pause jump) cannot
-	// clamp: grants must move the clock, and the host polls it on wake.
-	if at, ok := h.Sys.Clock().NextExpiry(); ok && at > h.now && at < grant {
-		grant = at
+	// to lie. eff is that event whenever it lies below the want. An
+	// already-due event (eff <= now — possible when an arrival raced the
+	// park at the same instant, or after a pause jump) cannot clamp:
+	// grants must move the clock, and the host polls it on wake.
+	if h.eff > h.now && h.eff < grant {
+		grant = h.eff
 	}
 	// Pause windows: a grant crossing a window's start jumps over it —
 	// the host is frozen for the width of the window, so whatever it
@@ -590,8 +606,8 @@ func (f *Fabric) drained() bool {
 }
 
 // killAll tears down every live host: first Stop releases the host's
-// parked threads and lets its Run return, then the kill grant unwinds
-// the one goroutine blocked in Grant (or in the start rendezvous). Each
+// parked threads and lets its Run return, then the kill unwinds the one
+// goroutine blocked in Wait (or in the start rendezvous). Each
 // killed host reports its exit exactly once, consumed here, so Run
 // returns with no goroutine still talking to the fabric.
 func (f *Fabric) killAll() {
@@ -605,7 +621,7 @@ func (f *Fabric) killAll() {
 		}
 		h.killed = true
 		h.Sys.Stop(reason)
-		h.grantCh <- grantMsg{kill: true}
+		h.grantCh <- true
 		<-f.exitCh
 		h.done = true
 	}
@@ -621,24 +637,38 @@ const (
 	doneMark  = 0x646f6e65 // "done"
 )
 
-func (f *Fabric) mix(words ...uint64) {
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			f.fp ^= w & 0xff
-			f.fp *= fnvPrime
-			w >>= 8
-		}
+// fnvPow[k] is fnvPrime^k. FNV-1a over a zero byte is a bare multiply
+// by the prime (the xor is a no-op), so k zero bytes are one multiply
+// by fnvPow[k].
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
+	return p
+}()
+
+// fnvWord folds w's eight little-endian bytes into h: a round per byte
+// up to the highest nonzero one, then one multiply for the zero bytes
+// above it.
+func fnvWord(h, w uint64) uint64 {
+	n := (bits.Len64(w) + 7) / 8
+	for i := 0; i < n; i++ {
+		h ^= w & 0xff
+		h *= fnvPrime
+		w >>= 8
+	}
+	return h * fnvPow[8-n]
+}
+
+func (f *Fabric) mix(a, b, c uint64) {
+	f.fp = fnvWord(fnvWord(fnvWord(f.fp, a), b), c)
 }
 
 func mixSeed(words ...uint64) uint64 {
 	h := uint64(fnvOffset)
 	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= w & 0xff
-			h *= fnvPrime
-			w >>= 8
-		}
+		h = fnvWord(h, w)
 	}
 	if h == 0 {
 		h = fnvOffset

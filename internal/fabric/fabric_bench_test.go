@@ -54,9 +54,10 @@ func pingPongFleet(b *testing.B, n int, obs ObsConfig) *Fabric {
 }
 
 // BenchmarkFleetGrant reports the fabric's host cost per turn decision
-// (ns/grant) on a two-host ping-pong, one round trip per op. The grant
-// count comes from a second, identical run with the rollup plane on —
-// the plane never perturbs the schedule, so the count is exact for the
+// (ns/grant) on a two-host ping-pong, one round trip per op, and the
+// share of grants that resumed a host's goroutine (wakes/grant). The
+// counts come from a second, identical run with the rollup plane on —
+// the plane never perturbs the schedule, so they are exact for the
 // timed run, which carries no observability overhead.
 func BenchmarkFleetGrant(b *testing.B) {
 	b.StopTimer()
@@ -73,10 +74,12 @@ func BenchmarkFleetGrant(b *testing.B) {
 	if counted.Fingerprint() != f.Fingerprint() {
 		b.Fatalf("counting run diverged: %s vs %s", counted.Fingerprint(), f.Fingerprint())
 	}
-	var grants int64
+	var grants, wakes int64
 	for _, g := range counted.ObsReport().Grants {
 		grants += g.Grants
+		wakes += g.Wakes
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(grants), "ns/grant")
+	b.ReportMetric(float64(wakes)/float64(grants), "wakes/grant")
 	b.ReportMetric(float64(grants)/float64(b.N), "grants/op")
 }

@@ -71,7 +71,13 @@ type HostWireStats struct {
 
 // HostGrantStats summarizes the turn decisions' view of one host.
 type HostGrantStats struct {
-	Grants  int64          // turns granted
+	Grants int64 // turns granted
+	// Wakes counts the grants that resumed the host's goroutine through
+	// its channel: each completed an advance (or released the host from
+	// the start rendezvous) while another host held the turn. The other
+	// grants only moved the clock on and were applied by the deciding
+	// goroutine, or completed an advance the host decided itself.
+	Wakes   int64
 	MaxLag  vtime.Duration // worst clock lag behind the fleet max at grant
 	MaxTurn vtime.Duration // largest single-turn virtual advance
 
@@ -264,7 +270,7 @@ func (o *fleetObs) checkWaitCycle(f *Fabric) {
 	}
 	var mask uint64
 	for _, h := range f.hosts {
-		if !h.done && h.ID < 64 && h.eff() == vtime.Infinity {
+		if !h.done && h.ID < 64 && h.eff == vtime.Infinity {
 			mask |= 1 << uint(h.ID)
 		}
 	}

@@ -23,11 +23,12 @@ type wire struct {
 	parts    []partWindow
 	lastArr  vtime.Time
 
-	// src and dst are the endpoint host ordinals; obs, when non-nil,
-	// observes every segment for the fleet observability plane (counters
-	// and span piggybacking — see obs.go). Observation never changes an
-	// arrival instant.
+	// src and dst are the endpoint host ordinals, and to the receiving
+	// host; obs, when non-nil, observes every segment for the fleet
+	// observability plane (counters and span piggybacking — see obs.go).
+	// Observation never changes an arrival instant.
 	src, dst int
+	to       *Host
 	obs      *fleetObs
 }
 
@@ -35,6 +36,8 @@ type wire struct {
 // into a drop instead of an unbounded draw loop.
 const maxLossRetries = 64
 
+// Arrival implements net.Wire. The caller schedules the segment on the
+// receiver's clock at the returned instant.
 func (w *wire) Arrival(dep vtime.Time, bytes int, data bool) (vtime.Time, bool) {
 	at := satAdd(dep, w.delay)
 	tries := 0
@@ -70,6 +73,11 @@ func (w *wire) Arrival(dep vtime.Time, bytes int, data bool) (vtime.Time, bool) 
 		at = w.lastArr // FIFO: never overtake an earlier segment
 	}
 	w.lastArr = at
+	// The segment lands on the parked receiver's wheel at at, so the
+	// earliest instant the receiver can act drops to it.
+	if at < w.to.eff {
+		w.to.eff = at
+	}
 	if w.obs != nil {
 		w.obs.wireDelivered(w, dep, at, bytes, tries, held)
 	}

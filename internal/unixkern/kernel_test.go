@@ -62,6 +62,21 @@ func TestSigsetOps(t *testing.T) {
 	}
 }
 
+// TestFullSigsetMatchesLoop checks the constant against the set built
+// signal by signal.
+func TestFullSigsetMatchesLoop(t *testing.T) {
+	var want Sigset
+	for sig := Signal(1); sig < NSIGAll; sig++ {
+		if sig == SIGKILL || sig == SIGSTOP {
+			continue
+		}
+		want = want.Add(sig)
+	}
+	if got := FullSigset(); got != want {
+		t.Fatalf("FullSigset = %#x, want %#x", uint64(got), uint64(want))
+	}
+}
+
 func TestFullSigsetExcludesKillStop(t *testing.T) {
 	f := FullSigset()
 	if f.Has(SIGKILL) || f.Has(SIGSTOP) {

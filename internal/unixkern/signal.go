@@ -109,18 +109,13 @@ func MakeSigset(sigs ...Signal) Sigset {
 	return s
 }
 
+// fullSigset is every signal bit from SIGHUP through SIGCANCEL, minus
+// SIGKILL and SIGSTOP.
+const fullSigset Sigset = (1<<NSIGAll - 2) &^ (1<<SIGKILL | 1<<SIGSTOP)
+
 // FullSigset is the set of every maskable signal (SIGKILL and SIGSTOP are
 // excluded, as sigsetmask would).
-func FullSigset() Sigset {
-	var s Sigset
-	for sig := Signal(1); sig < NSIGAll; sig++ {
-		if sig == SIGKILL || sig == SIGSTOP {
-			continue
-		}
-		s = s.Add(sig)
-	}
-	return s
-}
+func FullSigset() Sigset { return fullSigset }
 
 // Add returns the set with sig included.
 func (s Sigset) Add(sig Signal) Sigset { return s | 1<<uint(sig) }

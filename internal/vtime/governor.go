@@ -16,21 +16,41 @@ package vtime
 // governor attached (every single-host run), all three advance paths
 // take their original branches untouched: byte-identical behavior.
 //
-// Grant may return less than asked (a partial grant — the caller loops,
-// re-checking its timer queue for events other hosts landed while it
-// was parked) or more than asked (a pause jump — the fabric froze the
-// host for a fault window, so the pending charge completes late by the
-// width of the window).
+// An advance that crosses the lease is recorded in the clock — its
+// kind, its target, the want of its outstanding ask and Step's due flag
+// — and, once it must ask, the clock's owner blocks in Governor.Wait.
+// The governor answers every ask with Regrant, which applies one grant
+// and runs the advance on to its next ask or to completion. A grant may
+// be less than asked (a partial grant: Regrant re-checks the timer queue
+// for events other hosts landed while the clock was parked, and asks
+// again) or more than asked (a pause jump: the fabric froze the host for
+// a fault window, so the pending charge completes late by the width of
+// the window). Because the loop state lives in the clock, not on its
+// owner's stack, the governor may Regrant from any goroutine that holds
+// the fleet's turn, and the owner wakes once per advance, not once per
+// grant.
 
-// Governor arbitrates clock advancement across hosts. Grant is called
-// with the clock's current time and the target it wants to reach, and
-// returns how far it may actually move (grant, always > now) together
-// with a new lease (always >= grant) below which future advances need
-// no further permission. Implementations block the calling goroutine
-// until the advance is safe — that is the mechanism by which only one
-// host runs at a time.
+// Governor arbitrates clock advancement across hosts. Wait is called
+// with the clock's current time and the target its advance must ask
+// for (always > now), and returns only once the advance is complete.
+// Until then the governor answers the ask, and every further ask, by
+// calling the clock's Regrant. Implementations block the calling
+// goroutine while another host runs — that is the mechanism by which
+// only one host runs at a time.
 type Governor interface {
-	Grant(now, want Time) (grant, lease Time)
+	Wait(now, want Time)
+}
+
+// advance is the governed advance in progress (see Regrant).
+type advance struct {
+	// charge marks committed work (Advance), which never stops at a
+	// timer expiry. AdvanceTo and Step stop at the next one.
+	charge bool
+	target Time
+	// want is the frontier of the outstanding ask; due records that it
+	// is a timer expiry, which Step reports.
+	want Time
+	due  bool
 }
 
 // SetGovernor attaches (or, with nil, detaches) a governor. The lease
@@ -41,59 +61,76 @@ func (c *Clock) SetGovernor(g Governor) {
 	c.lease = c.now
 }
 
-// advanceGov completes a charge to target t under a governor. Charges
-// model committed work (instruction costs): they never stop early at
-// timer expiries, so the loop only ends at t — or beyond it, when a
-// pause jump carries the completion past the target.
-func (c *Clock) advanceGov(t Time) {
-	for c.now < t {
-		if t <= c.lease {
-			c.now = t
-			return
-		}
-		g, l := c.gov.Grant(c.now, t)
-		if g <= c.now || l < g {
-			panic("vtime: governor grant out of order")
-		}
-		c.lease = l
-		c.now = g
-		if g >= t {
-			return
-		}
+// govern runs a governed advance to target: it free-runs within the
+// lease, and otherwise waits on the governor until the advance is done.
+func (c *Clock) govern(charge bool, target Time) {
+	c.adv = advance{charge: charge, target: target}
+	if want, ask := c.resume(); ask {
+		c.gov.Wait(c.now, want)
 	}
 }
+
+// Regrant applies a grant (always > now) and its lease (always >= grant)
+// to the advance in progress, then runs the advance on: it returns the
+// frontier of the next ask and true, or false once the advance is
+// complete. Only the governor calls it, while the clock's owner is
+// blocked in Wait.
+func (c *Clock) Regrant(grant, lease Time) (want Time, ask bool) {
+	if grant <= c.now || lease < grant {
+		panic("vtime: governor grant out of order")
+	}
+	c.lease = lease
+	c.now = grant
+	if grant >= c.adv.want {
+		return 0, false
+	}
+	return c.resume()
+}
+
+// resume runs the advance in progress from now to its next ask, or to
+// completion. A charge asks straight for its target. The other kinds
+// stop at a timer already due, and otherwise ask no further than the
+// next expiry, so an event another host landed while this clock was
+// parked is processed at its true instant.
+func (c *Clock) resume() (want Time, ask bool) {
+	a := &c.adv
+	if c.now >= a.target {
+		a.due = false
+		return 0, false
+	}
+	limit, due := a.target, false
+	if !a.charge {
+		if at, ok := c.NextExpiry(); ok {
+			if at <= c.now {
+				a.due = true
+				return 0, false
+			}
+			if at <= limit {
+				limit, due = at, true
+			}
+		}
+	}
+	a.due = due
+	if limit <= c.lease {
+		c.now = limit
+		return 0, false
+	}
+	a.want = limit
+	return limit, true
+}
+
+// advanceGov completes a charge to target t under a governor. Charges
+// model committed work (instruction costs): they never stop early at
+// timer expiries, so the advance only ends at t — or beyond it, when a
+// pause jump carries the completion past the target.
+func (c *Clock) advanceGov(t Time) { c.govern(true, t) }
 
 // advanceToGov idles the clock toward t under a governor. Unlike a
 // charge, the idle path is truncatable: if another host lands an event
 // earlier than t while this clock is parked, the advance stops at the
 // arrival so the host can process it. t may be Infinity ("sleep until
 // anything arrives").
-func (c *Clock) advanceToGov(t Time) {
-	for c.now < t {
-		limit := t
-		if at, ok := c.NextExpiry(); ok {
-			if at <= c.now {
-				return // a newly-landed event is already due
-			}
-			if at < limit {
-				limit = at
-			}
-		}
-		if limit <= c.lease {
-			c.now = limit
-			return
-		}
-		g, l := c.gov.Grant(c.now, limit)
-		if g <= c.now || l < g {
-			panic("vtime: governor grant out of order")
-		}
-		c.lease = l
-		c.now = g
-		if g >= limit {
-			return
-		}
-	}
-}
+func (c *Clock) advanceToGov(t Time) { c.govern(false, t) }
 
 // stepGov is the governed Step: like the ungoverned one it stops at the
 // next timer expiry, but it may also advance past the target under a
@@ -101,34 +138,6 @@ func (c *Clock) advanceToGov(t Time) {
 // inflated computation time).
 func (c *Clock) stepGov(d Duration) (advanced Duration, due bool) {
 	start := c.now
-	target := c.now.Add(d)
-	for {
-		if c.now >= target {
-			return c.now.Sub(start), false
-		}
-		limit := target
-		stopDue := false
-		if at, ok := c.NextExpiry(); ok {
-			if at <= c.now {
-				return c.now.Sub(start), true
-			}
-			if at <= limit {
-				limit = at
-				stopDue = true
-			}
-		}
-		if limit <= c.lease {
-			c.now = limit
-			return c.now.Sub(start), stopDue
-		}
-		g, l := c.gov.Grant(c.now, limit)
-		if g <= c.now || l < g {
-			panic("vtime: governor grant out of order")
-		}
-		c.lease = l
-		c.now = g
-		if g >= limit {
-			return c.now.Sub(start), stopDue
-		}
-	}
+	c.govern(false, start.Add(d))
+	return c.now.Sub(start), c.adv.due
 }

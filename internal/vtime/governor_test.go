@@ -2,29 +2,38 @@ package vtime
 
 import "testing"
 
-// scriptGov grants from a scripted list of (grant, lease) pairs.
+// scriptGov grants from a scripted list of (grant, lease) pairs, one per
+// ask, regranting until the advance completes.
 type scriptGov struct {
 	t      *testing.T
+	c      *Clock
 	grants []struct{ grant, lease Time }
 	calls  []struct{ now, want Time }
 }
 
-func (g *scriptGov) Grant(now, want Time) (Time, Time) {
-	g.calls = append(g.calls, struct{ now, want Time }{now, want})
-	if len(g.grants) == 0 {
-		g.t.Fatalf("unexpected Grant(now=%v, want=%v)", now, want)
+func (g *scriptGov) Wait(now, want Time) {
+	for ask := true; ask; now = g.c.Now() {
+		g.calls = append(g.calls, struct{ now, want Time }{now, want})
+		if len(g.grants) == 0 {
+			g.t.Fatalf("unexpected ask (now=%v, want=%v)", now, want)
+		}
+		gr := g.grants[0]
+		g.grants = g.grants[1:]
+		want, ask = g.c.Regrant(gr.grant, gr.lease)
 	}
-	gr := g.grants[0]
-	g.grants = g.grants[1:]
-	return gr.grant, gr.lease
 }
 
 // freeGov grants everything asked, with an infinite lease.
-type freeGov struct{ calls int }
+type freeGov struct {
+	c     *Clock
+	calls int
+}
 
-func (g *freeGov) Grant(now, want Time) (Time, Time) {
-	g.calls++
-	return want, Infinity
+func (g *freeGov) Wait(now, want Time) {
+	for ask := true; ask; {
+		g.calls++
+		want, ask = g.c.Regrant(want, Infinity)
+	}
 }
 
 // TestGovernorNilIdentity: a clock with no governor behaves exactly as
@@ -50,7 +59,7 @@ func TestGovernorNilIdentity(t *testing.T) {
 // governor; the first advance beyond it does.
 func TestGovernorLeaseFreeRun(t *testing.T) {
 	c := NewClock()
-	g := &freeGov{}
+	g := &freeGov{c: c}
 	c.SetGovernor(g)
 	c.Advance(10) // lease starts at 0: must ask
 	if g.calls != 1 {
@@ -73,7 +82,7 @@ func TestGovernorLeaseFreeRun(t *testing.T) {
 // advance stops early at an event another host landed mid-park.
 func TestGovernorPartialGrant(t *testing.T) {
 	c := NewClock()
-	g := &scriptGov{t: t}
+	g := &scriptGov{t: t, c: c}
 	c.SetGovernor(g)
 	// First grant: partial to 40 with lease 40. While "parked", an event
 	// lands at 60 (simulated by scheduling before the second call).
@@ -100,7 +109,7 @@ func TestGovernorPartialGrant(t *testing.T) {
 // a timer expiry — it asks straight to its target.
 func TestGovernorChargeIgnoresTimers(t *testing.T) {
 	c := NewClock()
-	g := &scriptGov{t: t}
+	g := &scriptGov{t: t, c: c}
 	c.SetGovernor(g)
 	g.grants = append(g.grants, struct{ grant, lease Time }{100, 200})
 	c.ScheduleAt(50, "mid-charge")
@@ -120,7 +129,7 @@ func TestGovernorChargeIgnoresTimers(t *testing.T) {
 // carries the clock past the target; Step reports the inflated advance.
 func TestGovernorPauseJump(t *testing.T) {
 	c := NewClock()
-	g := &scriptGov{t: t}
+	g := &scriptGov{t: t, c: c}
 	c.SetGovernor(g)
 	g.grants = append(g.grants, struct{ grant, lease Time }{500, 500})
 	adv, due := c.Step(100)
@@ -136,7 +145,7 @@ func TestGovernorPauseJump(t *testing.T) {
 // reports due, exactly like the ungoverned one.
 func TestGovernorStepDue(t *testing.T) {
 	c := NewClock()
-	g := &freeGov{}
+	g := &freeGov{c: c}
 	c.SetGovernor(g)
 	// Force the governed path by keeping the lease behind the target.
 	c.ScheduleAt(30, "timer")

@@ -225,6 +225,10 @@ type Clock struct {
 	free    *timerEntry
 	freeLen int
 	liveLen int
+
+	// adv is the governed advance in progress (governor.go), last so the
+	// fields above keep their offsets in single-host runs.
+	adv advance
 }
 
 // NewClock returns a clock at time zero with no timers armed.

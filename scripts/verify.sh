@@ -192,6 +192,8 @@ cmp scripts/golden/fleet.txt "$t/fleet1.txt"
 go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -dcout "" > "$t/dc1.txt"
 go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -dcout "" > "$t/dc2.txt"
 cmp "$t/dc1.txt" "$t/dc2.txt"
+# Pinned the same way: every rung's makespan, latencies and fingerprint.
+cmp scripts/golden/dc.txt "$t/dc1.txt"
 
 # Cross-host exploration: the bounded search must find the seeded
 # fleet lost wakeup (and replay its host-qualified token to an
