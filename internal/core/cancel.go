@@ -43,7 +43,7 @@ func (s *System) actOnCancel(t *Thread, info *unixkern.SigInfo) {
 	switch t.cancelState {
 	case CancelDisabled:
 		// Pends on the thread until cancellation is enabled.
-		t.pending[unixkern.SIGCANCEL] = info
+		t.setPending(unixkern.SIGCANCEL, info)
 		s.trace(EvCancel, t, "pended", "interruptibility disabled")
 
 	case CancelControlled:
@@ -156,8 +156,8 @@ func (s *System) SetCancelState(cs CancelState) CancelState {
 	old := t.cancelState
 	s.enterKernel()
 	t.cancelState = cs
-	if in := t.pending[unixkern.SIGCANCEL]; in != nil && cs != CancelDisabled {
-		t.pending[unixkern.SIGCANCEL] = nil
+	if in := t.pendingSig(unixkern.SIGCANCEL); in != nil && cs != CancelDisabled {
+		t.setPending(unixkern.SIGCANCEL, nil)
 		s.actOnCancel(t, in)
 	} else if cs == CancelAsynchronous && t.cancelPending {
 		t.cancelPending = false
@@ -173,7 +173,7 @@ func (s *System) CancelState() CancelState { return s.current.cancelState }
 // CancelPending reports whether a cancellation request is pending on the
 // thread (tests and diagnostics).
 func (s *System) CancelPending(t *Thread) bool {
-	return t.cancelPending || t.pending[unixkern.SIGCANCEL] != nil
+	return t.cancelPending || t.pendingSig(unixkern.SIGCANCEL) != nil
 }
 
 // TestCancel creates an interruption point (pthread_testintr): a pending

@@ -717,6 +717,15 @@ func TestContFrameSize(t *testing.T) {
 	}
 }
 
+// TestThreadSize pins the TCB, the other per-resident cost: the
+// pending-signal table is a pointer allocated on first use, and the fd
+// wait links live in the TCB instead of a per-descriptor queue.
+func TestThreadSize(t *testing.T) {
+	if n := unsafe.Sizeof(Thread{}); n > 560 {
+		t.Errorf("Thread is %d bytes, want at most 560", n)
+	}
+}
+
 // TestContParkedReleasesGoroutine pins the tentpole's resource claim: a
 // continuation thread parked at a declared wait point holds no goroutine,
 // and the runner pool stays bounded regardless of how many threads park.

@@ -168,6 +168,28 @@ func TestJoinAfterHandleReclaimedESRCH(t *testing.T) {
 	})
 }
 
+func TestThreadPendingSetReclaimedEmpty(t *testing.T) {
+	runSystem(t, func(s *System) {
+		attr := DefaultAttr()
+		attr.Priority = s.Self().Priority() + 1
+		th, _ := s.Create(attr, func(any) any {
+			s.SetSigmask(unixkern.MakeSigset(unixkern.SIGUSR1))
+			s.Kill(s.Self(), unixkern.SIGUSR1) // pends, and is never taken
+			return nil
+		}, nil)
+		if !s.ThreadPendingSet(th).Has(unixkern.SIGUSR1) {
+			t.Fatal("signal not pended on the exited thread")
+		}
+		s.Join(th)
+		if set := s.ThreadPendingSet(th); !set.Empty() {
+			t.Fatalf("reclaimed handle reports pending %v, want none", set)
+		}
+		if th.pending != nil {
+			t.Fatal("reclaim kept the pending-signal table")
+		}
+	})
+}
+
 func TestCeilingGrantBoostsWaiter(t *testing.T) {
 	// A waiter granted a ceiling mutex at unlock gets the ceiling boost
 	// applied at grant time.

@@ -3,13 +3,12 @@ package core
 import (
 	"strconv"
 
-	"pthreads/internal/sched"
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
 // This file is the library half of the blocking-I/O jacket layer: the
-// per-descriptor wait queues and the FDBlockingCall primitive that turns
+// per-descriptor wait lists and the FDBlockingCall primitive that turns
 // a non-blocking descriptor operation into a per-thread blocking call.
 //
 // The paper keeps one thread's blocking UNIX call from stopping the whole
@@ -19,10 +18,11 @@ import (
 // around each blocking syscall. Here the two meet: the socket layer
 // (internal/net) exposes non-blocking try-operations and announces
 // readiness through SIGIO completions carrying descriptor sets; this file
-// parks threads on priority-ordered per-(fd, direction) queues and wakes
-// them from those completions. A blocked jacket call is interrupted with
-// EINTR by a handled signal (via a fake call) and is an interruption
-// point for cancellation, per the paper's SIGCANCEL rules.
+// parks threads on priority-ordered per-(fd, direction) wait lists,
+// threaded through the waiters' TCBs, and wakes them from those
+// completions. A blocked jacket call is interrupted with EINTR by a
+// handled signal (via a fake call) and is an interruption point for
+// cancellation, per the paper's SIGCANCEL rules.
 
 // FDDir selects the direction of a descriptor wait.
 type FDDir int
@@ -44,21 +44,22 @@ func (d FDDir) String() string {
 	return "write"
 }
 
-// fdKey identifies one wait queue (trace-label interning only; the wait
-// queues themselves live in the fd-hashed shards below).
+// fdKey identifies one wait list (trace-label interning only; the wait
+// lists themselves live in the fd-hashed shards below).
 type fdKey struct {
 	fd  unixkern.FD
 	dir FDDir
 }
 
-// The wait queues are sharded by descriptor hash: shard index is the low
+// The wait lists are sharded by descriptor hash: shard index is the low
 // six bits of the fd, and within a shard the remaining bits index a dense
-// slice of per-descriptor {read, write} queue pointers. Parking and
-// waking a waiter therefore touch two array slots — no global map insert
-// or delete on the hot path, and no rehashing as the descriptor
-// population grows to 100k and beyond. Queues themselves stay pooled:
-// a slot holds nil until a waiter arrives and gives its queue back to
-// fdPool when the last waiter leaves.
+// slice of per-descriptor {read, write} list slots. Parking and waking a
+// waiter therefore touch two array slots — no global map insert or
+// delete on the hot path, and no rehashing as the descriptor population
+// grows to 100k and beyond. A slot is only a list head: the list itself
+// is threaded through the waiters' TCBs (fdPrev/fdNext), so a parked
+// waiter costs its descriptor nothing beyond the slot, and a slot whose
+// last waiter left holds nothing but nil links.
 const (
 	fdwShardBits  = 6
 	fdwShardCount = 1 << fdwShardBits
@@ -66,40 +67,80 @@ const (
 )
 
 type fdwShard struct {
-	slots [][2]*sched.Queue[*Thread] // indexed by fd >> fdwShardBits
+	slots [][2]fdwList // indexed by fd >> fdwShardBits
 }
 
-// fdQueue returns the wait queue for (fd, dir), or nil if no waiter ever
-// parked there (or all its queues were recycled).
-func (s *System) fdQueue(fd unixkern.FD, dir FDDir) *sched.Queue[*Thread] {
+// fdwList is one (fd, dir) wait list, in sched.Queue's order: highest
+// level first, FIFO within a level. Each waiter records the level it was
+// queued at (fdLevel), so it can be unlinked in O(1) whatever its
+// current priority.
+type fdwList struct {
+	head, tail *Thread
+	depth      int
+}
+
+// push queues t at level lvl, behind every waiter of equal or higher
+// level. The walk starts at the tail, so the common case — a waiter no
+// more urgent than the last one queued — is O(1).
+func (l *fdwList) push(t *Thread, lvl int) {
+	t.fdLevel = int8(lvl)
+	p := l.tail
+	for p != nil && int(p.fdLevel) < lvl {
+		p = p.fdPrev
+	}
+	t.fdPrev = p
+	if p == nil {
+		t.fdNext = l.head
+		l.head = t
+	} else {
+		t.fdNext = p.fdNext
+		p.fdNext = t
+	}
+	if t.fdNext == nil {
+		l.tail = t
+	} else {
+		t.fdNext.fdPrev = t
+	}
+	l.depth++
+}
+
+// unlink takes t off the list.
+func (l *fdwList) unlink(t *Thread) {
+	if t.fdPrev == nil {
+		l.head = t.fdNext
+	} else {
+		t.fdPrev.fdNext = t.fdNext
+	}
+	if t.fdNext == nil {
+		l.tail = t.fdPrev
+	} else {
+		t.fdNext.fdPrev = t.fdPrev
+	}
+	t.fdPrev, t.fdNext = nil, nil
+	l.depth--
+}
+
+// fdList returns the wait list of (fd, dir), or nil if its slot row was
+// never grown. The pointer aliases the shard's row table: callers must
+// not hold it across a call that can grow the table (fdListEnsure).
+func (s *System) fdList(fd unixkern.FD, dir FDDir) *fdwList {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
 	if idx >= len(sh.slots) {
 		return nil
 	}
-	return sh.slots[idx][dir]
+	return &sh.slots[idx][dir]
 }
 
-// fdQueueEnsure returns the wait queue for (fd, dir), installing a pooled
-// queue in the shard slot on first use.
-func (s *System) fdQueueEnsure(fd unixkern.FD, dir FDDir) *sched.Queue[*Thread] {
+// fdListEnsure returns the wait list of (fd, dir), growing the shard's
+// row table to cover the descriptor first.
+func (s *System) fdListEnsure(fd unixkern.FD, dir FDDir) *fdwList {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
 	for idx >= len(sh.slots) {
-		sh.slots = append(sh.slots, [2]*sched.Queue[*Thread]{})
+		sh.slots = append(sh.slots, [2]fdwList{})
 	}
-	q := sh.slots[idx][dir]
-	if q == nil {
-		if n := len(s.fdPool); n > 0 {
-			q = s.fdPool[n-1]
-			s.fdPool[n-1] = nil
-			s.fdPool = s.fdPool[:n-1]
-		} else {
-			q = new(sched.Queue[*Thread])
-		}
-		sh.slots[idx][dir] = q
-	}
-	return q
+	return &sh.slots[idx][dir]
 }
 
 // fdWaitTag is the timer datum of a timed descriptor wait; like
@@ -272,14 +313,14 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 	}
 }
 
-// fdEnqueue parks a thread on the (fd, dir) wait queue, priority-ordered
+// fdEnqueue parks a thread on the (fd, dir) wait list, priority-ordered
 // like every other wait queue in the library. Runs in the kernel.
 func (s *System) fdEnqueue(fd unixkern.FD, dir FDDir, t *Thread) {
-	q := s.fdQueueEnsure(fd, dir)
+	l := s.fdListEnsure(fd, dir)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
-	q.Enqueue(t, t.prio)
+	l.push(t, t.prio)
 	t.waitFD, t.waitFDDir, t.fdWaiting = fd, dir, true
-	if d := int64(q.Len()); d > s.stats.FDMaxWaitDepth {
+	if d := int64(l.depth); d > s.stats.FDMaxWaitDepth {
 		s.stats.FDMaxWaitDepth = d
 	}
 }
@@ -290,14 +331,29 @@ func (s *System) fdEnqueue(fd unixkern.FD, dir FDDir, t *Thread) {
 // so no completion is ever fanned out to waiters that would find nothing.
 // Runs in the kernel.
 func (s *System) fdWakeTop(fd unixkern.FD, dir FDDir, why string) {
-	q := s.fdQueue(fd, dir)
-	if q == nil {
-		return
+	if l := s.fdList(fd, dir); l != nil && l.head != nil {
+		s.fdWake(l, fd, dir, why)
 	}
-	t, _, ok := q.DequeueMax()
-	if !ok {
-		return
+}
+
+// fdWakeAll designates every waiter on (fd, dir), highest priority first.
+// Used for wake-all completions (shared device descriptors) and close.
+func (s *System) fdWakeAll(fd unixkern.FD, dir FDDir, why string) {
+	// The list is looked up afresh for every waiter rather than held
+	// across makeReady.
+	for {
+		l := s.fdList(fd, dir)
+		if l == nil || l.head == nil {
+			return
+		}
+		s.fdWake(l, fd, dir, why)
 	}
+}
+
+// fdWake dequeues the head of a non-empty wait list and makes it ready.
+func (s *System) fdWake(l *fdwList, fd unixkern.FD, dir FDDir, why string) {
+	t := l.head
+	l.unlink(t)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	t.fdWaiting = false
 	t.wake = wakeIO
@@ -306,56 +362,17 @@ func (s *System) fdWakeTop(fd unixkern.FD, dir FDDir, why string) {
 		s.traceObj(EvIO, t, s.fdLabel(fd, dir), "wake", why)
 	}
 	s.makeReady(t, false)
-	s.fdRecycle(fd, dir, q)
 }
 
-// fdWakeAll designates every waiter on (fd, dir), highest priority first.
-// Used for wake-all completions (shared device descriptors) and close.
-func (s *System) fdWakeAll(fd unixkern.FD, dir FDDir, why string) {
-	q := s.fdQueue(fd, dir)
-	if q == nil {
-		return
-	}
-	for {
-		t, _, ok := q.DequeueMax()
-		if !ok {
-			break
-		}
-		s.cpu.ChargeInstr(instrReadyQueueOp)
-		t.fdWaiting = false
-		t.wake = wakeIO
-		s.stats.FDWakeups++
-		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "wake", why)
-		}
-		s.makeReady(t, false)
-	}
-	s.fdRecycle(fd, dir, q)
-}
-
-// fdRemoveWaiter takes a still-queued thread off its wait queue (cancel,
+// fdRemoveWaiter takes a still-queued thread off its wait list (cancel,
 // EINTR, timeout). A queued thread was never designated, so no readiness
 // is lost and no chain wake is needed. Runs in the kernel.
 func (s *System) fdRemoveWaiter(t *Thread) {
 	if !t.fdWaiting {
 		return
 	}
-	if q := s.fdQueue(t.waitFD, t.waitFDDir); q != nil {
-		if !q.Remove(t, t.prio) {
-			q.RemoveAny(t)
-		}
-		s.fdRecycle(t.waitFD, t.waitFDDir, q)
-	}
+	s.fdList(t.waitFD, t.waitFDDir).unlink(t)
 	t.fdWaiting = false
-}
-
-// fdRecycle returns an emptied queue to the pool and clears its shard
-// slot.
-func (s *System) fdRecycle(fd unixkern.FD, dir FDDir, q *sched.Queue[*Thread]) {
-	if q.Len() == 0 {
-		s.fdShards[int(fd)&fdwShardMask].slots[int(fd)>>fdwShardBits][dir] = nil
-		s.fdPool = append(s.fdPool, q)
-	}
 }
 
 // fdCompletion is recipient rule 4 in per-descriptor form: a SIGIO whose
@@ -397,8 +414,8 @@ func (s *System) FDKickAll(fd unixkern.FD) {
 // FDWaitDepth reports how many threads wait on (fd, dir) right now.
 // Bare accessor (see introspect.go): thread context or post-Run only.
 func (s *System) FDWaitDepth(fd unixkern.FD, dir FDDir) int {
-	if q := s.fdQueue(fd, dir); q != nil {
-		return q.Len()
+	if l := s.fdList(fd, dir); l != nil {
+		return l.depth
 	}
 	return 0
 }

@@ -186,13 +186,13 @@ func TestFDWaitRequeueCrossShardCollisions(t *testing.T) {
 				t.Errorf("fd %d: completion order %v, want [%d]", colliding[i], box.order, i)
 			}
 		}
-		// No stale dense-table entries anywhere: every emptied queue was
-		// recycled, so every shard slot must be nil again.
+		// No stale dense-table entries anywhere: every list was drained,
+		// so every shard slot must be empty again.
 		for si := range s.fdShards {
 			for ri, row := range s.fdShards[si].slots {
-				for dir, q := range row {
-					if q != nil {
-						t.Errorf("shard %d row %d dir %d: stale queue (len %d) after drain", si, ri, dir, q.Len())
+				for dir, l := range row {
+					if l != (fdwList{}) {
+						t.Errorf("shard %d row %d dir %d: stale list (depth %d) after drain", si, ri, dir, l.depth)
 					}
 				}
 			}

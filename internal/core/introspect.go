@@ -71,7 +71,7 @@ func (s *System) Inspect(t *Thread) (ThreadInfo, error) {
 		Policy:       t.policy,
 		Detached:     t.detached,
 		CancelState:  t.cancelState,
-		CancelReq:    t.cancelPending || t.pending[unixkern.SIGCANCEL] != nil,
+		CancelReq:    t.cancelPending || t.pendingSig(unixkern.SIGCANCEL) != nil,
 		SigMask:      t.sigMask,
 		SigPending:   s.ThreadPendingSet(t),
 		Errno:        t.errno,

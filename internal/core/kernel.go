@@ -533,12 +533,9 @@ func (s *System) setPriority(t *Thread, newPrio int, atHead bool) {
 			t.waitingCond.waiters.Enqueue(t, newPrio)
 		}
 		if t.fdWaiting {
-			if q := s.fdQueue(t.waitFD, t.waitFDDir); q != nil {
-				if !q.Remove(t, old) {
-					q.RemoveAny(t)
-				}
-				q.Enqueue(t, newPrio)
-			}
+			l := s.fdList(t.waitFD, t.waitFDDir)
+			l.unlink(t)
+			l.push(t, newPrio)
 		}
 	default:
 		t.prio = newPrio

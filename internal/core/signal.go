@@ -338,11 +338,11 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 
 	// Rule 1: the thread masked the signal → pend on the thread.
 	if t.sigMask.Has(sig) {
-		if old := t.pending[sig]; old != nil {
+		if old := t.pendingSig(sig); old != nil {
 			s.stats.LostThreadSigs++
 			s.kern.RecycleSigInfo(old) // the overwritten instance is lost
 		}
-		t.pending[sig] = info
+		t.setPending(sig, info)
 		return
 	}
 
@@ -434,11 +434,34 @@ func (s *System) performDefaultAction(sig unixkern.Signal) {
 	panic(killPanic{})
 }
 
+// pendingSig returns the instance of sig pended on the thread, if any.
+func (t *Thread) pendingSig(sig unixkern.Signal) *unixkern.SigInfo {
+	if t.pending == nil {
+		return nil
+	}
+	return t.pending[sig]
+}
+
+// setPending pends info on the thread as sig's instance (nil clears it),
+// allocating the table the first time a signal pends.
+func (t *Thread) setPending(sig unixkern.Signal, info *unixkern.SigInfo) {
+	if t.pending == nil {
+		if info == nil {
+			return
+		}
+		t.pending = new([unixkern.NSIGAll]*unixkern.SigInfo)
+	}
+	t.pending[sig] = info
+}
+
 // flushThreadPending re-examines a thread's pended signals after its mask
 // changed, acting on the now-unblocked ones.
 func (s *System) flushThreadPending(t *Thread) {
+	if t.pending == nil {
+		return
+	}
 	for sig := unixkern.Signal(1); sig < unixkern.NSIGAll; sig++ {
-		in := t.pending[sig]
+		in := t.pendingSig(sig)
 		if in == nil {
 			continue
 		}
@@ -449,7 +472,7 @@ func (s *System) flushThreadPending(t *Thread) {
 		} else if t.sigMask.Has(sig) {
 			continue
 		}
-		t.pending[sig] = nil
+		t.setPending(sig, nil)
 		s.directAt(t, in)
 	}
 }
@@ -485,8 +508,11 @@ func (s *System) ProcessPendingSet() unixkern.Sigset {
 // ThreadPendingSet reports the signals pended on a thread.
 func (s *System) ThreadPendingSet(t *Thread) unixkern.Sigset {
 	var set unixkern.Sigset
+	if t.pending == nil {
+		return set
+	}
 	for sig := unixkern.Signal(1); sig < unixkern.NSIGAll; sig++ {
-		if t.pending[sig] != nil {
+		if t.pendingSig(sig) != nil {
 			set = set.Add(sig)
 		}
 	}
@@ -512,8 +538,8 @@ func (s *System) Sigwait(set unixkern.Sigset) (unixkern.Signal, error) {
 		if !set.Has(sig) {
 			continue
 		}
-		if t.pending[sig] != nil {
-			t.pending[sig] = nil
+		if t.pendingSig(sig) != nil {
+			t.setPending(sig, nil)
 			s.leaveKernel()
 			return sig, nil
 		}

@@ -189,13 +189,12 @@ type System struct {
 	sigactions     [unixkern.NSIGAll]sigactionRec
 	processPending [unixkern.NSIGAll]*unixkern.SigInfo
 
-	// Per-descriptor wait queues of the blocking-I/O jackets, sharded by
+	// Per-descriptor wait lists of the blocking-I/O jackets, sharded by
 	// fd hash (see fdwait.go): each shard holds a dense slice of per-fd
-	// read/write queue pointers, so the hot park/wake path indexes two
-	// arrays instead of hashing into one global map. Emptied queues are
-	// recycled through fdPool.
+	// read/write list heads, so the hot park/wake path indexes two
+	// arrays instead of hashing into one global map. The lists are
+	// threaded through the waiters' TCBs, so a slot owns no memory.
 	fdShards [fdwShardCount]fdwShard
-	fdPool   []*sched.Queue[*Thread]
 	// fdNames interns the per-queue trace labels ("fd3/read"), so a
 	// traced I/O workload formats each label once instead of per event.
 	fdNames map[fdKey]string
@@ -718,7 +717,7 @@ func (s *System) reclaim(t *Thread) {
 	t.ceilStack = nil
 	t.cleanup = nil
 	t.fakeStack = nil
-	t.pending = [unixkern.NSIGAll]*unixkern.SigInfo{}
+	t.pending = nil
 	t.fdTag = fdWaitTag{}
 	t.cvTag = timedWaitTag{}
 }

@@ -240,8 +240,12 @@ type Thread struct {
 	waitingFor string    // human-readable wait description for diagnostics
 
 	// Signal state.
-	sigMask    unixkern.Sigset
-	pending    [unixkern.NSIGAll]*unixkern.SigInfo
+	sigMask unixkern.Sigset
+	// pending is the thread-pended signal table, allocated the first
+	// time a signal pends on the thread (most threads never have one)
+	// and dropped at reclaim; read and write it through pendingSig and
+	// setPending.
+	pending    *[unixkern.NSIGAll]*unixkern.SigInfo
 	fakeStack  []*fakeFrame
 	inSigwait  bool
 	sigwaitSet unixkern.Sigset
@@ -271,10 +275,13 @@ type Thread struct {
 	waitTimer vtime.TimerID
 	aioID     unixkern.AioID
 
-	// Descriptor wait (BlockFD): which per-fd queue the thread sits on.
-	waitFD    unixkern.FD
-	waitFDDir FDDir
-	fdWaiting bool
+	// Descriptor wait (BlockFD): which per-fd wait list the thread sits
+	// on, its links in that list, and the level it was queued at.
+	waitFD         unixkern.FD
+	waitFDDir      FDDir
+	fdWaiting      bool
+	fdLevel        int8
+	fdPrev, fdNext *Thread
 	// fdTag is the thread's reusable timer datum for timed descriptor
 	// waits: a thread has at most one outstanding fd-wait timer, so the
 	// tag never needs to be allocated per iteration.
