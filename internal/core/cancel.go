@@ -55,87 +55,20 @@ func (s *System) actOnCancel(t *Thread, info *unixkern.SigInfo) {
 			return
 		}
 		switch t.blockReason {
-		case BlockCond:
-			c := t.waitingCond
-			c.waiters.Remove(t, t.prio)
-			t.waitingCond = nil
-			if t.waitTimer != 0 {
-				s.kern.DisarmInternal(t.waitTimer)
-				t.waitTimer = 0
-			}
-			t.wake = wakeCancel
-			s.makeReady(t, false)
-		case BlockSleep, BlockIO:
-			if t.waitTimer != 0 {
-				s.kern.DisarmInternal(t.waitTimer)
-				t.waitTimer = 0
-			}
-			t.wake = wakeCancel
-			s.makeReady(t, false)
-		case BlockFD:
-			// Blocking jacket calls are interruption points.
-			s.fdRemoveWaiter(t)
-			if t.waitTimer != 0 {
-				s.kern.DisarmInternal(t.waitTimer)
-				t.waitTimer = 0
-			}
-			t.wake = wakeCancel
-			s.makeReady(t, false)
-		case BlockSigwait:
-			t.inSigwait = false
-			t.wake = wakeCancel
-			s.makeReady(t, false)
-		case BlockJoin:
-			if tgt := t.joinTarget; tgt != nil {
-				for i, j := range tgt.joiners {
-					if j == t {
-						tgt.joiners = append(tgt.joiners[:i], tgt.joiners[i+1:]...)
-						break
-					}
-				}
-				t.joinTarget = nil
-			}
-			t.wake = wakeCancel
-			s.makeReady(t, false)
-		case BlockMutex:
-			// Not an interruption point: "a thread cannot be cancelled
-			// while in controlled interruptibility when it suspends due
-			// to mutex contention", guaranteeing a deterministic mutex
-			// state for cleanup handlers.
+		case BlockMutex, BlockSuspend:
+			// Not interruption points. For the mutex: "a thread cannot
+			// be cancelled while in controlled interruptibility when it
+			// suspends due to mutex contention", guaranteeing a
+			// deterministic mutex state for cleanup handlers.
+		default:
+			s.endWait(t, wakeCancel)
 		}
 
 	case CancelAsynchronous:
 		// Acted upon immediately: terminate any wait — including a
 		// mutex wait — and install the fake call to pthread_exit.
 		if t.state == StateBlocked {
-			switch t.blockReason {
-			case BlockMutex:
-				t.waitingMutex.waiters.Remove(t, t.prio)
-				t.waitingMutex = nil
-			case BlockCond:
-				t.waitingCond.waiters.Remove(t, t.prio)
-				t.waitingCond = nil
-			case BlockJoin:
-				if tgt := t.joinTarget; tgt != nil {
-					for i, j := range tgt.joiners {
-						if j == t {
-							tgt.joiners = append(tgt.joiners[:i], tgt.joiners[i+1:]...)
-							break
-						}
-					}
-					t.joinTarget = nil
-				}
-			case BlockSigwait:
-				t.inSigwait = false
-			case BlockFD:
-				s.fdRemoveWaiter(t)
-			}
-			if t.waitTimer != 0 {
-				s.kern.DisarmInternal(t.waitTimer)
-				t.waitTimer = 0
-			}
-			t.wake = wakeCancel
-			s.makeReady(t, false)
+			s.endWait(t, wakeCancel)
 		}
 		s.pushFakeCall(t, &fakeFrame{kind: fakeCancel, sig: unixkern.SIGCANCEL, info: info})
 	}

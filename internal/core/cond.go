@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pthreads/internal/sched"
 	"pthreads/internal/vtime"
 )
 
@@ -14,7 +13,7 @@ type Cond struct {
 	s        *System
 	name     string
 	waitName string // "cond <name>", precomputed so waiting does not allocate
-	waiters  sched.Queue[*Thread]
+	waiters  waitList
 	mutex    *Mutex // the associated mutex while waiters are present
 
 	// Counters for the harness.
@@ -48,7 +47,7 @@ func (c *Cond) Name() string { return c.name }
 // count is never observed mid-update. It is a snapshot, though: the value
 // can change at the caller's next blocking operation. Must be called from
 // thread context or after Run returns (introspect.go has the audit).
-func (c *Cond) Waiters() int { return c.waiters.Len() }
+func (c *Cond) Waiters() int { return c.waiters.depth }
 
 // Wait atomically releases the mutex and suspends the calling thread
 // until the condition variable is signaled, a handler interrupts the wait
@@ -104,7 +103,6 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 		t.waitingCond = c
 		t.condMutex = m
 		t.wake = wakeNone
-		c.waiters.Enqueue(t, t.prio)
 		s.traceObj(EvCond, t, c.name, "wait", "")
 		if s.metrics != nil {
 			s.metrics.CondWaitStart(s.clock.Now(), t, c)
@@ -115,8 +113,13 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 		}
 		// Release the mutex atomically with the suspension: we are
 		// inside the kernel, so no other thread can intervene between
-		// the unlock and the block.
-		s.unlockForWaitLocked(m)
+		// the unlock and the block. Unlike Unlock, this release charges
+		// no owned-list bookkeeping. The thread joins the queue after
+		// the release, at the priority the release leaves it: a boost
+		// it held through m ends there.
+		t.disown(m)
+		s.releaseLocked(m, "for condition wait")
+		c.waiters.push(t, t.prio)
 		w.phase = 1
 		if s.block(w.declared, BlockCond, c.waitName) {
 			return true
@@ -173,53 +176,8 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 // only valid while waiters are present, and a stale one makes the next
 // Wait with a different mutex fail with EINVAL.
 func (c *Cond) dropMutexIfIdle() {
-	if c.waiters.Empty() {
+	if c.waiters.head == nil {
 		c.mutex = nil
-	}
-}
-
-// unlockForWaitLocked releases the mutex as part of entering a condition
-// wait. Runs in the kernel; shares the protocol and hand-off logic with
-// the normal unlock.
-func (s *System) unlockForWaitLocked(m *Mutex) {
-	t := s.current
-	for i, x := range t.owned {
-		if x == m {
-			t.owned = append(t.owned[:i], t.owned[i+1:]...)
-			break
-		}
-	}
-	switch m.protocol {
-	case ProtocolInherit:
-		if np := s.recomputePrio(t); np != t.prio {
-			s.setPriority(t, np, true)
-		}
-	case ProtocolCeiling:
-		var saved int
-		if n := len(t.ceilStack); n > 0 {
-			saved = t.ceilStack[n-1]
-			t.ceilStack = t.ceilStack[:n-1]
-		} else {
-			saved = t.basePrio
-		}
-		if s.cfg.MixedProtocolUnlock == MixLinearSearch {
-			if np := s.recomputePrio(t); np != t.prio {
-				s.setPriority(t, np, true)
-			}
-		} else if saved != t.prio {
-			s.setPriority(t, saved, true)
-		}
-	}
-	if w, _, ok := m.waiters.DequeueMax(); ok {
-		s.grantLocked(m, w)
-	} else {
-		m.owner = nil
-		m.ownerWord.Store(0)
-		m.lockWord.Store(0)
-	}
-	s.traceObj(EvMutex, t, m.name, "unlock", "for condition wait")
-	if s.metrics != nil {
-		s.metrics.MutexReleased(s.clock.Now(), t, m)
 	}
 }
 
@@ -232,9 +190,7 @@ func (c *Cond) Signal() error {
 	s.enterKernel()
 	c.Signals++
 	c.wakeOneLocked()
-	if c.waiters.Empty() {
-		c.mutex = nil
-	}
+	c.dropMutexIfIdle()
 	s.leaveKernel()
 	return nil
 }
@@ -245,7 +201,7 @@ func (c *Cond) Broadcast() error {
 	s := c.s
 	s.enterKernel()
 	c.Broadcasts++
-	for !c.waiters.Empty() {
+	for c.waiters.head != nil {
 		c.wakeOneLocked()
 	}
 	c.mutex = nil
@@ -257,8 +213,8 @@ func (c *Cond) Broadcast() error {
 // variable and through mutex reacquisition. Runs in the kernel.
 func (c *Cond) wakeOneLocked() {
 	s := c.s
-	w, _, ok := c.waiters.DequeueMax()
-	if !ok {
+	w := c.waiters.pop()
+	if w == nil {
 		return
 	}
 	m := c.mutex
@@ -291,7 +247,7 @@ func (c *Cond) wakeOneLocked() {
 	}
 	w.blockReason = BlockMutex
 	w.waitingFor = m.waitName
-	m.waiters.Enqueue(w, w.prio)
+	m.waiters.push(w, w.prio)
 	s.traceObj(EvMutex, w, m.name, "block", "reacquire after signal")
 	if s.metrics != nil {
 		// The reason changed while the state stayed Blocked: report the

@@ -23,8 +23,15 @@ import (
 // one path through the operation (a wakeup cause, an error return, a
 // cancellation), and a new arc is one more row.
 
-// lockstepTracer records a compact rendering of every trace event.
-type lockstepTracer struct{ lines []string }
+// lockstepTracer records a compact rendering of every trace event, and
+// checks the wait lists against the block reasons (checkWaitLists) at
+// every state change, reporting the first violation of a run.
+type lockstepTracer struct {
+	lines []string
+	t     *testing.T
+	s     *System
+	bad   bool
+}
 
 func (tr *lockstepTracer) Event(ev TraceEvent) {
 	name := ""
@@ -33,6 +40,12 @@ func (tr *lockstepTracer) Event(ev TraceEvent) {
 	}
 	tr.lines = append(tr.lines, fmt.Sprintf("%v %v %s %s %s %s",
 		ev.At, ev.Kind, name, ev.Obj, ev.Arg, ev.Detail))
+	if ev.Kind == EvState && !tr.bad {
+		if err := checkWaitLists(tr.s); err != nil {
+			tr.bad = true
+			tr.t.Errorf("wait lists inconsistent at event %d (%s): %v", len(tr.lines)-1, tr.lines[len(tr.lines)-1], err)
+		}
+	}
 }
 
 // lockstepBody is one representation of a scenario. It reports the
@@ -44,10 +57,11 @@ type lockstepBody func(s *System, rec func(v ...any))
 // fields zeroed, and the recorded results.
 func lockstepRun(t *testing.T, main lockstepBody) ([]string, vtime.Time, Stats, []string) {
 	t.Helper()
-	tr := &lockstepTracer{}
+	tr := &lockstepTracer{t: t}
 	var results []string
 	rec := func(v ...any) { results = append(results, strings.TrimSuffix(fmt.Sprintln(v...), "\n")) }
 	s := New(Config{Tracer: tr})
+	tr.s = s
 	if err := s.Run(func() { main(s, rec) }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -718,11 +732,27 @@ func TestContFrameSize(t *testing.T) {
 }
 
 // TestThreadSize pins the TCB, the other per-resident cost: the
-// pending-signal table is a pointer allocated on first use, and the fd
-// wait links live in the TCB instead of a per-descriptor queue.
+// pending-signal table is a pointer allocated on first use, and the
+// wait-list links live in the TCB instead of a per-object queue. The
+// bound is the TCB's size exactly, so a field order that adds 8 B of
+// padding fails it.
 func TestThreadSize(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 560 {
-		t.Errorf("Thread is %d bytes, want at most 560", n)
+	if n := unsafe.Sizeof(Thread{}); n > 552 {
+		t.Errorf("Thread is %d bytes, want at most 552", n)
+	}
+}
+
+// TestMutexSize and TestCondSize pin the synchronization objects at a
+// list head: their wait queues are threaded through the waiters' TCBs.
+func TestMutexSize(t *testing.T) {
+	if n := unsafe.Sizeof(Mutex{}); n > 136 {
+		t.Errorf("Mutex is %d bytes, want at most 136", n)
+	}
+}
+
+func TestCondSize(t *testing.T) {
+	if n := unsafe.Sizeof(Cond{}); n > 88 {
+		t.Errorf("Cond is %d bytes, want at most 88", n)
 	}
 }
 

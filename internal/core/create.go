@@ -157,7 +157,7 @@ func (s *System) joinOp(w *waitOp) (parked bool) {
 			s.leaveKernel()
 		} else {
 			cur.joinTarget = t
-			t.joiners = append(t.joiners, cur)
+			t.joiners.push(cur, joinLevel)
 			cur.wake = wakeNone
 			w.phase = 1
 			if s.block(w.declared, BlockJoin, "join "+t.String()) {

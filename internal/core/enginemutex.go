@@ -156,12 +156,7 @@ func (s *System) engineTryLock(m *Mutex) bool {
 // acquire (and set m.owner) before this thread returns.
 func (s *System) engineUnlock(m *Mutex) {
 	t := s.current
-	for i, x := range t.owned {
-		if x == m {
-			t.owned = append(t.owned[:i], t.owned[i+1:]...)
-			break
-		}
-	}
+	t.disown(m)
 	s.cpu.ChargeInstr(8)
 	m.owner = nil
 	m.ownerWord.Store(0)

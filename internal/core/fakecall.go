@@ -72,41 +72,12 @@ func (s *System) pushFakeCall(t *Thread, f *fakeFrame) {
 		case BlockCond:
 			// "If the user handler interrupted a conditional wait, the
 			// mutex is reacquired and the conditional wait terminated."
-			c := t.waitingCond
-			c.waiters.Remove(t, t.prio)
 			f.reacquire = t.condMutex
-			t.waitingCond = nil
-			if t.waitTimer != 0 {
-				s.kern.DisarmInternal(t.waitTimer)
-				t.waitTimer = 0
-			}
-			t.wake = wakeInterrupt
-			if s.metrics != nil {
-				s.metrics.CondWaitEnd(s.clock.Now(), t, c)
-			}
-			s.makeReady(t, false)
-		case BlockSleep:
-			if t.waitTimer != 0 {
-				s.kern.DisarmInternal(t.waitTimer)
-				t.waitTimer = 0
-			}
-			t.wake = wakeInterrupt
-			s.makeReady(t, false)
-		case BlockSigwait:
-			t.inSigwait = false
-			t.wake = wakeInterrupt
-			s.makeReady(t, false)
-		case BlockFD:
-			// A blocking jacket call: the handler interrupts it and the
-			// call returns EINTR, like a blocking syscall under SA_RESTART
-			// unset.
-			s.fdRemoveWaiter(t)
-			if t.waitTimer != 0 {
-				s.kern.DisarmInternal(t.waitTimer)
-				t.waitTimer = 0
-			}
-			t.wake = wakeInterrupt
-			s.makeReady(t, false)
+			s.endWait(t, wakeInterrupt)
+		case BlockSleep, BlockSigwait, BlockFD:
+			// A blocking jacket call (BlockFD) returns EINTR, like a
+			// blocking syscall under SA_RESTART unset.
+			s.endWait(t, wakeInterrupt)
 		default:
 			// Mutex, join and I/O waits are not interrupted: locking a
 			// mutex is explicitly not an interruption point, and the

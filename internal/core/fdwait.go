@@ -18,8 +18,9 @@ import (
 // around each blocking syscall. Here the two meet: the socket layer
 // (internal/net) exposes non-blocking try-operations and announces
 // readiness through SIGIO completions carrying descriptor sets; this file
-// parks threads on priority-ordered per-(fd, direction) wait lists,
-// threaded through the waiters' TCBs, and wakes them from those
+// parks threads on priority-ordered per-(fd, direction) wait lists — the
+// same waitList, threaded through the waiters' TCBs, that mutex, cond and
+// join waiters queue on (waitlist.go) — and wakes them from those
 // completions. A blocked jacket call is interrupted with EINTR by a
 // handled signal (via a fake call) and is an interruption point for
 // cancellation, per the paper's SIGCANCEL rules.
@@ -56,8 +57,8 @@ type fdKey struct {
 // slice of per-descriptor {read, write} list slots. Parking and waking a
 // waiter therefore touch two array slots — no global map insert or
 // delete on the hot path, and no rehashing as the descriptor population
-// grows to 100k and beyond. A slot is only a list head: the list itself
-// is threaded through the waiters' TCBs (fdPrev/fdNext), so a parked
+// grows to 100k and beyond. A slot is only a waitList head: the list
+// itself is threaded through the waiters' TCBs (qPrev/qNext), so a parked
 // waiter costs its descriptor nothing beyond the slot, and a slot whose
 // last waiter left holds nothing but nil links.
 const (
@@ -67,63 +68,13 @@ const (
 )
 
 type fdwShard struct {
-	slots [][2]fdwList // indexed by fd >> fdwShardBits
-}
-
-// fdwList is one (fd, dir) wait list, in sched.Queue's order: highest
-// level first, FIFO within a level. Each waiter records the level it was
-// queued at (fdLevel), so it can be unlinked in O(1) whatever its
-// current priority.
-type fdwList struct {
-	head, tail *Thread
-	depth      int
-}
-
-// push queues t at level lvl, behind every waiter of equal or higher
-// level. The walk starts at the tail, so the common case — a waiter no
-// more urgent than the last one queued — is O(1).
-func (l *fdwList) push(t *Thread, lvl int) {
-	t.fdLevel = int8(lvl)
-	p := l.tail
-	for p != nil && int(p.fdLevel) < lvl {
-		p = p.fdPrev
-	}
-	t.fdPrev = p
-	if p == nil {
-		t.fdNext = l.head
-		l.head = t
-	} else {
-		t.fdNext = p.fdNext
-		p.fdNext = t
-	}
-	if t.fdNext == nil {
-		l.tail = t
-	} else {
-		t.fdNext.fdPrev = t
-	}
-	l.depth++
-}
-
-// unlink takes t off the list.
-func (l *fdwList) unlink(t *Thread) {
-	if t.fdPrev == nil {
-		l.head = t.fdNext
-	} else {
-		t.fdPrev.fdNext = t.fdNext
-	}
-	if t.fdNext == nil {
-		l.tail = t.fdPrev
-	} else {
-		t.fdNext.fdPrev = t.fdPrev
-	}
-	t.fdPrev, t.fdNext = nil, nil
-	l.depth--
+	slots [][2]waitList // indexed by fd >> fdwShardBits
 }
 
 // fdList returns the wait list of (fd, dir), or nil if its slot row was
 // never grown. The pointer aliases the shard's row table: callers must
 // not hold it across a call that can grow the table (fdListEnsure).
-func (s *System) fdList(fd unixkern.FD, dir FDDir) *fdwList {
+func (s *System) fdList(fd unixkern.FD, dir FDDir) *waitList {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
 	if idx >= len(sh.slots) {
@@ -134,11 +85,11 @@ func (s *System) fdList(fd unixkern.FD, dir FDDir) *fdwList {
 
 // fdListEnsure returns the wait list of (fd, dir), growing the shard's
 // row table to cover the descriptor first.
-func (s *System) fdListEnsure(fd unixkern.FD, dir FDDir) *fdwList {
+func (s *System) fdListEnsure(fd unixkern.FD, dir FDDir) *waitList {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
 	for idx >= len(sh.slots) {
-		sh.slots = append(sh.slots, [2]fdwList{})
+		sh.slots = append(sh.slots, [2]waitList{})
 	}
 	return &sh.slots[idx][dir]
 }
@@ -319,7 +270,7 @@ func (s *System) fdEnqueue(fd unixkern.FD, dir FDDir, t *Thread) {
 	l := s.fdListEnsure(fd, dir)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	l.push(t, t.prio)
-	t.waitFD, t.waitFDDir, t.fdWaiting = fd, dir, true
+	t.waitFD, t.waitFDDir = fd, dir
 	if d := int64(l.depth); d > s.stats.FDMaxWaitDepth {
 		s.stats.FDMaxWaitDepth = d
 	}
@@ -351,28 +302,15 @@ func (s *System) fdWakeAll(fd unixkern.FD, dir FDDir, why string) {
 }
 
 // fdWake dequeues the head of a non-empty wait list and makes it ready.
-func (s *System) fdWake(l *fdwList, fd unixkern.FD, dir FDDir, why string) {
-	t := l.head
-	l.unlink(t)
+func (s *System) fdWake(l *waitList, fd unixkern.FD, dir FDDir, why string) {
+	t := l.pop()
 	s.cpu.ChargeInstr(instrReadyQueueOp)
-	t.fdWaiting = false
 	t.wake = wakeIO
 	s.stats.FDWakeups++
 	if s.tracer != nil {
 		s.traceObj(EvIO, t, s.fdLabel(fd, dir), "wake", why)
 	}
 	s.makeReady(t, false)
-}
-
-// fdRemoveWaiter takes a still-queued thread off its wait list (cancel,
-// EINTR, timeout). A queued thread was never designated, so no readiness
-// is lost and no chain wake is needed. Runs in the kernel.
-func (s *System) fdRemoveWaiter(t *Thread) {
-	if !t.fdWaiting {
-		return
-	}
-	s.fdList(t.waitFD, t.waitFDDir).unlink(t)
-	t.fdWaiting = false
 }
 
 // fdCompletion is recipient rule 4 in per-descriptor form: a SIGIO whose

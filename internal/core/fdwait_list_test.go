@@ -1,103 +1,19 @@
 package core
 
 import (
-	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
-	"pthreads/internal/sched"
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
-// Coverage for the per-descriptor wait lists threaded through the TCBs:
-// their wake order is sched.Queue's (highest level first, FIFO within a
-// level), checked against sched.Queue itself as the oracle, and they own
-// no memory of their own — a park allocates nothing once the shard row
-// exists, and nothing stays behind once the waiters leave.
-
-// listItems walks l from head to tail, checking the back links, the tail
-// and the depth on the way.
-func listItems(t *testing.T, l *fdwList) []*Thread {
-	t.Helper()
-	var out []*Thread
-	var prev *Thread
-	for th := l.head; th != nil; th = th.fdNext {
-		if th.fdPrev != prev {
-			t.Fatalf("item %d: back link broken", len(out))
-		}
-		out = append(out, th)
-		prev = th
-	}
-	if l.tail != prev {
-		t.Fatalf("tail is not the last item")
-	}
-	if l.depth != len(out) {
-		t.Fatalf("depth %d, but %d items linked", l.depth, len(out))
-	}
-	return out
-}
-
-// TestFDWaitListMatchesQueue drives a wait list and a sched.Queue through
-// the same random pushes (levels 0–31), pops, removals from the middle
-// and reprioritizations, and compares the full order and the length
-// after every operation.
-func TestFDWaitListMatchesQueue(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var l fdwList
-		var q sched.Queue[*Thread]
-		var members []*Thread
-		level := make(map[*Thread]int)
-		pick := func() (*Thread, int) {
-			i := rng.Intn(len(members))
-			return members[i], i
-		}
-		drop := func(i int) {
-			members[i] = members[len(members)-1]
-			members = members[:len(members)-1]
-		}
-		for step := 0; step < 400; step++ {
-			r := rng.Intn(20)
-			switch {
-			case r < 10 || len(members) == 0:
-				th, lvl := new(Thread), rng.Intn(sched.NumPrio)
-				l.push(th, lvl)
-				q.Enqueue(th, lvl)
-				members = append(members, th)
-				level[th] = lvl
-			case r < 13:
-				want, _, _ := q.DequeueMax()
-				got := l.head
-				l.unlink(got)
-				if got != want {
-					t.Fatalf("seed %d step %d: pop took a different waiter than sched.Queue", seed, step)
-				}
-				drop(slices.Index(members, got))
-			case r < 16:
-				th, i := pick()
-				l.unlink(th)
-				if !q.Remove(th, level[th]) {
-					t.Fatalf("seed %d step %d: oracle lost a member", seed, step)
-				}
-				drop(i)
-			default:
-				th, _ := pick()
-				lvl := rng.Intn(sched.NumPrio)
-				l.unlink(th)
-				l.push(th, lvl)
-				q.Remove(th, level[th])
-				q.Enqueue(th, lvl)
-				level[th] = lvl
-			}
-			got, want := listItems(t, &l), q.Items()
-			if len(got) != q.Len() || !slices.Equal(got, want) {
-				t.Fatalf("seed %d step %d: list order differs from sched.Queue (len %d vs %d)", seed, step, len(got), q.Len())
-			}
-		}
-	}
-}
+// Coverage for the per-descriptor wait lists: within a level they wake
+// in arrival order, and they own no memory of their own — a park
+// allocates nothing once the shard row exists, and nothing stays behind
+// once the waiters leave. The list itself is checked against sched.Queue
+// in waitlist_test.go.
 
 // TestFDWaitEqualPriorityArrivalOrder parks three waiters of one
 // priority on one descriptor and wakes them one completion at a time:

@@ -191,7 +191,7 @@ func TestFDWaitRequeueCrossShardCollisions(t *testing.T) {
 		for si := range s.fdShards {
 			for ri, row := range s.fdShards[si].slots {
 				for dir, l := range row {
-					if l != (fdwList{}) {
+					if l != (waitList{}) {
 						t.Errorf("shard %d row %d dir %d: stale list (depth %d) after drain", si, ri, dir, l.depth)
 					}
 				}

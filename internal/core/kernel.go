@@ -524,16 +524,8 @@ func (s *System) setPriority(t *Thread, newPrio int, atHead bool) {
 		s.dispatcherFlag = true
 	case StateBlocked:
 		t.prio = newPrio
-		if t.waitingMutex != nil {
-			t.waitingMutex.waiters.Remove(t, old)
-			t.waitingMutex.waiters.Enqueue(t, newPrio)
-		}
-		if t.waitingCond != nil {
-			t.waitingCond.waiters.Remove(t, old)
-			t.waitingCond.waiters.Enqueue(t, newPrio)
-		}
-		if t.fdWaiting {
-			l := s.fdList(t.waitFD, t.waitFDDir)
+		// Joiners keep their fixed level: they all wake at once.
+		if l := s.waitListOf(t); l != nil && t.blockReason != BlockJoin {
 			l.unlink(t)
 			l.push(t, newPrio)
 		}

@@ -54,8 +54,8 @@ type MetricsSink interface {
 
 	// CondWaitStart/CondWaitEnd bracket a condition wait from enqueue to
 	// the instant the waiter leaves the condition queue (signal,
-	// broadcast, timeout, or handler interruption) — mutex reacquisition
-	// is accounted separately through the mutex hooks.
+	// broadcast, timeout, handler interruption, or cancellation) — mutex
+	// reacquisition is accounted separately through the mutex hooks.
 	CondWaitStart(at vtime.Time, t *Thread, c *Cond)
 	CondWaitEnd(at vtime.Time, t *Thread, c *Cond)
 

@@ -74,7 +74,7 @@ type Mutex struct {
 	lockWord  hw.Word
 	ownerWord hw.Word
 	owner     *Thread
-	waiters   sched.Queue[*Thread]
+	waiters   waitList
 
 	// eng, when non-nil, replaces the native lock path with a lockeng
 	// protocol; engCtxs holds each thread's per-lock engine context.
@@ -199,7 +199,7 @@ func (m *Mutex) Unlock() error {
 // Destroy invalidates the mutex (pthread_mutex_destroy); EBUSY while
 // locked or contended.
 func (m *Mutex) Destroy() error {
-	if m.owner != nil || !m.waiters.Empty() {
+	if m.owner != nil || m.waiters.head != nil {
 		return EBUSY.Or()
 	}
 	m.s = nil
@@ -374,7 +374,7 @@ func (s *System) lockSlow(w *waitOp) (parked bool) {
 			s.boostOwnerChain(m, t.prio)
 		}
 		t.waitingMutex = m
-		m.waiters.Enqueue(t, t.prio)
+		m.waiters.push(t, t.prio)
 		t.wake = wakeNone
 		w.phase = 1
 		if s.block(w.declared, BlockMutex, m.waitName) {
@@ -409,16 +409,8 @@ func (s *System) mutexUnlock(m *Mutex) {
 		return
 	}
 	t := s.current
-
-	// Drop m from the owned list.
-	for i, x := range t.owned {
-		if x == m {
-			t.owned = append(t.owned[:i], t.owned[i+1:]...)
-			break
-		}
-	}
-
-	if m.protocol == ProtocolNone && m.waiters.Empty() {
+	t.disown(m)
+	if m.protocol == ProtocolNone && m.waiters.head == nil {
 		// Fast path: clear the word, no kernel entry. One combined
 		// charge: 8 owned-list/attribute instructions + 12 for the
 		// clear, identical in total to the seed's two charges.
@@ -435,8 +427,29 @@ func (s *System) mutexUnlock(m *Mutex) {
 		return
 	}
 	s.cpu.ChargeInstr(8) // owned-list bookkeeping + attribute check
-
 	s.enterKernel()
+	s.releaseLocked(m, "")
+	s.leaveKernel()
+}
+
+// disown drops m from t's list of held mutexes.
+func (t *Thread) disown(m *Mutex) {
+	for i, x := range t.owned {
+		if x == m {
+			t.owned = append(t.owned[:i], t.owned[i+1:]...)
+			return
+		}
+	}
+}
+
+// releaseLocked is the kernel half of a release by the current thread,
+// which has already disowned m: undo the protocol's priority boost, then
+// hand the mutex to the highest-priority waiter or clear it. Both
+// releases that enter the kernel share it: a contended or protocol
+// unlock, and the release that enters a condition wait (detail tells
+// them apart in the trace). Runs in the kernel.
+func (s *System) releaseLocked(m *Mutex, detail string) {
+	t := s.current
 	switch m.protocol {
 	case ProtocolInherit:
 		// "Linear search of locked mutexes" to find the remaining
@@ -466,18 +479,17 @@ func (s *System) mutexUnlock(m *Mutex) {
 		}
 	}
 
-	if w, _, ok := m.waiters.DequeueMax(); ok {
+	if w := m.waiters.pop(); w != nil {
 		s.grantLocked(m, w)
 	} else {
 		m.owner = nil
 		m.ownerWord.Store(0)
 		m.lockWord.Store(0)
 	}
-	s.traceObj(EvMutex, t, m.name, "unlock", "")
+	s.traceObj(EvMutex, t, m.name, "unlock", detail)
 	if s.metrics != nil {
 		s.metrics.MutexReleased(s.clock.Now(), t, m)
 	}
-	s.leaveKernel()
 }
 
 // grantLocked transfers mutex ownership to a woken waiter. Runs in the
@@ -534,8 +546,8 @@ func (s *System) recomputePrio(t *Thread) int {
 		s.cpu.ChargeInstr(6)
 		switch m.protocol {
 		case ProtocolInherit:
-			if _, wp, ok := m.waiters.PeekMax(); ok && wp > p {
-				p = wp
+			if w := m.waiters.head; w != nil && int(w.qLevel) > p {
+				p = int(w.qLevel)
 			}
 		case ProtocolCeiling:
 			if m.ceiling > p {

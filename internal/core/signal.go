@@ -233,14 +233,8 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 	if tag, ok := info.Datum.(*timedWaitTag); ok && info.Cause == unixkern.CauseTimer {
 		t := tag.t
 		if t.state == StateBlocked && t.blockReason == BlockCond && t.waitingCond == tag.c {
-			tag.c.waiters.Remove(t, t.prio)
-			t.waitingCond = nil
-			t.waitTimer = 0
-			t.wake = wakeTimeout
-			if s.metrics != nil {
-				s.metrics.CondWaitEnd(s.clock.Now(), t, tag.c)
-			}
-			s.makeReady(t, false)
+			t.waitTimer = 0 // fired; nothing to disarm
+			s.endWait(t, wakeTimeout)
 		}
 		// Terminal: tag deliveries never reach user handlers or pending
 		// sets, so the kernel-minted SigInfo can be reclaimed here.
@@ -253,10 +247,8 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 	if tag, ok := info.Datum.(*fdWaitTag); ok && info.Cause == unixkern.CauseTimer {
 		t := tag.t
 		if t.state == StateBlocked && t.blockReason == BlockFD {
-			s.fdRemoveWaiter(t)
-			t.waitTimer = 0
-			t.wake = wakeTimeout
-			s.makeReady(t, false)
+			t.waitTimer = 0 // fired; nothing to disarm
+			s.endWait(t, wakeTimeout)
 		}
 		s.kern.RecycleSigInfo(info) // terminal, as above
 		return

@@ -631,13 +631,10 @@ func (s *System) exitCurrent(status any) {
 	s.mState(t)
 	s.cancelSliceTimer()
 
-	// Wake joiners.
-	for _, j := range t.joiners {
-		j.joinTarget = nil
-		j.wake = wakeJoin
-		s.makeReady(j, false)
+	// Wake joiners, in arrival order.
+	for t.joiners.head != nil {
+		s.endWait(t.joiners.head, wakeJoin)
 	}
-	t.joiners = nil
 
 	if t.detached {
 		s.reclaim(t)
@@ -708,7 +705,6 @@ func (s *System) reclaim(t *Thread) {
 	// retval survives reclaim: when several joiners wake together, the
 	// first one to run reclaims the target and the rest still read the
 	// exit status through their (now-dead) handle.
-	t.joiners = nil
 	t.joinTarget = nil
 	t.waitingMutex = nil
 	t.waitingCond = nil

@@ -235,9 +235,9 @@ type Thread struct {
 	arg    any
 	retval any
 
-	joiners    []*Thread // threads blocked joining this one
-	joinTarget *Thread   // the thread this one is blocked joining
-	waitingFor string    // human-readable wait description for diagnostics
+	joiners    waitList // threads blocked joining this one, at joinLevel
+	joinTarget *Thread  // the thread this one is blocked joining
+	waitingFor string   // human-readable wait description for diagnostics
 
 	// Signal state.
 	sigMask unixkern.Sigset
@@ -276,12 +276,14 @@ type Thread struct {
 	aioID     unixkern.AioID
 
 	// Descriptor wait (BlockFD): which per-fd wait list the thread sits
-	// on, its links in that list, and the level it was queued at.
-	waitFD         unixkern.FD
-	waitFDDir      FDDir
-	fdWaiting      bool
-	fdLevel        int8
-	fdPrev, fdNext *Thread
+	// on.
+	waitFD    unixkern.FD
+	waitFDDir FDDir
+	// Wait-list links: the thread's place in the one wait list it is
+	// blocked on, whatever the object (see waitlist.go), and the level
+	// it was queued at.
+	qLevel       int8
+	qPrev, qNext *Thread
 	// fdTag is the thread's reusable timer datum for timed descriptor
 	// waits: a thread has at most one outstanding fd-wait timer, so the
 	// tag never needs to be allocated per iteration.

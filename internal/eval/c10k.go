@@ -59,6 +59,9 @@ type c10kMeter struct {
 }
 
 func c10kStart(s *core.System) c10kMeter {
+	// Collect the garbage of setup (and of earlier rungs) before the
+	// window opens, so a collection it owes does not land inside it.
+	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return c10kMeter{host: time.Now(), mallocs: ms.Mallocs, vt: s.Now()}
@@ -339,7 +342,10 @@ func c10kEcho(n int) (C10KPoint, error) {
 // is measured reps times and the minimum host cost kept — the standard
 // noise-robust statistic for a shared host — while the virtual cost
 // must be bit-identical across repetitions (the simulation is
-// deterministic; a drift here is a bug, not noise).
+// deterministic; a drift here is a bug, not noise). The repetitions are
+// rep-major: each pass measures every point once, so a noisy stretch of
+// the host lands on one repetition of many points instead of on every
+// repetition of one.
 func RunC10K(sizes []int, reps int) ([]C10KPoint, error) {
 	if len(sizes) == 0 {
 		sizes = C10KSizes
@@ -358,18 +364,19 @@ func RunC10K(sizes []int, reps int) ([]C10KPoint, error) {
 		{"openloop", c10kOpenLoop},
 	}
 	var pts []C10KPoint
-	for _, sc := range scenarios {
-		for _, n := range sizes {
-			var best C10KPoint
-			for r := 0; r < reps; r++ {
+	for r := 0; r < reps; r++ {
+		i := 0
+		for _, sc := range scenarios {
+			for _, n := range sizes {
 				pt, err := sc.run(n)
 				if err != nil {
 					return nil, fmt.Errorf("c10k %s at %d threads: %w", sc.name, n, err)
 				}
 				if r == 0 {
-					best = pt
-					continue
+					pts = append(pts, pt)
 				}
+				best := &pts[i]
+				i++
 				if pt.VUSOp != best.VUSOp {
 					return nil, fmt.Errorf("c10k %s at %d threads: virtual cost drifted across repetitions (%.2f vs %.2f vus/op)",
 						sc.name, n, best.VUSOp, pt.VUSOp)
@@ -378,14 +385,12 @@ func RunC10K(sizes []int, reps int) ([]C10KPoint, error) {
 					return nil, fmt.Errorf("c10k %s at %d threads: latency percentiles drifted across repetitions (p50 %.2f vs %.2f, p99 %.2f vs %.2f vus)",
 						sc.name, n, best.P50VUS, pt.P50VUS, best.P99VUS, pt.P99VUS)
 				}
+				allocs := min(best.AllocsOp, pt.AllocsOp)
 				if pt.HostNSOp < best.HostNSOp {
-					best = pt
+					*best = pt
 				}
-				if pt.AllocsOp < best.AllocsOp {
-					best.AllocsOp = pt.AllocsOp
-				}
+				best.AllocsOp = allocs
 			}
-			pts = append(pts, best)
 		}
 	}
 	return pts, nil

@@ -114,6 +114,47 @@ func TestHoldAndAcquisitionCounts(t *testing.T) {
 	}
 }
 
+// TestCancelledCondWaitIsRecorded cancels a condition waiter after 1 ms:
+// the cancellation ends the wait like a signal, a timeout or a handler
+// does, so the wait histogram records every counted wait, this one at
+// its full length.
+func TestCancelledCondWaitIsRecorded(t *testing.T) {
+	col := metrics.New(metrics.Options{})
+	s := core.New(core.Config{Metrics: col})
+	err := s.Run(func() {
+		m := s.MustMutex(core.MutexAttr{Name: "m"})
+		c := s.NewCond("c")
+		attr := core.DefaultAttr()
+		attr.Name = "waiter"
+		attr.Priority = s.Self().Priority() + 1
+		th, _ := s.Create(attr, func(any) any {
+			m.Lock()
+			s.CleanupPush(func(any) { m.Unlock() }, nil)
+			c.Wait(m)
+			return "never"
+		}, nil)
+		s.Compute(vtime.Millisecond)
+		s.Cancel(th)
+		if v, _ := s.Join(th); v != core.Canceled {
+			t.Errorf("waiter returned %v, want cancellation", v)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Finalize(s.Now())
+	if len(col.Conds()) != 1 {
+		t.Fatalf("%d condition variables profiled, want 1", len(col.Conds()))
+	}
+	cp := col.Conds()[0]
+	if cp.Waits != 1 || cp.Wait.Count != cp.Waits {
+		t.Fatalf("Waits=%d, Wait.Count=%d: a cancelled wait must be recorded", cp.Waits, cp.Wait.Count)
+	}
+	if cp.Wait.Sum < vtime.Millisecond {
+		t.Errorf("cancelled wait recorded as %v, want at least the 1 ms it lasted", cp.Wait.Sum)
+	}
+}
+
 // TestCollectorHooksDoNotAllocate drives the hottest hooks through
 // pre-sized tables and asserts zero allocations per event — the on-mode
 // half of the zero-cost contract (the off-mode half is a nil check).

@@ -1,5 +1,7 @@
-// Package sched provides the priority-indexed FIFO queues used for the
-// ready queue and for mutex/condition-variable wait queues.
+// Package sched provides the priority-indexed FIFO queue used for the
+// ready queue (and, per virtual CPU, the SMP run queues). The library's
+// wait queues are intrusive lists threaded through the TCBs instead (see
+// internal/core/waitlist.go), and keep this queue's order.
 //
 // The structure matches the paper's scheduler: one FIFO per priority level
 // plus a bitmap of non-empty levels, so that selecting the next thread is
@@ -13,14 +15,9 @@
 // virtual cost of a queue operation is charged by the caller (the core
 // kernel); nothing here touches the cost model.
 //
-// Remove and RemoveAny are served by an adaptive membership index: a
-// map from item to level that is built on the first RemoveAny call,
-// maintained in O(1) per operation while live, and dropped as soon as the
-// queue drains. Workloads that never remove from the middle of a queue —
-// the enqueue/dequeue hot path of the dispatcher — therefore never pay
-// the hashing cost, while removal-heavy workloads (timed waits expiring,
-// cancellation, priority changes under perverted policies) locate an
-// item's level in O(1) instead of scanning all 32 levels.
+// Remove searches the one level the caller names; RemoveAny, for an item
+// queued at a level the caller does not know (a perverted policy's
+// placement), scans the non-empty levels of the bitmap.
 package sched
 
 import (
@@ -78,14 +75,6 @@ type Queue[T comparable] struct {
 	bitmap uint32
 	size   int
 	stats  Stats
-
-	// index is the adaptive membership index: item -> level. nil while
-	// inactive (the steady state for enqueue/dequeue workloads); built by
-	// RemoveAny, maintained by every mutating operation while non-nil,
-	// and released when the queue drains. spare retains the map across
-	// activations so reactivation does not allocate.
-	index map[T]int8
-	spare map[T]int8
 }
 
 // Len reports the number of queued items.
@@ -148,9 +137,6 @@ func (q *Queue[T]) Enqueue(x T, p int) {
 	q.bitmap |= 1 << uint(i)
 	q.size++
 	q.noteDepth()
-	if q.index != nil {
-		q.index[x] = int8(i)
-	}
 }
 
 // EnqueueHead inserts the item at the head of its priority level — the
@@ -174,9 +160,6 @@ func (q *Queue[T]) EnqueueHead(x T, p int) {
 	q.bitmap |= 1 << uint(i)
 	q.size++
 	q.noteDepth()
-	if q.index != nil {
-		q.index[x] = int8(i)
-	}
 }
 
 // MaxLevel returns the highest non-empty priority, or ok=false when the
@@ -200,8 +183,8 @@ func (q *Queue[T]) PeekMax() (x T, p int, ok bool) {
 	return r.buf[r.head], i + MinPrio, true
 }
 
-// popHead removes and returns the head of level i, maintaining the bitmap,
-// size, and membership index.
+// popHead removes and returns the head of level i, maintaining the bitmap
+// and size.
 func (q *Queue[T]) popHead(i int) T {
 	r := &q.levels[i]
 	x := r.buf[r.head]
@@ -213,12 +196,6 @@ func (q *Queue[T]) popHead(i int) T {
 		q.bitmap &^= 1 << uint(i)
 	}
 	q.size--
-	if q.index != nil {
-		delete(q.index, x)
-		if q.size == 0 {
-			q.deactivateIndex()
-		}
-	}
 	return x
 }
 
@@ -270,108 +247,59 @@ func (q *Queue[T]) removeAtOffset(i, j int) {
 	q.size--
 }
 
+// offsetIn returns the item's logical offset in level i, or -1 when it is
+// not queued there.
+func (q *Queue[T]) offsetIn(x T, i int) int {
+	r := &q.levels[i]
+	for j := 0; j < r.n; j++ {
+		if r.at(j) == x {
+			return j
+		}
+	}
+	return -1
+}
+
+// find returns the level and offset the item is queued at, scanning the
+// non-empty levels; j is -1 when it is not queued.
+func (q *Queue[T]) find(x T) (i, j int) {
+	for bm := q.bitmap; bm != 0; bm &^= 1 << uint(i) {
+		i = bits.TrailingZeros32(bm)
+		if j = q.offsetIn(x, i); j >= 0 {
+			return i, j
+		}
+	}
+	return 0, -1
+}
+
 // Remove deletes the item from level p, reporting whether it was present.
-// Used when a timed wait expires or a waiter is cancelled. The level is
-// known to the caller, so only that level's ring is searched.
+// The level is known to the caller, so only that level's ring is searched.
 func (q *Queue[T]) Remove(x T, p int) bool {
 	q.checkPrio(p)
 	i := p - MinPrio
-	if q.index != nil {
-		// O(1) membership reject while the index is live.
-		l, ok := q.index[x]
-		if !ok || int(l) != i {
-			return false
-		}
+	j := q.offsetIn(x, i)
+	if j < 0 {
+		return false
 	}
-	r := &q.levels[i]
-	for j := 0; j < r.n; j++ {
-		if r.at(j) == x {
-			q.removeAtOffset(i, j)
-			if q.index != nil {
-				delete(q.index, x)
-				if q.size == 0 {
-					q.deactivateIndex()
-				}
-			}
-			return true
-		}
-	}
-	return false
+	q.removeAtOffset(i, j)
+	return true
 }
 
 // RemoveAny deletes the item from whatever level it is queued at,
-// reporting whether it was found. Used when the caller does not know the
-// priority the item was queued with (after a boost, for example). The
-// first call activates the membership index, making the level lookup O(1)
-// from then on.
+// reporting the level and whether it was found. Used when the caller does
+// not know the level the item was queued at.
 func (q *Queue[T]) RemoveAny(x T) (p int, ok bool) {
-	if q.index == nil {
-		q.activateIndex()
-	}
-	l, ok := q.index[x]
-	if !ok {
+	i, j := q.find(x)
+	if j < 0 {
 		return 0, false
 	}
-	i := int(l)
-	r := &q.levels[i]
-	for j := 0; j < r.n; j++ {
-		if r.at(j) == x {
-			q.removeAtOffset(i, j)
-			delete(q.index, x)
-			if q.size == 0 {
-				q.deactivateIndex()
-			}
-			return i + MinPrio, true
-		}
-	}
-	panic("sched: membership index out of sync")
-}
-
-// activateIndex builds the membership index from the current contents,
-// reusing the map retained from an earlier activation when possible.
-func (q *Queue[T]) activateIndex() {
-	if q.spare != nil {
-		q.index = q.spare
-		q.spare = nil
-	} else {
-		q.index = make(map[T]int8, q.size)
-	}
-	bm := q.bitmap
-	for bm != 0 {
-		i := bits.TrailingZeros32(bm)
-		bm &^= 1 << uint(i)
-		r := &q.levels[i]
-		for j := 0; j < r.n; j++ {
-			q.index[r.at(j)] = int8(i)
-		}
-	}
-}
-
-// deactivateIndex releases the (now empty) index so the enqueue/dequeue
-// hot path stops maintaining it; the map is kept for the next activation.
-func (q *Queue[T]) deactivateIndex() {
-	q.spare = q.index
-	q.index = nil
+	q.removeAtOffset(i, j)
+	return i + MinPrio, true
 }
 
 // Contains reports whether the item is queued at any level.
 func (q *Queue[T]) Contains(x T) bool {
-	if q.index != nil {
-		_, ok := q.index[x]
-		return ok
-	}
-	bm := q.bitmap
-	for bm != 0 {
-		i := bits.TrailingZeros32(bm)
-		bm &^= 1 << uint(i)
-		r := &q.levels[i]
-		for j := 0; j < r.n; j++ {
-			if r.at(j) == x {
-				return true
-			}
-		}
-	}
-	return false
+	_, j := q.find(x)
+	return j >= 0
 }
 
 // Nth returns the n-th item in scheduling order (highest priority first,

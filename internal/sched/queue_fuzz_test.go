@@ -8,7 +8,7 @@ import (
 // priority level. Every queue operation is mirrored here and the full
 // scheduling order is compared after each step, so any divergence in the
 // ring-buffer deques (FIFO order across wrap-around, head insertion,
-// middle removal, membership index coherence) is caught at the op that
+// middle removal, removal from an unknown level) is caught at the op that
 // introduced it.
 type fuzzModel struct {
 	levels [NumPrio][]int

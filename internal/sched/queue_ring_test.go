@@ -151,64 +151,6 @@ func TestQueueStatsCounters(t *testing.T) {
 	}
 }
 
-// TestAdaptiveIndexLifecycle white-boxes the membership index: inactive
-// until RemoveAny, coherent while live, released when the queue drains,
-// and the map reused on reactivation.
-func TestAdaptiveIndexLifecycle(t *testing.T) {
-	var q Queue[int]
-	q.Enqueue(1, 4)
-	q.Enqueue(2, 9)
-	q.Enqueue(3, 4)
-	if q.index != nil {
-		t.Fatal("index active before any RemoveAny")
-	}
-	if p, ok := q.RemoveAny(2); !ok || p != 9 {
-		t.Fatalf("RemoveAny(2) = %d,%v, want 9,true", p, ok)
-	}
-	if q.index == nil {
-		t.Fatal("index not activated by RemoveAny")
-	}
-	if len(q.index) != 2 {
-		t.Fatalf("index has %d entries, want 2", len(q.index))
-	}
-	// Maintained by enqueue and Remove while live.
-	q.Enqueue(4, 30)
-	if l, ok := q.index[4]; !ok || int(l) != 30 {
-		t.Fatalf("index[4] = %d,%v after Enqueue", l, ok)
-	}
-	if !q.Remove(3, 4) {
-		t.Fatal("Remove(3,4) failed")
-	}
-	if _, ok := q.index[3]; ok {
-		t.Fatal("index retains removed item")
-	}
-	// O(1) reject through the index: wrong level misses fast.
-	if q.Remove(4, 7) {
-		t.Fatal("Remove(4,7) succeeded at the wrong level")
-	}
-	// Draining deactivates; the map is parked for reuse.
-	q.DequeueMax()
-	q.DequeueMax()
-	if !q.Empty() {
-		t.Fatalf("queue not empty: %v", q.Items())
-	}
-	if q.index != nil {
-		t.Fatal("index still active after drain")
-	}
-	if q.spare == nil {
-		t.Fatal("spare map not retained after deactivation")
-	}
-	// Reactivation must reuse the spare map, not allocate a fresh one.
-	q.Enqueue(5, 2)
-	allocs := testing.AllocsPerRun(1, func() {
-		q.RemoveAny(5)
-		q.Enqueue(5, 2)
-	})
-	if allocs != 0 {
-		t.Fatalf("index reactivation allocates %v/op, want 0", allocs)
-	}
-}
-
 // TestQueueZeroAllocHotPath pins the tentpole claim: Enqueue, DequeueMax
 // and EnqueueHead allocate nothing in steady state.
 func TestQueueZeroAllocHotPath(t *testing.T) {
