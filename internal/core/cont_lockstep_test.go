@@ -24,8 +24,9 @@ import (
 // cancellation), and a new arc is one more row.
 
 // lockstepTracer records a compact rendering of every trace event, and
-// checks the wait lists against the block reasons (checkWaitLists) at
-// every state change, reporting the first violation of a run.
+// checks the wait lists against the block reasons (checkWaitLists) and
+// the rest of the kernel state (checkKernel) at every state change,
+// reporting the first violation of a run.
 type lockstepTracer struct {
 	lines []string
 	t     *testing.T
@@ -41,9 +42,13 @@ func (tr *lockstepTracer) Event(ev TraceEvent) {
 	tr.lines = append(tr.lines, fmt.Sprintf("%v %v %s %s %s %s",
 		ev.At, ev.Kind, name, ev.Obj, ev.Arg, ev.Detail))
 	if ev.Kind == EvState && !tr.bad {
-		if err := checkWaitLists(tr.s); err != nil {
+		err := checkWaitLists(tr.s)
+		if err == nil {
+			err = checkKernel(tr.s)
+		}
+		if err != nil {
 			tr.bad = true
-			tr.t.Errorf("wait lists inconsistent at event %d (%s): %v", len(tr.lines)-1, tr.lines[len(tr.lines)-1], err)
+			tr.t.Errorf("kernel state inconsistent at event %d (%s): %v", len(tr.lines)-1, tr.lines[len(tr.lines)-1], err)
 		}
 	}
 }
@@ -732,13 +737,14 @@ func TestContFrameSize(t *testing.T) {
 }
 
 // TestThreadSize pins the TCB, the other per-resident cost: the
-// pending-signal table is a pointer allocated on first use, and the
-// wait-list links live in the TCB instead of a per-object queue. The
-// bound is the TCB's size exactly, so a field order that adds 8 B of
-// padding fails it.
+// pending-signal table is a pointer allocated on first use, the
+// wait-list links live in the TCB instead of a per-object queue, and
+// the execution context is a borrowed runner, not a channel. The bound
+// is the TCB's size exactly, so a field order that adds 8 B of padding
+// fails it.
 func TestThreadSize(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 552 {
-		t.Errorf("Thread is %d bytes, want at most 552", n)
+	if n := unsafe.Sizeof(Thread{}); n > 536 {
+		t.Errorf("Thread is %d bytes, want at most 536", n)
 	}
 }
 

@@ -18,8 +18,8 @@ func (s *System) Create(attr Attr, fn func(arg any) any, arg any) (*Thread, erro
 
 // CreateCont starts a continuation thread whose first step is step
 // (pthread_create for the parked-continuation representation). Only the
-// host backing differs from Create: no goroutine is created until first
-// dispatch, and none is held across declared parks.
+// host backing differs from Create: both bind a pooled runner at first
+// dispatch, but a continuation holds none across declared parks.
 func (s *System) CreateCont(attr Attr, step ContFunc, arg any) (*Thread, error) {
 	return s.create(attr, nil, step, arg)
 }
@@ -55,7 +55,6 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 		t.cont = k
 		s.stats.ContThreads++
 	} else {
-		s.ensureResume(t)
 		t.fn = fn
 		t.arg = arg
 	}

@@ -18,7 +18,7 @@ import (
 // Cond.Waiters, Mutex.Owner/Name/Protocol/Ceiling, Thread.State/
 // Priority/BasePriority/Name/Detached, Inspect, DumpThreads. All are safe
 // under the monolithic-monitor discipline for the same two reasons:
-// (1) baton passing — exactly one thread goroutine executes at any
+// (1) baton passing — exactly one runner goroutine executes at any
 // instant, and it only reaches user code with the kernel flag clear, so
 // no kernel section (the only writer of this state) is ever in progress
 // while an accessor runs from thread context; (2) per-thread fields

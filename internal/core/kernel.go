@@ -283,15 +283,16 @@ func (s *System) contextSwitch(next *Thread) {
 	// quantum is armed when it reaches user code.
 	s.cancelSliceTimer()
 
-	// A terminated or handoff-parking continuation thread releases its
-	// runner before the incoming thread is bound, so a wakeup can reuse
-	// it immediately: the baton then never leaves the runner's goroutine
-	// (passBaton). A runner rebound later instead may still be unwinding;
-	// the rebind's resume waits in its buffered channel.
+	// A terminated thread, or a continuation parking at a declared
+	// operation, releases its runner before the incoming thread is
+	// bound, so a thread that needs a runner reuses it immediately: the
+	// baton then never leaves the runner's goroutine (passBaton). A
+	// runner rebound later instead may still be unwinding; the rebind's
+	// resume waits in its buffered channel.
 	exiting := prev.state == StateTerminated
 	handoff := s.contHandoff && !exiting
 	from := prev.runner // still bound to prev unless released below
-	if exiting && prev.runner != nil {
+	if exiting {
 		s.releaseRunner(prev)
 	}
 	if handoff {
@@ -299,14 +300,8 @@ func (s *System) contextSwitch(next *Thread) {
 		s.stats.ContParked++
 		s.releaseRunner(prev)
 	}
-
-	if next.cont != nil {
-		if next.runner == nil {
-			s.bindRunner(next)
-		}
-	} else if !next.started {
-		next.started = true
-		go s.trampoline(next)
+	if next.runner == nil {
+		s.bindRunner(next)
 	}
 
 	if handoff {
@@ -318,27 +313,16 @@ func (s *System) contextSwitch(next *Thread) {
 
 	// Everything after a send may run concurrently with the new thread,
 	// so the exit decision is taken first: a terminated caller returns
-	// (its goroutine unwinds, and a runner that kept the baton steps
-	// again), everyone else parks. A thread that parks still holds its
-	// runner, so next cannot be bound to it and the baton is a send. A
-	// system shutdown that lands in this window is delivered through
-	// the park channel as a kill message.
+	// (its runner unwinds, and steps again if it kept the baton),
+	// everyone else parks. A thread that parks still holds its runner,
+	// so next cannot be bound to it and the baton is a send. A system
+	// shutdown that lands in this window is delivered through the
+	// runner's channel as a kill message.
 	s.passBaton(next, from)
 	if exiting {
 		return
 	}
-	s.park(prev)
-}
-
-// park blocks the thread's execution context until it is dispatched
-// again. For a continuation thread blocking inline mid-step, that
-// context is the bound runner's goroutine.
-func (s *System) park(t *Thread) {
-	msg := <-t.resumeCh()
-	if msg.kill {
-		panic(killPanic{})
-	}
-	s.unmaskAfterSwitch()
+	s.park(from)
 }
 
 // unmaskAfterSwitch runs on the context a switch resumed. If signals were
@@ -404,8 +388,8 @@ func (s *System) makeReady(t *Thread, atHead bool) {
 // yieldOp, lockOp, condWait, joinOp, fdWait) is written once, as a
 // function over this frame split at its park: phase 0 runs up to the
 // park, phase 1 after it. The park (block or leave) is the one step
-// that differs between the thread representations. A goroutine-backed
-// call keeps the frame on its own stack and leaves the kernel through
+// that differs between the thread representations. An inline call
+// keeps the frame on its runner's stack and leaves the kernel through
 // leaveKernel, continuing past the park when the thread runs again. A
 // continuation's declared operation keeps the frame in its Cont: the
 // park releases the runner and reports parked, the operation returns
@@ -462,7 +446,7 @@ func (s *System) block(declared bool, reason BlockReason, what string) (parked b
 }
 
 // leave exits the kernel at a park point, where the dispatcher always
-// runs. A goroutine-backed call leaves through leaveKernel and returns
+// runs. An inline call leaves through leaveKernel and returns
 // (with the kernel flag clear and fake calls drained) once the thread is
 // dispatched again. A continuation's declared operation dispatches in
 // handoff mode instead: contextSwitch releases the runner and records

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
@@ -17,7 +16,8 @@ import (
 //     deferred to first activation (ensureStack).
 //  2. reclaim built each replacement pool TCB with a fresh 1-buffered
 //     resume channel while the dead TCB kept its own alive, so create/join
-//     churn accumulated channels (and any goroutine parked on one).
+//     churn accumulated channels (and any goroutine parked on one). A TCB
+//     now holds no channel at all: it runs on a pooled runner.
 
 func TestLazyThreadDefersStack(t *testing.T) {
 	s := New(Config{DisablePool: true}) // force the allocTCB miss path
@@ -103,8 +103,7 @@ func TestLazyContThreadDefersStack(t *testing.T) {
 
 func TestChurnLeaksNoGoroutines(t *testing.T) {
 	// 10k create/join churn must return the host to its baseline
-	// goroutine count: pooled TCB reuse may not keep dead threads'
-	// resume channels (or anything parked on them) alive.
+	// goroutine count: every runner, bound or idle, ends with the run.
 	before := runtime.NumGoroutine()
 	for _, cont := range []bool{false, true} {
 		s := New(Config{})
@@ -132,47 +131,34 @@ func TestChurnLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("Run(cont=%v): %v", cont, err)
 		}
 	}
-	// Give runners and trampolines a moment to drain after doneCh.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines leaked across churn: before %d, after %d", before, after)
-	}
+	// Runners end asynchronously once Run returns.
+	awaitGoroutines(t, before)
 }
 
-func TestPoolReusesResumeChannel(t *testing.T) {
-	// The replacement pool TCB inherits the reclaimed thread's channel
-	// rather than allocating a fresh one per churn round.
+// TestPooledCreateJoinRunsOnRunners: a steady-state Create+Join round of
+// a pooled thread allocates nothing — no goroutine, channel or pool
+// entry. The thread runs above main's priority, so it exits before
+// main joins it and the round builds no wait description; it binds the
+// runner its predecessor's exit released.
+func TestPooledCreateJoinRunsOnRunners(t *testing.T) {
 	s := New(Config{})
 	err := s.Run(func() {
 		attr := DefaultAttr()
 		attr.Priority = s.Self().Priority() + 1
-		th, _ := s.Create(attr, func(any) any { return nil }, nil)
-		ch := th.resume
-		s.Join(th)
-		if ch == nil {
-			t.Fatal("thread had no resume channel")
+		round := func() {
+			th, _ := s.Create(attr, func(any) any { return nil }, nil)
+			s.Join(th)
 		}
-		if th.resume != nil {
-			t.Errorf("dead TCB still holds its resume channel")
+		if n := allocsPerRound(100, 1000, round); n != 0 {
+			t.Errorf("pooled Create+Join allocates %d/round, want 0", n)
 		}
-		if n := len(s.pool); n == 0 {
-			t.Skip("pool empty (config change?)")
-		}
-		if got := s.pool[len(s.pool)-1].tcb.resume; got != ch {
-			t.Errorf("replacement pool TCB did not inherit the reclaimed channel")
-		}
-		th2, _ := s.Create(attr, func(any) any { return nil }, nil)
-		if th2.resume != ch {
-			t.Errorf("next pooled thread did not reuse the recycled channel")
-		}
-		s.Join(th2)
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	// Main's runner, and the one every round's thread binds in turn.
+	if st := s.Stats(); st.RunnerPeak != 2 {
+		t.Errorf("RunnerPeak = %d, want 2", st.RunnerPeak)
 	}
 }
 

@@ -203,7 +203,7 @@ func (s *System) universalHandler(sig unixkern.Signal, info *unixkern.SigInfo) {
 	t.stack.Pop()
 	// No quantum arming here: the sigreturn that follows still charges
 	// time, so the quantum is armed only at points followed directly by
-	// user execution (leaveKernel, Compute, the trampoline).
+	// user execution (leaveKernel, Compute, runThread).
 }
 
 // handleCaught processes the signals logged while the kernel flag was

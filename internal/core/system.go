@@ -125,20 +125,23 @@ type Stats struct {
 	FDBlockedNS    int64 // total virtual time threads spent blocked on fds
 	FDMaxWaitDepth int64 // peak depth of any single fd wait queue
 
-	// Parked-continuation counters (host-side representation only — no
-	// virtual cost attaches to any of them; see cont.go). Lockstep tests
-	// comparing the two representations zero these before comparing.
+	// Execution-context counters (host-side representation only — no
+	// virtual cost attaches to any of them; see cont.go and runner.go).
+	// The runner counters cover every thread: main and Create threads
+	// bind a runner at their first dispatch, continuation threads at
+	// every dispatch after a declared park. Lockstep tests comparing the
+	// two representations zero these before comparing.
 	ContThreads    int64 // continuation threads created
-	ContParked     int64 // gauge: cont threads currently holding no goroutine
-	RunnerBinds    int64 // wakeups served by binding a pooled runner
+	ContParked     int64 // gauge: cont threads currently holding no runner
+	RunnerBinds    int64 // dispatches served by binding a pooled runner
 	RunnerLive     int64 // gauge: runner goroutines alive (bound + idle)
 	RunnerPeak     int64 // high-water mark of RunnerLive
 	ArenaChunks    int64 // chunks carved by the TCB and cont-frame arenas
 	ArenaSlotBytes int64 // host bytes per TCB arena slot
 
 	// Baton transport (host-side; see passBaton): how each dispatch
-	// reached its thread's execution context. Kill messages not counted.
-	BatonSends        int64 // resumes sent on a thread's or runner's channel
+	// reached its thread's runner. Kill messages not counted.
+	BatonSends        int64 // resumes sent on a runner's channel
 	RunnerTrampolines int64 // switches taken on the calling runner, no send
 }
 
@@ -199,8 +202,8 @@ type System struct {
 	// traced I/O workload formats each label once instead of per event.
 	fdNames map[fdKey]string
 
-	// Parked-continuation machinery (see cont.go). contHandoff marks the
-	// dispatch of a declared park (leave): contextSwitch records the
+	// Runner machinery (see runner.go and cont.go). contHandoff marks
+	// the dispatch of a declared park (leave): contextSwitch records the
 	// selected thread in contBaton and returns without passing the baton,
 	// so leave can pass it itself after its last read of the parked
 	// thread — as a mark on its own runner when the selected thread was
@@ -208,7 +211,7 @@ type System struct {
 	// The runner pool is kernel-context state: no lock needed.
 	contHandoff bool
 	contBaton   *Thread
-	runnerIdle  []*contRunner
+	runnerIdle  []*runner
 	runnerLive  int64
 	runnerPeak  int64
 
@@ -218,7 +221,7 @@ type System struct {
 	tcbArena  *arena.Arena[Thread]
 	contArena *arena.Arena[Cont]
 
-	pool          []*poolEntry
+	pool          []poolEntry
 	prng          *rand.Rand
 	lockEnv       *lockEnv // lazily created when a mutex selects a lock engine
 	quantum       vtime.Duration
@@ -332,8 +335,8 @@ func New(cfg Config) *System {
 	}
 	if !cfg.DisablePool {
 		for i := 0; i < cfg.PoolSize; i++ {
-			s.pool = append(s.pool, &poolEntry{
-				tcb:   s.newPooledTCB(make(chan resumeMsg, 1)),
+			s.pool = append(s.pool, poolEntry{
+				tcb:   s.newPooledTCB(),
 				stack: hw.NewStack(cfg.DefaultStackSize),
 			})
 		}
@@ -341,13 +344,10 @@ func New(cfg Config) *System {
 	return s
 }
 
-// newPooledTCB carves a pool TCB from the arena, reusing the given
-// resume channel (fresh at initialization, recycled from the reclaimed
-// predecessor on pool refill).
-func (s *System) newPooledTCB(resume chan resumeMsg) *Thread {
+// newPooledTCB carves a pool TCB from the arena.
+func (s *System) newPooledTCB() *Thread {
 	t := s.tcbArena.Get()
 	t.sys = s
-	t.resume = resume
 	t.pooled = true
 	return t
 }
@@ -380,14 +380,6 @@ func (s *System) dropThread(t *Thread) {
 		}
 		s.all = s.all[:live]
 		s.allDead = 0
-	}
-}
-
-// ensureResume gives a goroutine-backed thread its park channel. Called
-// on the create/run path only — continuation threads park without one.
-func (s *System) ensureResume(t *Thread) {
-	if t.resume == nil {
-		t.resume = make(chan resumeMsg, 1)
 	}
 }
 
@@ -435,7 +427,7 @@ type exitPanic struct {
 	status any
 }
 
-// killPanic tears down a thread goroutine at system shutdown.
+// killPanic tears down a runner at system shutdown.
 type killPanic struct{}
 
 // Canceled is the status a cancelled thread exits with
@@ -471,19 +463,18 @@ func (s *System) Run(main func()) error {
 	s.trace(EvState, t, "running", "")
 	s.mState(t)
 
-	s.ensureResume(t)
-	t.started = true
-	go s.trampoline(t)
-	s.stats.BatonSends++
-	t.resume <- resumeMsg{}
+	s.bindRunner(t)
+	s.passBaton(t, nil)
 
 	<-s.doneCh
 	return s.finishErr
 }
 
-// finish ends the simulation: records the outcome, releases every parked
-// thread goroutine, and unblocks Run. Safe to call once; later calls are
-// ignored (first outcome wins).
+// finish ends the simulation: records the outcome, kills every runner,
+// and unblocks Run. Safe to call once; later calls are ignored (first
+// outcome wins). The runners are those bound to roster threads, the
+// caller's own (its thread may be detached and already reclaimed, off
+// the roster), and the idle ones. A parked continuation holds none.
 func (s *System) finish(err error, status any) {
 	if s.finished {
 		return
@@ -492,38 +483,27 @@ func (s *System) finish(err error, status any) {
 	s.finishErr = err
 	s.exitStatus = status
 	for _, t := range s.all {
-		if t == nil || t == s.current || t.state == StateTerminated {
-			continue
+		if t != nil && t.runner != nil {
+			sendKill(t.runner)
 		}
-		// A started goroutine thread, or a continuation bound to a
-		// runner, is killed through the channel it parks on; a parked
-		// continuation has no goroutine to release, and idle runners die
-		// on doneCh below.
-		if t.started || t.runner != nil {
-			sendKill(t.resumeCh())
-		}
+	}
+	if t := s.current; t != nil && t.runner != nil {
+		sendKill(t.runner)
+	}
+	for _, r := range s.runnerIdle {
+		sendKill(r)
 	}
 	close(s.doneCh)
-}
-
-// sendKill sends a kill to the execution context parked on ch. It never
-// blocks: the channel is 1-buffered, and a full one already holds a
-// message for the context.
-func sendKill(ch chan resumeMsg) {
-	select {
-	case ch <- resumeMsg{kill: true}:
-	default:
-	}
 }
 
 // ExitStatus returns the value passed to Shutdown/exit, if any.
 func (s *System) ExitStatus() any { return s.exitStatus }
 
 // Stop ends the simulation from outside thread context (e.g. a fabric
-// tearing down a fleet). It records err as the outcome and
-// releases every parked thread goroutine; threads currently blocked in
-// a governed clock advance are unwound by their governor. Unlike
-// Shutdown it returns normally and is a no-op once finished.
+// tearing down a fleet). It records err as the outcome and kills every
+// runner; threads currently blocked in a governed clock advance are
+// unwound by their governor. Unlike Shutdown it returns normally and is
+// a no-op once finished.
 func (s *System) Stop(err error) {
 	s.finish(err, nil)
 }
@@ -535,24 +515,10 @@ func (s *System) Shutdown(status any) {
 	panic(killPanic{})
 }
 
-// trampoline is the goroutine body backing one thread.
-func (s *System) trampoline(t *Thread) {
-	completed := false
-	defer func() { s.unwound(t, completed, recover()) }()
-
-	s.park(t)
-	s.drainFakeCalls()
-	s.armSliceOnUserReturn()
-
-	status := s.callBody(t)
-	s.exitCurrent(status)
-	completed = true
-}
-
-// unwound classifies how the execution context of thread t ended, given
+// unwound classifies how a runner's run of thread t ended, given
 // whether it ran to completion and the panic value it recovered. It
 // reports true only for a clean completion. A killPanic is a system
-// shutdown and ends the context silently. A goroutine unwinding without
+// shutdown and ends the runner silently. A runner unwinding without
 // a panic is runtime.Goexit (e.g. t.FailNow called from a thread body):
 // the whole system would hang waiting for this thread, so the process
 // ends with a diagnosis instead. Any other panic escaped the thread body
@@ -569,17 +535,6 @@ func (s *System) unwound(t *Thread, completed bool, rec any) bool {
 		}
 	}
 	return false
-}
-
-// callBody runs the thread function, converting Exit unwinding into a
-// return value.
-func (s *System) callBody(t *Thread) (status any) {
-	defer func() {
-		if st, ok := exitStatus(recover()); ok {
-			status = st
-		}
-	}()
-	return t.fn(t.arg)
 }
 
 // exitStatus converts Exit unwinding, recovered as rec, into the thread's
@@ -604,7 +559,8 @@ func (s *System) Exit(status any) {
 
 // exitCurrent finalizes the current thread: cleanup handlers, TSD
 // destructors, then kernel-side termination and a final dispatch. Runs on
-// the dying thread's goroutine and returns to the trampoline, ending it.
+// the dying thread's runner and returns to runnerStep; the final
+// dispatch has released the runner by then.
 func (s *System) exitCurrent(status any) {
 	t := s.current
 
@@ -645,8 +601,8 @@ func (s *System) exitCurrent(status any) {
 		return
 	}
 
-	// Final dispatch: the dying thread hands the processor over and its
-	// goroutine ends.
+	// Final dispatch: the dying thread hands the processor over and
+	// releases its runner.
 	s.dispatcherFlag = true
 	s.dispatch()
 }
@@ -670,34 +626,17 @@ func (s *System) reclaim(t *Thread) {
 	if t.pooled && !s.cfg.DisablePool && t.stack != nil {
 		stk := t.stack
 		stk.Reset()
-		// Reuse the dead TCB's resume channel for the replacement pool
-		// TCB: channels are the one per-thread allocation the arena
-		// cannot recycle. A baton buffered for a thread that died before
-		// consuming it must not leak into the successor.
-		resume := t.resume
-		if resume == nil {
-			resume = make(chan resumeMsg, 1)
-		} else {
-			select {
-			case <-resume:
-			default:
-			}
-		}
-		s.pool = append(s.pool, &poolEntry{
-			tcb:   s.newPooledTCB(resume),
-			stack: stk,
-		})
+		s.pool = append(s.pool, poolEntry{tcb: s.newPooledTCB(), stack: stk})
 	}
 	// Drop every reference the dead TCB could pin: the handle itself stays
 	// valid (checkThread reports ESRCH) but must not keep thread bodies,
 	// sync objects, or signal payloads reachable. The runner field is left
-	// alone — a detached continuation thread is reclaimed before its final
-	// context switch releases the runner.
+	// alone — a detached thread is reclaimed before its final context
+	// switch releases the runner.
 	if t.cont != nil {
 		s.contArena.Put(t.cont)
 		t.cont = nil
 	}
-	t.resume = nil
 	t.stack = nil
 	t.tsd = nil
 	t.fn = nil
@@ -728,9 +667,10 @@ func (s *System) allocTCB(attr Attr) *Thread {
 		size = s.cfg.DefaultStackSize
 	}
 	if !s.cfg.DisablePool && len(s.pool) > 0 && size == s.cfg.DefaultStackSize {
-		e := s.pool[len(s.pool)-1]
-		s.pool = s.pool[:len(s.pool)-1]
-		t, stack = e.tcb, e.stack
+		n := len(s.pool) - 1
+		t, stack = s.pool[n].tcb, s.pool[n].stack
+		s.pool[n] = poolEntry{} // the slot must not pin the TCB once it dies
+		s.pool = s.pool[:n]
 		s.stats.PoolHits++
 		s.cpu.ChargeInstr(12) // pop of the pool free list
 	} else {
@@ -738,11 +678,9 @@ func (s *System) allocTCB(attr Attr) *Thread {
 		s.cpu.ChargeHeapAlloc()
 		t = s.tcbArena.Get()
 		t.sys = s
-		// No resume channel yet: continuation threads never need one of
-		// their own, and goroutine threads get theirs from ensureResume on
-		// the create/run path. Lazily created threads also defer the host
-		// stack to first activation (ensureStack) — a thread that never
-		// runs costs only its TCB.
+		// Lazily created threads defer the host stack to first
+		// activation (ensureStack) — a thread that never runs costs only
+		// its TCB.
 		if !attr.Lazy {
 			stack = hw.NewStack(size)
 		}

@@ -213,15 +213,14 @@ type Thread struct {
 	detached bool
 	lazy     bool
 
-	// Baton-passing machinery: the thread's goroutine parks on resume.
-	// Continuation threads (cont != nil) have no goroutine of their own:
-	// while runnable they borrow a pooled runner (runner != nil), and
-	// while parked at a declared wait point they hold neither — the
-	// baton reaches them through the runner bound at wakeup (resumeCh).
-	resume  chan resumeMsg
-	started bool
-	cont    *Cont
-	runner  *contRunner
+	// Execution context (runner.go): no thread owns a goroutine. A
+	// thread binds a pooled runner at its first dispatch and parks on
+	// the runner's channel whenever it blocks inline. A Create thread
+	// keeps its runner until it exits; a continuation thread (cont !=
+	// nil) releases it at every declared park and binds one again at
+	// wakeup.
+	cont   *Cont
+	runner *runner
 
 	// stackSize records the requested stack size so lazily created
 	// threads can defer the host stack allocation to first activation.
@@ -339,21 +338,4 @@ func (t *Thread) String() string {
 		return fmt.Sprintf("%s(#%d)", t.name, t.id)
 	}
 	return fmt.Sprintf("thread#%d", t.id)
-}
-
-// resumeMsg wakes a parked thread goroutine. kill tears the goroutine down
-// during system shutdown.
-type resumeMsg struct {
-	kill bool
-}
-
-// resumeCh returns the channel the thread's execution context parks on:
-// the bound runner's for continuation threads, the thread's own
-// goroutine channel otherwise. The dispatcher always binds a runner to
-// a continuation thread before sending its baton.
-func (t *Thread) resumeCh() chan resumeMsg {
-	if r := t.runner; r != nil {
-		return r.resume
-	}
-	return t.resume
 }

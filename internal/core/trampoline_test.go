@@ -5,13 +5,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pthreads/internal/vtime"
 )
 
-// Tests of the baton transport: a switch between two continuation
-// threads stays on the calling runner (RunnerTrampolines), every other
-// switch sends on the incoming context's channel (BatonSends), and a
-// system that ends while the runner trampolines leaves no goroutine
-// behind.
+// Tests of the baton transport: a switch from a thread that releases
+// its runner to a thread that needs one stays on that runner
+// (RunnerTrampolines), every other switch sends on the incoming
+// thread's runner (BatonSends), and a system that ends — however it
+// ends — leaves no runner behind.
 
 // condRing is a token ring of n members under one mutex, one condition
 // variable per member, in the canonical "while not my turn: wait" loop.
@@ -115,8 +117,9 @@ func closer(s *System, ths []*Thread) *Thread {
 }
 
 // TestTrampolineCondRing: in a continuation-only ring every switch is
-// taken on the one runner. Only main's start, main's switch into the
-// ring and the switch back to main at the end send a baton.
+// taken on the one ring runner. Only main's start, main's switch into
+// the ring and the switch back to main at the end send a baton; main
+// holds the second runner throughout.
 func TestTrampolineCondRing(t *testing.T) {
 	const members, hops = 64, 10000
 	s := New(Config{})
@@ -147,8 +150,8 @@ func TestTrampolineCondRing(t *testing.T) {
 		t.Errorf("RunnerTrampolines = %d, want %d (every switch but the two from and to main)",
 			st.RunnerTrampolines, want)
 	}
-	if st.RunnerPeak != 1 {
-		t.Errorf("RunnerPeak = %d, want 1", st.RunnerPeak)
+	if st.RunnerPeak != 2 {
+		t.Errorf("RunnerPeak = %d, want 2 (main's and the ring's)", st.RunnerPeak)
 	}
 	sw := mid1.ContextSwitches - mid0.ContextSwitches
 	if sw < hops-100 {
@@ -162,8 +165,9 @@ func TestTrampolineCondRing(t *testing.T) {
 	}
 }
 
-// TestTrampolineGoroutineRing: the same ring on goroutine threads sends
-// a baton for every switch and never trampolines.
+// TestTrampolineGoroutineRing: the same ring on Create threads sends a
+// baton for every switch and never trampolines: each member holds its
+// runner from its first dispatch to its exit.
 func TestTrampolineGoroutineRing(t *testing.T) {
 	const members, hops = 64, 10000
 	s := New(Config{})
@@ -203,77 +207,142 @@ func awaitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestTrampolineTeardown ends a continuation-only ring while its runner
-// trampolines: Shutdown from a step, a deadlock of the whole ring, and a
-// panic in a step. Run reports each, and every runner and thread
-// goroutine ends.
+// TestTrampolineTeardown ends systems every way a run can end, and the
+// goroutine count must come back exactly: every runner, bound or idle,
+// ends with the run. The first rows end a continuation-only ring while
+// its runner trampolines: Shutdown from a step, a deadlock of the whole
+// ring, and a panic in a step. The create- rows end systems of Create
+// threads, each holding a runner from its first dispatch to its exit:
+// main returning last, a detached thread exiting last (its runner is
+// the caller's own in finish, and the thread is already reclaimed, off
+// the roster), and Shutdown, a deadlock and a panic while threads are
+// blocked inline.
 func TestTrampolineTeardown(t *testing.T) {
 	const members, at = 16, 500
+	ring := func(onHop func(s *System, g *condRing)) func(t *testing.T, s *System) {
+		return func(t *testing.T, s *System) {
+			g := newCondRing(s, members, 2*at)
+			g.onHop = func(hop int) {
+				if hop == at {
+					// Each hop after the first follows a switch.
+					if st := s.Stats(); st.RunnerTrampolines < at-1 {
+						t.Errorf("only %d trampolines by hop %d", st.RunnerTrampolines, at)
+					}
+					onHop(s, g)
+				}
+			}
+			s.Join(closer(s, g.startCont()))
+			t.Errorf("ring ran to completion")
+		}
+	}
+	// blockInline creates one Create thread blocked in each kind of
+	// inline wait: a mutex the caller holds, a condition wait, a sleep,
+	// and a join of a thread that never exits. It returns the first.
+	blockInline := func(s *System) *Thread {
+		m := s.MustMutex(MutexAttr{Name: "m"})
+		m.Lock()
+		attr := DefaultAttr()
+		attr.Priority = s.Self().Priority() + 1
+		cv := s.NewCond("never")
+		create := func(fn func()) *Thread {
+			th, _ := s.Create(attr, func(any) any { fn(); return nil }, nil)
+			return th
+		}
+		locker := create(func() { m.Lock() })
+		waiter := create(func() {
+			c := s.MustMutex(MutexAttr{Name: "c"})
+			c.Lock()
+			cv.Wait(c)
+		})
+		create(func() { s.Sleep(vtime.Second) })
+		create(func() { s.Join(waiter) })
+		return locker
+	}
+	clean := func(t *testing.T, s *System, err error) {
+		if err != nil {
+			t.Errorf("Run = %v, want nil", err)
+		}
+	}
+	stopped := func(t *testing.T, s *System, err error) {
+		if err != nil || s.ExitStatus() != "stopped" {
+			t.Errorf("Run = %v, status %v; want nil, stopped", err, s.ExitStatus())
+		}
+	}
+	deadlocked := func(t *testing.T, s *System, err error) {
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("Run = %v, want a deadlock report", err)
+		}
+	}
+	panicked := func(t *testing.T, s *System, err error) {
+		if err == nil || !strings.Contains(err.Error(), "panic in") ||
+			!strings.Contains(err.Error(), "boom") {
+			t.Errorf("Run = %v, want the thread's panic", err)
+		}
+	}
 	cases := []struct {
 		name  string
-		onHop func(s *System, g *condRing)
+		main  func(t *testing.T, s *System)
 		check func(t *testing.T, s *System, err error)
 	}{
-		{
-			name:  "shutdown",
-			onHop: func(s *System, g *condRing) { s.Shutdown("stopped") },
-			check: func(t *testing.T, s *System, err error) {
-				if err != nil || s.ExitStatus() != "stopped" {
-					t.Errorf("Run = %v, status %v; want nil, stopped", err, s.ExitStatus())
-				}
-			},
-		},
-		{
-			// The token goes to no member, so every member waits forever.
-			name:  "deadlock",
-			onHop: func(s *System, g *condRing) { g.turn = -1 },
-			check: func(t *testing.T, s *System, err error) {
-				if err == nil || !strings.Contains(err.Error(), "deadlock") {
-					t.Errorf("Run = %v, want a deadlock report", err)
-				}
-			},
-		},
-		{
-			name:  "panic",
-			onHop: func(s *System, g *condRing) { panic("boom") },
-			check: func(t *testing.T, s *System, err error) {
-				if err == nil || !strings.Contains(err.Error(), "panic in") ||
-					!strings.Contains(err.Error(), "boom") {
-					t.Errorf("Run = %v, want the step's panic", err)
-				}
-			},
-		},
+		{"shutdown", ring(func(s *System, g *condRing) { s.Shutdown("stopped") }), stopped},
+		// The token goes to no member, so every member waits forever.
+		{"deadlock", ring(func(s *System, g *condRing) { g.turn = -1 }), deadlocked},
+		{"panic", ring(func(s *System, g *condRing) { panic("boom") }), panicked},
+		{"create-main-last", func(t *testing.T, s *System) {
+			m := s.MustMutex(MutexAttr{Name: "m"})
+			var ths []*Thread
+			for i := 0; i < 4; i++ {
+				th, _ := s.Create(DefaultAttr(), func(any) any {
+					m.Lock()
+					s.Yield()
+					m.Unlock()
+					return nil
+				}, nil)
+				ths = append(ths, th)
+			}
+			for _, th := range ths {
+				s.Join(th)
+			}
+		}, clean},
+		{"create-detached-last", func(t *testing.T, s *System) {
+			attr := DefaultAttr()
+			attr.Detached = true
+			attr.Priority = s.Self().Priority() - 1
+			s.Create(attr, func(any) any {
+				s.Sleep(vtime.Millisecond)
+				return nil
+			}, nil)
+		}, clean},
+		{"create-shutdown", func(t *testing.T, s *System) {
+			blockInline(s)
+			s.Shutdown("stopped")
+		}, stopped},
+		{"create-deadlock", func(t *testing.T, s *System) {
+			s.Join(blockInline(s))
+		}, deadlocked},
+		{"create-panic", func(t *testing.T, s *System) {
+			blockInline(s)
+			th, _ := s.Create(DefaultAttr(), func(any) any { panic("boom") }, nil)
+			s.Join(th)
+		}, panicked},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			s := New(Config{})
-			err := s.Run(func() {
-				g := newCondRing(s, members, 2*at)
-				g.onHop = func(hop int) {
-					if hop == at {
-						// Each hop after the first follows a switch.
-						if st := s.Stats(); st.RunnerTrampolines < at-1 {
-							t.Errorf("only %d trampolines by hop %d", st.RunnerTrampolines, at)
-						}
-						tc.onHop(s, g)
-					}
-				}
-				s.Join(closer(s, g.startCont()))
-				t.Errorf("ring ran to completion")
-			})
+			err := s.Run(func() { tc.main(t, s) })
 			tc.check(t, s, err)
 			awaitGoroutines(t, before)
 		})
 	}
 }
 
-// TestLockstepExitChain: each continuation's last step returns and its
-// exit hands the processor to the next continuation, on the exiting
-// thread's runner. Schedules match the goroutine version exactly.
+// TestLockstepExitChain: each thread's exit hands the processor to the
+// next, which binds the runner the exit released and runs on it, in
+// both representations. Schedules match exactly.
 func TestLockstepExitChain(t *testing.T) {
 	const n = 8
-	var st Stats
+	var gst, st Stats
 	chain := func(s *System, create func(attr Attr, i int) *Thread) {
 		var ths []*Thread
 		for i := 0; i < n; i++ {
@@ -291,6 +360,7 @@ func TestLockstepExitChain(t *testing.T) {
 				th, _ := s.Create(attr, func(any) any { return i }, nil)
 				return th
 			})
+			gst = s.Stats()
 		},
 		func(s *System, _ func(...any)) {
 			chain(s, func(attr Attr, i int) *Thread {
@@ -301,11 +371,16 @@ func TestLockstepExitChain(t *testing.T) {
 		})
 	// Main joins w0 first: w0 is dispatched by a send, w1..w7 each by
 	// the exit of its predecessor, and w7's exit sends back to main.
-	if st.RunnerTrampolines != n-1 {
-		t.Errorf("RunnerTrampolines = %d, want %d exits handed on", st.RunnerTrampolines, n-1)
-	}
-	if st.BatonSends != 3 {
-		t.Errorf("BatonSends = %d, want 3", st.BatonSends)
+	for _, v := range []struct {
+		name string
+		st   Stats
+	}{{"goroutine", gst}, {"cont", st}} {
+		if v.st.RunnerTrampolines != n-1 {
+			t.Errorf("%s: RunnerTrampolines = %d, want %d exits handed on", v.name, v.st.RunnerTrampolines, n-1)
+		}
+		if v.st.BatonSends != 3 {
+			t.Errorf("%s: BatonSends = %d, want 3", v.name, v.st.BatonSends)
+		}
 	}
 }
 
@@ -324,7 +399,7 @@ func TestRunnerTrampolineStopsOnShutdown(t *testing.T) {
 			th := &Thread{sys: s, state: StateRunning}
 			th.cont = &Cont{s: s, t: th, first: true, next: func(*Cont) { ran = true }}
 			s.current = th
-			r := &contRunner{resume: make(chan resumeMsg, 1), t: th, again: true}
+			r := &runner{resume: make(chan resumeMsg, 1), t: th, again: true}
 			if tc.finished {
 				s.Stop(nil)
 			}

@@ -486,15 +486,6 @@ func (f *Fabric) ObsReport() *ObsReport {
 	return r
 }
 
-// SpanRecorder returns one host's span recorder (nil unless
-// ObsConfig.Spans).
-func (f *Fabric) SpanRecorder(host int) *obs.Recorder {
-	if f.obs == nil || f.obs.recs == nil {
-		return nil
-	}
-	return f.obs.recs[host]
-}
-
 // Format renders the report as the deterministic text section ptreport
 // -fleet prints.
 func (r *ObsReport) Format() string {

@@ -430,13 +430,7 @@ func (c *Conn) readDone(ref obs.SpanRef, op *connOp, err error) (int, error) {
 // returns how many bytes were written, which is short only on error
 // (EINTR, ETIMEDOUT, ECONNRESET, cancellation). Write is a cancellation
 // point.
-func (c *Conn) Write(n int) (int, error) { return c.write(n, 0) }
-
-// WriteTimeout is Write bounded by d of virtual time overall (ETIMEDOUT;
-// the partial count written before the deadline is returned).
-func (c *Conn) WriteTimeout(n int, d vtime.Duration) (int, error) { return c.write(n, d) }
-
-func (c *Conn) write(n int, d vtime.Duration) (int, error) {
+func (c *Conn) Write(n int) (int, error) {
 	if n < 0 {
 		return 0, core.EINVAL.Or()
 	}
@@ -446,24 +440,11 @@ func (c *Conn) write(n int, d vtime.Duration) (int, error) {
 		sp := c.x.spans.Span(ref)
 		sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
 	}
-	var deadline vtime.Time
-	if d > 0 {
-		deadline = c.x.sys.Clock().Now().Add(d)
-	}
 	total := 0
 	for total < n {
-		timeout := vtime.Duration(0)
-		if d > 0 {
-			timeout = deadline.Sub(c.x.sys.Clock().Now())
-			if timeout <= 0 {
-				err := core.ETIMEDOUT.Or()
-				c.x.closeSpan(ref, err)
-				return total, err
-			}
-		}
 		op := c.x.getOp(c.nc, true, n-total)
 		op.sctx = sctx
-		err := c.x.sys.FDBlockingOp(c.nc.FD(), core.FDWrite, c.writeWhat, timeout, op)
+		err := c.x.sys.FDBlockingOp(c.nc.FD(), core.FDWrite, c.writeWhat, 0, op)
 		k, opErr := op.n, op.opErr
 		c.x.putOp(op)
 		total += k

@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"pthreads/internal/vtime"
 )
@@ -104,38 +102,4 @@ func (h *Histogram) JSON() HistJSON {
 		}
 	}
 	return out
-}
-
-// Spark renders the non-empty bucket range as a compact ASCII sparkline
-// for the human profile tables.
-func (h *Histogram) Spark() string {
-	lo, hi := -1, -1
-	for i, n := range h.B {
-		if n > 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	if lo < 0 {
-		return "-"
-	}
-	var peak int64
-	for i := lo; i <= hi; i++ {
-		if h.B[i] > peak {
-			peak = h.B[i]
-		}
-	}
-	marks := []byte("_.:-=+*#")
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		if h.B[i] == 0 {
-			b.WriteByte(' ')
-			continue
-		}
-		idx := int(h.B[i] * int64(len(marks)-1) / peak)
-		b.WriteByte(marks[idx])
-	}
-	return fmt.Sprintf("[%v..%v] %s", bucketLo(lo), bucketLo(hi+1), b.String())
 }

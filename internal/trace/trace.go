@@ -199,17 +199,6 @@ func (r *Recorder) TotalRunTime(name string) vtime.Duration {
 	return total
 }
 
-// FirstEvent returns the first event matching kind and thread name, and
-// whether one exists.
-func (r *Recorder) FirstEvent(kind core.EventKind, name string) (core.TraceEvent, bool) {
-	for _, ev := range r.Events {
-		if ev.Kind == kind && threadName(ev) == name {
-			return ev, true
-		}
-	}
-	return core.TraceEvent{}, false
-}
-
 // MarkerTime returns the time of the first user tracepoint with the given
 // label.
 func (r *Recorder) MarkerTime(label string) (vtime.Time, bool) {
@@ -237,22 +226,6 @@ func (r *Recorder) MaxPrio(name string) (int, bool) {
 		seen = true
 	}
 	return max, seen
-}
-
-// PrioAt returns the named thread's current priority at time t (as last
-// traced at or before t), and whether any priority event was seen.
-func (r *Recorder) PrioAt(name string, t vtime.Time) (int, bool) {
-	prio, seen := 0, false
-	for _, ev := range r.Events {
-		if ev.At > t {
-			break
-		}
-		if ev.Kind == core.EvPrio && threadName(ev) == name {
-			fmt.Sscanf(ev.Arg, "%d", &prio)
-			seen = true
-		}
-	}
-	return prio, seen
 }
 
 // Timeline renders an ASCII chart in the style of Figure 5: one row per

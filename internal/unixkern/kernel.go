@@ -57,7 +57,6 @@ type Process struct {
 	// Terminated is set once a default action killed the process.
 	Terminated    bool
 	TerminateSig  Signal
-	handlerDepth  int
 	deliveredSeen int64
 }
 
@@ -194,12 +193,6 @@ func (p *Process) SigvecIgnore(sig Signal) error {
 	return nil
 }
 
-// SigvecDefault restores the default disposition.
-func (p *Process) SigvecDefault(sig Signal) {
-	p.k.countSyscall("sigvec")
-	p.actions[sig] = sigaction{disp: DispDefault}
-}
-
 // Kill sends a signal to a process, as the kill system call. The caller
 // is the running process.
 func (k *Kernel) Kill(target Pid, sig Signal) error {
@@ -283,12 +276,10 @@ func (k *Kernel) deliver(p *Process, info *SigInfo) {
 
 	oldMask := p.mask
 	p.mask = p.mask.Union(act.mask).Add(info.Sig) & FullSigset()
-	p.handlerDepth++
 
 	defer func() {
 		// sigreturn: restore the interrupted context and mask, then
 		// deliver anything the restored mask now admits.
-		p.handlerDepth--
 		k.CPU.ChargeSigreturn()
 		if prevRunning != p && !prevRunning.Terminated {
 			k.ProcSwitches++
@@ -330,10 +321,6 @@ func (p *Process) PendingSet() Sigset {
 	}
 	return s
 }
-
-// HandlerDepth reports how many handler frames are live (tests use it to
-// check the bounded-stack-growth property).
-func (p *Process) HandlerDepth() int { return p.handlerDepth }
 
 // defaultAction performs the signal's default UNIX action.
 func (k *Kernel) defaultAction(p *Process, sig Signal) {

@@ -15,9 +15,11 @@
 //
 // Because the Go runtime owns real machine context switching and signal
 // delivery, the library runs its threads on a simulated uniprocessor:
-// every thread is a goroutine, but a strict baton-passing discipline
-// keeps exactly one runnable at any instant, and a virtual clock with a
-// SPARC-calibrated cost model accounts the latency of every operation.
+// a running or inline-blocked thread borrows a goroutine from a pool of
+// runners (the analogue of the paper's pre-allocated stacks), a strict
+// baton-passing discipline keeps exactly one runnable at any instant,
+// and a virtual clock with a SPARC-calibrated cost model accounts the
+// latency of every operation.
 // Programs model their computation with Compute and their I/O with Sleep
 // and AioRead; everything else — scheduling, synchronization, signals —
 // behaves and costs as it did in the paper's implementation.

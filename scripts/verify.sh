@@ -131,7 +131,7 @@ awk '
 # holding at 200k residents. On top of that, a bytes/resident tripwire:
 # a parked thread is a TCB + continuation frame + simulated stack +
 # wait-queue slot, which must stay within 1 KiB of host heap. It is
-# about 900 B with the 552 B TCB, so a TCB that grows back to carry the
+# about 875 B with the 536 B TCB, so a TCB that grows back to carry the
 # signal table inline (792 B, about 1,140 B per resident) trips it.
 go run ./cmd/ptbench -c1m -c1mthreads 200000 -c1mout "" > "$t/c1m.txt"
 cat "$t/c1m.txt"
