@@ -12,8 +12,8 @@ func (s *System) CleanupPush(fn func(arg any), arg any) error {
 	if fn == nil {
 		return EINVAL.Or()
 	}
-	t := s.current
-	t.cleanup = append(t.cleanup, cleanupRec{fn: fn, arg: arg})
+	c := s.current.coldState()
+	c.cleanup = append(c.cleanup, cleanupRec{fn: fn, arg: arg})
 	s.cpu.ChargeInstr(10)
 	return nil
 }
@@ -25,13 +25,14 @@ func (s *System) CleanupPush(fn func(arg any), arg any) error {
 // checked error instead).
 func (s *System) CleanupPop(execute bool) error {
 	t := s.current
-	n := len(t.cleanup)
+	n := t.cleanupDepth()
 	if n == 0 {
 		t.errno = EINVAL
 		return EINVAL.Or()
 	}
-	rec := t.cleanup[n-1]
-	t.cleanup = t.cleanup[:n-1]
+	c := t.cold
+	rec := c.cleanup[n-1]
+	c.cleanup = c.cleanup[:n-1]
 	s.cpu.ChargeInstr(10)
 	if execute {
 		rec.fn(rec.arg)
@@ -40,4 +41,12 @@ func (s *System) CleanupPop(execute bool) error {
 }
 
 // CleanupDepth reports the number of pushed cleanup handlers (tests).
-func (s *System) CleanupDepth() int { return len(s.current.cleanup) }
+func (s *System) CleanupDepth() int { return s.current.cleanupDepth() }
+
+// cleanupDepth counts the thread's pushed cleanup handlers.
+func (t *Thread) cleanupDepth() int {
+	if t.cold == nil {
+		return 0
+	}
+	return len(t.cold.cleanup)
+}

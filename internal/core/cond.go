@@ -10,11 +10,10 @@ import (
 // handler interrupting the wait terminates it, exactly as in the paper),
 // waiters must re-evaluate their predicate in a loop.
 type Cond struct {
-	s        *System
-	name     string
-	waitName string // "cond <name>", precomputed so waiting does not allocate
-	waiters  waitList
-	mutex    *Mutex // the associated mutex while waiters are present
+	s       *System
+	name    string
+	waiters waitList
+	mutex   *Mutex // the associated mutex while waiters are present
 
 	// Counters for the harness.
 	Signals    int64
@@ -33,7 +32,7 @@ func (s *System) NewCond(name string) *Cond {
 	if name == "" {
 		name = "cond"
 	}
-	return &Cond{s: s, name: name, waitName: "cond " + name}
+	return &Cond{s: s, name: name}
 }
 
 // Name returns the condition variable's label.
@@ -101,7 +100,6 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 		s.cpu.ChargeInstr(instrCondEnqueue)
 		c.mutex = m
 		t.waitingCond = c
-		t.condMutex = m
 		t.wake = wakeNone
 		s.traceObj(EvCond, t, c.name, "wait", "")
 		if s.metrics != nil {
@@ -119,9 +117,9 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 		// it held through m ends there.
 		t.disown(m)
 		s.releaseLocked(m, "for condition wait")
-		c.waiters.push(t, t.prio)
+		c.waiters.push(t, int(t.prio))
 		w.phase = 1
-		if s.block(w.declared, BlockCond, c.waitName) {
+		if s.block(w.declared, verbCond) {
 			return true
 		}
 	}
@@ -129,7 +127,6 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 	// Woken. Every path below ends with the mutex held.
 	s.cpu.ChargeInstr(instrCondResume)
 	t.waitingCond = nil
-	t.condMutex = nil
 	if t.waitTimer != 0 {
 		s.kern.DisarmInternal(t.waitTimer)
 		t.waitTimer = 0
@@ -243,11 +240,10 @@ func (c *Cond) wakeOneLocked() {
 	w.wake = wakeCondSignal
 	w.waitingMutex = m
 	if m.protocol == ProtocolInherit {
-		s.boostOwnerChain(m, w.prio)
+		s.boostOwnerChain(m, int(w.prio))
 	}
-	w.blockReason = BlockMutex
-	w.waitingFor = m.waitName
-	m.waiters.push(w, w.prio)
+	w.verb = verbMutex
+	m.waiters.push(w, int(w.prio))
 	s.traceObj(EvMutex, w, m.name, "block", "reacquire after signal")
 	if s.metrics != nil {
 		// The reason changed while the state stayed Blocked: report the

@@ -126,9 +126,9 @@ func (k *Cont) Join(t *Thread, then ContFunc) {
 
 // FDOp declares a blocking-jacket descriptor operation
 // (System.FDBlockingOp); then runs with k.Err as the jacket result.
-func (k *Cont) FDOp(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, op FDOp, then ContFunc) {
+func (k *Cont) FDOp(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, op FDOp, then ContFunc) {
 	w := k.declare((*System).fdOp, then)
-	w.fd, w.dir, w.what, w.d, w.fdop = fd, dir, what, timeout, op
+	w.fd, w.verb, w.d, w.fdop = fd, verb, timeout, op
 }
 
 // contSteps drives the step machine: run the pending declared operation

@@ -729,36 +729,41 @@ func TestLockstepCancelAtCondWait(t *testing.T) {
 }
 
 // TestContFrameSize pins the per-resident cost of a parked
-// continuation's resume descriptor: a million residents pay it each.
+// continuation's resume descriptor: a million residents pay it each. The
+// frame holds no wait label, only the descriptor verb.
 func TestContFrameSize(t *testing.T) {
-	if n := unsafe.Sizeof(Cont{}); n > 240 {
-		t.Errorf("Cont is %d bytes, want at most 240", n)
+	if n := unsafe.Sizeof(Cont{}); n > 208 {
+		t.Errorf("Cont is %d bytes, want at most 208", n)
 	}
 }
 
 // TestThreadSize pins the TCB, the other per-resident cost: the
-// pending-signal table is a pointer allocated on first use, the
-// wait-list links live in the TCB instead of a per-object queue, and
-// the execution context is a borrowed runner, not a channel. The bound
-// is the TCB's size exactly, so a field order that adds 8 B of padding
-// fails it.
+// scheduling state is packed into bytes, the wait label is a one-byte
+// verb, the state a parked thread never touches (fake calls, sigwait,
+// cleanup, TSD, the ceiling stack, AIO) and the pending-signal table
+// are pointers allocated on first use, the wait-list and held-mutex
+// lists are threaded through the TCBs and mutexes, and the execution
+// context is a borrowed runner, not a channel. The bound is the TCB's
+// size exactly, so a field order that adds 8 B of padding fails it.
 func TestThreadSize(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 536 {
-		t.Errorf("Thread is %d bytes, want at most 536", n)
+	if n := unsafe.Sizeof(Thread{}); n > 280 {
+		t.Errorf("Thread is %d bytes, want at most 280", n)
 	}
 }
 
 // TestMutexSize and TestCondSize pin the synchronization objects at a
-// list head: their wait queues are threaded through the waiters' TCBs.
+// list head plus, for the mutex, its link in the owner's held list:
+// their wait queues are threaded through the waiters' TCBs, and their
+// wait labels are rendered from their names only when read.
 func TestMutexSize(t *testing.T) {
-	if n := unsafe.Sizeof(Mutex{}); n > 136 {
-		t.Errorf("Mutex is %d bytes, want at most 136", n)
+	if n := unsafe.Sizeof(Mutex{}); n > 128 {
+		t.Errorf("Mutex is %d bytes, want at most 128", n)
 	}
 }
 
 func TestCondSize(t *testing.T) {
-	if n := unsafe.Sizeof(Cond{}); n > 88 {
-		t.Errorf("Cond is %d bytes, want at most 88", n)
+	if n := unsafe.Sizeof(Cond{}); n > 72 {
+		t.Errorf("Cond is %d bytes, want at most 72", n)
 	}
 }
 

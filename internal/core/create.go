@@ -33,7 +33,7 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 		return nil, EINVAL.Or()
 	}
 	if attr.InheritSched && s.current != nil {
-		attr.Priority = s.current.basePrio
+		attr.Priority = int(s.current.basePrio)
 		attr.Policy = s.current.policy
 	}
 	if attr.Priority == 0 && attr.StackSize == 0 && !sched.ValidPrio(attr.Priority) {
@@ -75,7 +75,7 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 		// host stack is deferred too — allocTCB skips it for lazy threads
 		// and ensureStack materializes it at first activation.
 		t.state = StateNew
-		t.waitingFor = "activation"
+		t.verb = verbActivation
 		s.mState(t)
 	} else {
 		s.activateLocked(t)
@@ -89,7 +89,7 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 func (s *System) activateLocked(t *Thread) {
 	s.ensureStack(t)
 	t.state = StateBlocked // transitional: makeReady validates from Blocked
-	t.blockReason = BlockNone
+	t.verb = verbNone
 	s.makeReady(t, false)
 }
 
@@ -159,7 +159,7 @@ func (s *System) joinOp(w *waitOp) (parked bool) {
 			t.joiners.push(cur, joinLevel)
 			cur.wake = wakeNone
 			w.phase = 1
-			if s.block(w.declared, BlockJoin, "join "+t.String()) {
+			if s.block(w.declared, verbJoin) {
 				return true
 			}
 		}
@@ -227,7 +227,7 @@ func (s *System) Once(o *OnceControl, fn func()) error {
 			t := s.current
 			o.waiters = append(o.waiters, t)
 			t.wake = wakeNone
-			s.block(false, BlockSuspend, "once")
+			s.block(false, verbOnce)
 			continue // re-check state
 		case 0:
 			o.state = 1

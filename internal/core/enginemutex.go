@@ -118,7 +118,7 @@ func (s *System) engineLock(m *Mutex) {
 	}
 	m.owner = t
 	m.ownerWord.Store(int64(t.id))
-	t.owned = append(t.owned, m)
+	t.own(m)
 	if s.tracer != nil {
 		s.traceObj(EvMutex, t, m.name, "lock", "")
 	}
@@ -140,7 +140,7 @@ func (s *System) engineTryLock(m *Mutex) bool {
 	}
 	m.owner = t
 	m.ownerWord.Store(int64(t.id))
-	t.owned = append(t.owned, m)
+	t.own(m)
 	if s.tracer != nil {
 		s.traceObj(EvMutex, t, m.name, "lock", "trylock")
 	}

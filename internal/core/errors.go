@@ -17,7 +17,7 @@ import "fmt"
 // Errno is a POSIX error number as returned by the Pthreads interface.
 // The zero value means success; Errno implements error for non-zero
 // values.
-type Errno int
+type Errno int16
 
 // The error numbers the interface can return.
 const (

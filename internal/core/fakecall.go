@@ -58,7 +58,8 @@ func (s *System) pushFakeCall(t *Thread, f *fakeFrame) {
 		s.finish(fmt.Errorf("stack overflow installing fake call for %v on %v: %w", f.sig, t, err), nil)
 		panic(killPanic{})
 	}
-	t.fakeStack = append(t.fakeStack, f)
+	c := t.coldState()
+	c.fakeStack = append(c.fakeStack, f)
 
 	switch t.state {
 	case StateRunning, StateReady:
@@ -68,11 +69,13 @@ func (s *System) pushFakeCall(t *Thread, f *fakeFrame) {
 		// Lazy thread: delivery of a handled signal activates it.
 		s.activateLocked(t)
 	case StateBlocked:
-		switch t.blockReason {
+		switch t.blockReason() {
 		case BlockCond:
 			// "If the user handler interrupted a conditional wait, the
 			// mutex is reacquired and the conditional wait terminated."
-			f.reacquire = t.condMutex
+			// While the thread waits, the condition variable stays
+			// associated with the wait's mutex.
+			f.reacquire = t.waitingCond.mutex
 			s.endWait(t, wakeInterrupt)
 		case BlockSleep, BlockSigwait, BlockFD:
 			// A blocking jacket call (BlockFD) returns EINTR, like a
@@ -98,9 +101,13 @@ func (s *System) drainFakeCalls() {
 		panic("core: drainFakeCalls inside kernel")
 	}
 	t := s.current
-	for len(t.fakeStack) > 0 && !s.finished {
-		f := t.fakeStack[len(t.fakeStack)-1]
-		t.fakeStack = t.fakeStack[:len(t.fakeStack)-1]
+	c := t.cold
+	if c == nil {
+		return
+	}
+	for len(c.fakeStack) > 0 && !s.finished {
+		f := c.fakeStack[len(c.fakeStack)-1]
+		c.fakeStack = c.fakeStack[:len(c.fakeStack)-1]
 		s.runFakeCall(t, f)
 	}
 }
@@ -173,4 +180,4 @@ func (s *System) runFakeCall(t *Thread, f *fakeFrame) {
 
 // PendingFakeCalls reports how many fake-call frames are installed on a
 // thread (tests and diagnostics).
-func (s *System) PendingFakeCalls(t *Thread) int { return len(t.fakeStack) }
+func (s *System) PendingFakeCalls(t *Thread) int { return t.fakeCalls() }

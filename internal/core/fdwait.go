@@ -120,8 +120,9 @@ func (s *System) fdLabel(fd unixkern.FD, dir FDDir) string {
 
 // FDBlockingCall is the jacket primitive: it runs attempt inside the
 // library kernel and, while the operation would block, suspends the
-// calling thread on the (fd, dir) wait queue until a SIGIO completion
-// designates it. attempt reports done=true when the operation completed
+// calling thread on the wait queue of fd in the verb's direction until a
+// SIGIO completion designates it. The verb also labels the wait (see
+// FDVerb). attempt reports done=true when the operation completed
 // (the call returns nil) and more=true when residual readiness remains —
 // the next waiter is then designated immediately, so a single completion
 // carrying several units of readiness (a burst of data, several queued
@@ -134,9 +135,9 @@ func (s *System) fdLabel(fd unixkern.FD, dir FDDir) string {
 // a handled signal delivered to the blocked thread interrupts it (EINTR,
 // after the handler ran); cancellation terminates it as an interruption
 // point.
-func (s *System) FDBlockingCall(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, attempt func() (done, more bool)) error {
+func (s *System) FDBlockingCall(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, attempt func() (done, more bool)) error {
 	var w waitOp
-	w.fd, w.dir, w.what, w.d = fd, dir, what, timeout
+	w.fd, w.verb, w.d = fd, verb, timeout
 	s.fdWait(&w, attempt)
 	return w.Err
 }
@@ -151,9 +152,9 @@ type FDOp interface {
 // FDBlockingOp is FDBlockingCall for pooled operation structs. The jacket
 // layer (internal/io) keeps a free list of these, so a steady-state
 // read/write loop allocates nothing.
-func (s *System) FDBlockingOp(fd unixkern.FD, dir FDDir, what string, timeout vtime.Duration, op FDOp) error {
+func (s *System) FDBlockingOp(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, op FDOp) error {
 	var w waitOp
-	w.fd, w.dir, w.what, w.d, w.fdop = fd, dir, what, timeout, op
+	w.fd, w.verb, w.d, w.fdop = fd, verb, timeout, op
 	s.fdWait(&w, nil)
 	return w.Err
 }
@@ -168,7 +169,7 @@ func (s *System) fdOp(w *waitOp) (parked bool) { return s.fdWait(w, nil) }
 // of the frame, so the closures FDBlockingCall is handed do not escape.
 func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked bool) {
 	t := s.current
-	fd, dir := w.fd, w.dir
+	fd, dir := w.fd, w.verb.Dir()
 	if w.phase == 0 {
 		s.TestCancel()
 		if w.d > 0 {
@@ -203,7 +204,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 				// ran (fake call) and the jacket call reports EINTR.
 				s.stats.FDEINTRs++
 				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", w.what)
+					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", s.fdWaitLabel(fd, w.verb))
 				}
 				w.Err = EINTR.Or()
 				return false
@@ -240,7 +241,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 			if rem <= 0 {
 				s.stats.FDTimeouts++
 				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", w.what)
+					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", s.fdWaitLabel(fd, w.verb))
 				}
 				s.leaveKernel()
 				w.Err = ETIMEDOUT.Or()
@@ -253,12 +254,12 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 		t.wake = wakeNone
 		s.stats.FDWaits++
 		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", w.what)
+			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", s.fdWaitLabel(fd, w.verb))
 		}
 		w.blockedAt = s.clock.Now()
 		s.fdBlockedNow++
 		w.phase = 1
-		if s.block(w.declared, BlockFD, w.what) {
+		if s.block(w.declared, verbFD+waitVerb(w.verb)) {
 			return true
 		}
 	}
@@ -269,8 +270,8 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 func (s *System) fdEnqueue(fd unixkern.FD, dir FDDir, t *Thread) {
 	l := s.fdListEnsure(fd, dir)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
-	l.push(t, t.prio)
-	t.waitFD, t.waitFDDir = fd, dir
+	l.push(t, int(t.prio))
+	t.waitFD = fd
 	if d := int64(l.depth); d > s.stats.FDMaxWaitDepth {
 		s.stats.FDMaxWaitDepth = d
 	}

@@ -74,7 +74,7 @@ func (s *System) fdFreshParkers(n int, gate *fdGate, step vtime.Duration) (fds [
 	var rows fdGate
 	var rowThs []*Thread
 	for _, fd := range fds[n:] {
-		th, err := s.CreateCont(attr, func(k *Cont) { k.FDOp(fd, FDRead, "rows", 0, &rows, nil) }, nil)
+		th, err := s.CreateCont(attr, func(k *Cont) { k.FDOp(fd, VerbRead, 0, &rows, nil) }, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -90,7 +90,7 @@ func (s *System) fdFreshParkers(n int, gate *fdGate, step vtime.Duration) (fds [
 
 	// One pair of steps for all threads, indexed by Arg, so no per-thread
 	// closure is freed while the callers measure the heap.
-	park := func(k *Cont) { k.FDOp(fds[k.Arg.(int)], FDRead, "fresh", 0, gate, nil) }
+	park := func(k *Cont) { k.FDOp(fds[k.Arg.(int)], VerbRead, 0, gate, nil) }
 	sleep := func(k *Cont) {
 		k.Sleep(start.Add(vtime.Duration(k.Arg.(int))*step).Sub(s.Now()), park)
 	}

@@ -36,7 +36,7 @@ func (s *System) fdParkWorker(t *testing.T, fd unixkern.FD, idx, prio int, box *
 			}
 			return false, false
 		}
-		if err := s.FDBlockingCall(fd, FDRead, "requeue", 0, attempt); err != nil {
+		if err := s.FDBlockingCall(fd, VerbRead, 0, attempt); err != nil {
 			t.Errorf("worker %d: %v", idx, err)
 		}
 		return nil
@@ -258,7 +258,7 @@ func TestFDWaitRequeueThenTimeout(t *testing.T) {
 		attr := DefaultAttr()
 		attr.Priority = 18
 		timed, err := s.Create(attr, func(any) any {
-			timedErr = s.FDBlockingCall(fd, FDRead, "timed", 10*vtime.Millisecond,
+			timedErr = s.FDBlockingCall(fd, VerbRead, 10*vtime.Millisecond,
 				func() (bool, bool) { return false, false })
 			return nil
 		}, nil)

@@ -66,7 +66,7 @@ func TestFDWaitScaleMixedWaiters(t *testing.T) {
 					return false, false
 				}
 				for r := 0; r < perFD; r++ {
-					if err := s.FDBlockingCall(fd, FDRead, "scale", 0, attempt); err != nil {
+					if err := s.FDBlockingCall(fd, VerbRead, 0, attempt); err != nil {
 						panic(err)
 					}
 				}
@@ -86,7 +86,7 @@ func TestFDWaitScaleMixedWaiters(t *testing.T) {
 			th, err := s.Create(DefaultAttr(), func(any) any {
 				attempt := func() (bool, bool) { return true, false }
 				for r := 0; r < warmup+rounds; r++ {
-					if err := s.FDBlockingCall(pollFD, FDRead, "poll", 0, attempt); err != nil {
+					if err := s.FDBlockingCall(pollFD, VerbRead, 0, attempt); err != nil {
 						panic(err)
 					}
 					polls++
@@ -226,7 +226,7 @@ func TestFDWaitScale100K(t *testing.T) {
 					return false, false
 				}
 				for r := 0; r < perFD; r++ {
-					if err := s.FDBlockingCall(fd, FDRead, "scale", 0, attempt); err != nil {
+					if err := s.FDBlockingCall(fd, VerbRead, 0, attempt); err != nil {
 						panic(err)
 					}
 				}
@@ -244,7 +244,7 @@ func TestFDWaitScale100K(t *testing.T) {
 			th, err := s.Create(DefaultAttr(), func(any) any {
 				attempt := func() (bool, bool) { return true, false }
 				for r := 0; r < warmup+rounds; r++ {
-					if err := s.FDBlockingCall(pollFD, FDRead, "poll", 0, attempt); err != nil {
+					if err := s.FDBlockingCall(pollFD, VerbRead, 0, attempt); err != nil {
 						panic(err)
 					}
 					polls++
@@ -351,7 +351,7 @@ func TestFDWaitPriorityOrderAcrossShards(t *testing.T) {
 				attr := DefaultAttr()
 				attr.Priority = prio
 				th, err := s.Create(attr, func(any) any {
-					err := s.FDBlockingCall(fd, FDRead, "shardorder", 0, func() (bool, bool) {
+					err := s.FDBlockingCall(fd, VerbRead, 0, func() (bool, bool) {
 						if tokens[fd] > 0 {
 							tokens[fd]--
 							return true, tokens[fd] > 0
@@ -428,7 +428,7 @@ func TestFDWaitPriorityOrder(t *testing.T) {
 			attr := DefaultAttr()
 			attr.Priority = prio
 			th, err := s.Create(attr, func(any) any {
-				err := s.FDBlockingCall(fd, FDRead, "order", 0, func() (bool, bool) {
+				err := s.FDBlockingCall(fd, VerbRead, 0, func() (bool, bool) {
 					if tokens > 0 {
 						tokens--
 						return true, tokens > 0

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pthreads/internal/unixkern"
@@ -16,8 +17,9 @@ import (
 // reads shared state without entering the kernel and without charging
 // virtual cost: System.Sigmask, System.Stats, System.Errno, System.Now,
 // Cond.Waiters, Mutex.Owner/Name/Protocol/Ceiling, Thread.State/
-// Priority/BasePriority/Name/Detached, Inspect, DumpThreads. All are safe
-// under the monolithic-monitor discipline for the same two reasons:
+// Priority/BasePriority/Name/Detached/FDWait, Inspect, DumpThreads. All
+// are safe under the monolithic-monitor discipline for the same two
+// reasons:
 // (1) baton passing — exactly one runner goroutine executes at any
 // instant, and it only reaches user code with the kernel flag clear, so
 // no kernel section (the only writer of this state) is ever in progress
@@ -64,10 +66,10 @@ func (s *System) Inspect(t *Thread) (ThreadInfo, error) {
 		ID:           t.id,
 		Name:         t.name,
 		State:        t.state,
-		BlockReason:  t.blockReason,
-		WaitingFor:   t.waitingFor,
-		Priority:     t.prio,
-		BasePriority: t.basePrio,
+		BlockReason:  t.blockReason(),
+		WaitingFor:   s.waitLabel(t),
+		Priority:     int(t.prio),
+		BasePriority: int(t.basePrio),
 		Policy:       t.policy,
 		Detached:     t.detached,
 		CancelState:  t.cancelState,
@@ -75,14 +77,16 @@ func (s *System) Inspect(t *Thread) (ThreadInfo, error) {
 		SigMask:      t.sigMask,
 		SigPending:   s.ThreadPendingSet(t),
 		Errno:        t.errno,
-		FakeCalls:    len(t.fakeStack),
-		CleanupDepth: len(t.cleanup),
+		FakeCalls:    t.fakeCalls(),
+		CleanupDepth: t.cleanupDepth(),
 		Dispatches:   t.Dispatches,
 		SignalsTaken: t.SigsTaken,
 	}
-	for _, m := range t.owned {
+	// The held list runs most recent first; report acquisition order.
+	for m := t.owned; m != nil; m = m.ownedNext {
 		info.HeldMutexes = append(info.HeldMutexes, m.name)
 	}
+	slices.Reverse(info.HeldMutexes)
 	if t.stack != nil {
 		info.StackSize = t.stack.Size
 		info.StackUsedMax = t.stack.HighWater

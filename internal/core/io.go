@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
@@ -35,14 +33,15 @@ func (s *System) sleepOp(w *waitOp) (parked bool) {
 		s.enterKernel()
 		t.waitTimer = s.kern.SetTimer(s.proc, sigalrm, w.d, t, false)
 		t.wake = wakeNone
-		// The duration-carrying label is only rendered for traces; the
-		// plain label keeps an untraced sleep storm allocation-free.
-		what := "sleep"
+		// A traced sleep's label carries its duration ("sleep 5ms"); an
+		// untraced one is "sleep", so an untraced sleep storm never
+		// touches the cold record. The tracer is fixed for the system's
+		// life.
 		if s.tracer != nil {
-			what = fmt.Sprintf("sleep %v", w.d)
+			t.coldState().sleepFor = w.d
 		}
 		w.phase = 1
-		if s.block(w.declared, BlockSleep, what) {
+		if s.block(w.declared, verbSleep) {
 			return true
 		}
 	}
@@ -74,13 +73,14 @@ func (s *System) AioRead(latency vtime.Duration, bytes int) (int, error) {
 	t := s.current
 
 	s.enterKernel()
-	t.aioID = s.kern.Aio(s.proc, latency, bytes, t)
+	c := t.coldState()
+	c.aioID = s.kern.Aio(s.proc, latency, bytes, t)
 	t.wake = wakeNone
-	s.block(false, BlockIO, "aio read")
+	s.block(false, verbAio)
 
 	switch t.wake {
 	case wakeIO:
-		n, ok := s.kern.AioResult(t.aioID)
+		n, ok := s.kern.AioResult(c.aioID)
 		if !ok {
 			return 0, EINVAL.Or()
 		}
@@ -130,14 +130,15 @@ func (dv *Device) Transfer(bytes int) (int, error) {
 	t := s.current
 
 	s.enterKernel()
-	id, _ := s.kern.AioDevice(dv.d, s.proc, bytes, t)
-	t.aioID = id
+	c := t.coldState()
+	c.aioID, _ = s.kern.AioDevice(dv.d, s.proc, bytes, t)
+	c.device = dv.d
 	t.wake = wakeNone
-	s.block(false, BlockIO, "device "+dv.d.Name)
+	s.block(false, verbDevice)
 
 	switch t.wake {
 	case wakeIO:
-		n, ok := s.kern.AioResult(t.aioID)
+		n, ok := s.kern.AioResult(c.aioID)
 		if !ok {
 			return 0, EINVAL.Or()
 		}

@@ -133,7 +133,7 @@ func (s *System) dispatch() {
 					s.forcedNext = next
 					s.forcedPrio = s.lastPickPrio
 				} else {
-					s.ready.EnqueueHead(next, next.prio)
+					s.ready.EnqueueHead(next, int(next.prio))
 				}
 			}
 			continue
@@ -226,7 +226,7 @@ func (s *System) selectNext() *Thread {
 
 	_, topPrio, ok := s.ready.PeekMax()
 	if cur != nil && cur.state == StateRunning {
-		if !ok || topPrio <= cur.prio {
+		if !ok || topPrio <= int(cur.prio) {
 			return cur
 		}
 		// Preemption: the current thread goes to the *head* of its
@@ -234,7 +234,7 @@ func (s *System) selectNext() *Thread {
 		s.stats.Preemptions++
 		cur.state = StateReady
 		s.cpu.ChargeInstr(instrReadyQueueOp)
-		s.ready.EnqueueHead(cur, cur.prio)
+		s.ready.EnqueueHead(cur, int(cur.prio))
 		s.trace(EvState, cur, "ready", "preempted")
 		s.mState(cur)
 	}
@@ -370,13 +370,12 @@ func (s *System) makeReady(t *Thread, atHead bool) {
 		panic(fmt.Sprintf("core: makeReady(%v) in state %v", t, t.state))
 	}
 	t.state = StateReady
-	t.blockReason = BlockNone
-	t.waitingFor = ""
+	t.verb = verbNone
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	if atHead {
-		s.ready.EnqueueHead(t, t.prio)
+		s.ready.EnqueueHead(t, int(t.prio))
 	} else {
-		s.ready.Enqueue(t, t.prio)
+		s.ready.Enqueue(t, int(t.prio))
 	}
 	s.dispatcherFlag = true
 	s.trace(EvState, t, "ready", "")
@@ -402,11 +401,10 @@ type waitOp struct {
 	timed    bool  // condWait: TimedWait(d) rather than Wait
 
 	// Operands.
-	dir       FDDir
+	verb      FDVerb // fdWait: what the jacket call does, and its direction
 	d         vtime.Duration
 	deadline  vtime.Time
 	blockedAt vtime.Time
-	what      string
 	fdop      FDOp
 	mu        *Mutex
 	cv        *Cond
@@ -431,15 +429,17 @@ func (w *waitOp) fail(t *Thread, e Errno) (parked bool) {
 }
 
 // block marks the current thread blocked at a blocking operation's park
-// point and hands the processor over (see leave). Must be called inside
-// the kernel.
-func (s *System) block(declared bool, reason BlockReason, what string) (parked bool) {
+// point, doing verb, and hands the processor over (see leave). The
+// caller has already recorded the object of the wait. Must be called
+// inside the kernel.
+func (s *System) block(declared bool, verb waitVerb) (parked bool) {
 	t := s.current
 	t.state = StateBlocked
-	t.blockReason = reason
-	t.waitingFor = what
+	t.verb = verb
 	s.cancelSliceTimer()
-	s.trace(EvState, t, "blocked", what)
+	if s.tracer != nil {
+		s.trace(EvState, t, "blocked", s.waitLabel(t))
+	}
 	s.mState(t)
 	s.dispatcherFlag = true
 	return s.leave(declared)
@@ -483,19 +483,19 @@ func (s *System) leave(declared bool) (parked bool) {
 // whatever queue it occupies. atHead controls ready-queue placement at the
 // new level.
 func (s *System) setPriority(t *Thread, newPrio int, atHead bool) {
-	if t.prio == newPrio {
+	if int(t.prio) == newPrio {
 		return
 	}
-	old := t.prio
+	old := int(t.prio)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	switch t.state {
 	case StateReady:
-		if !s.ready.Remove(t, t.prio) {
+		if !s.ready.Remove(t, int(t.prio)) {
 			// Perverted policies may have queued the thread at a level
 			// other than its priority.
 			s.ready.RemoveAny(t)
 		}
-		t.prio = newPrio
+		t.prio = int8(newPrio)
 		if atHead {
 			s.ready.EnqueueHead(t, newPrio)
 		} else {
@@ -503,18 +503,18 @@ func (s *System) setPriority(t *Thread, newPrio int, atHead bool) {
 		}
 		s.dispatcherFlag = true
 	case StateRunning:
-		t.prio = newPrio
+		t.prio = int8(newPrio)
 		// Lowering the running thread may let a ready thread preempt.
 		s.dispatcherFlag = true
 	case StateBlocked:
-		t.prio = newPrio
+		t.prio = int8(newPrio)
 		// Joiners keep their fixed level: they all wake at once.
-		if l := s.waitListOf(t); l != nil && t.blockReason != BlockJoin {
+		if l := s.waitListOf(t); l != nil && t.blockReason() != BlockJoin {
 			l.unlink(t)
 			l.push(t, newPrio)
 		}
 	default:
-		t.prio = newPrio
+		t.prio = int8(newPrio)
 	}
 	if s.tracer != nil {
 		// Formatting stays behind the tracer check: the interned names
@@ -575,7 +575,7 @@ func (s *System) yieldOp(w *waitOp) (parked bool) {
 	t := s.current
 	t.state = StateReady
 	s.cpu.ChargeInstr(instrReadyQueueOp)
-	s.ready.Enqueue(t, t.prio)
+	s.ready.Enqueue(t, int(t.prio))
 	s.trace(EvState, t, "ready", "yield")
 	s.mState(t)
 	s.dispatcherFlag = true
@@ -624,11 +624,11 @@ func (s *System) SetSchedParam(t *Thread, policy Policy, prio int) error {
 	}
 	s.enterKernel()
 	t.policy = policy
-	boost := t.prio - t.basePrio
+	boost := int(t.prio) - int(t.basePrio)
 	if boost < 0 {
 		boost = 0
 	}
-	t.basePrio = prio
+	t.basePrio = int8(prio)
 	s.setPriority(t, prio+boost, false)
 	s.leaveKernel()
 	return nil
@@ -639,7 +639,7 @@ func (s *System) GetSchedParam(t *Thread) (Policy, int, error) {
 	if err := s.checkThread(t); err != OK {
 		return 0, 0, err.Or()
 	}
-	return t.policy, t.basePrio, nil
+	return t.policy, int(t.basePrio), nil
 }
 
 func validPrioPolicy(prio int, policy Policy) bool {

@@ -11,7 +11,8 @@ import "fmt"
 //   - a parked continuation holds no runner;
 //   - a thread is in the ready queue if and only if it is Ready, and at
 //     most once;
-//   - every mutex a thread lists as owned has it as owner, listed once;
+//   - every mutex on a thread's held list has it as owner, and no
+//     mutex is on a held list twice;
 //   - liveCnt counts the roster threads that are not Terminated;
 //   - Stats.ContParked counts the parked continuations on the roster.
 //
@@ -32,6 +33,7 @@ func checkKernel(s *System) error {
 		idle[r] = true
 	}
 	boundTo := make(map[*runner]*Thread)
+	listed := make(map[*Mutex]bool)
 	live, parked := 0, int64(0)
 	for _, th := range s.all {
 		if th == nil {
@@ -58,15 +60,15 @@ func checkKernel(s *System) error {
 			return fmt.Errorf("%v is %v and queued %d times on the ready queue", th, th.state, n)
 		}
 		delete(queued, th)
-		for i, m := range th.owned {
+		for m := th.owned; m != nil; m = m.ownedNext {
 			if m.owner != th {
 				return fmt.Errorf("%v lists mutex %s, owned by %v", th, m.name, m.owner)
 			}
-			for _, x := range th.owned[i+1:] {
-				if x == m {
-					return fmt.Errorf("%v lists mutex %s twice", th, m.name)
-				}
+			if listed[m] {
+				// Also what a cycle in the list looks like.
+				return fmt.Errorf("mutex %s is listed twice", m.name)
 			}
+			listed[m] = true
 		}
 		if th.state != StateTerminated {
 			live++

@@ -67,6 +67,6 @@ type MetricsSink interface {
 // mState reports t's (already updated) state to the metrics sink.
 func (s *System) mState(t *Thread) {
 	if s.metrics != nil {
-		s.metrics.ThreadState(s.clock.Now(), t, t.state, t.blockReason)
+		s.metrics.ThreadState(s.clock.Now(), t, t.state, t.blockReason())
 	}
 }

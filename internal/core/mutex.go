@@ -66,7 +66,6 @@ type MutexAttr struct {
 type Mutex struct {
 	s         *System
 	name      string
-	waitName  string // "mutex <name>", precomputed so blocking does not allocate
 	protocol  Protocol
 	ceiling   int
 	primitive hw.LockPrimitive
@@ -75,6 +74,8 @@ type Mutex struct {
 	ownerWord hw.Word
 	owner     *Thread
 	waiters   waitList
+	// ownedNext links the mutexes the owner holds (Thread.owned).
+	ownedNext *Mutex
 
 	// eng, when non-nil, replaces the native lock path with a lockeng
 	// protocol; engCtxs holds each thread's per-lock engine context.
@@ -109,7 +110,7 @@ func (s *System) NewMutex(attr MutexAttr) (*Mutex, error) {
 	if name == "" {
 		name = "mutex"
 	}
-	m := &Mutex{s: s, name: name, waitName: "mutex " + name, protocol: attr.Protocol, ceiling: attr.Ceiling, primitive: prim}
+	m := &Mutex{s: s, name: name, protocol: attr.Protocol, ceiling: attr.Ceiling, primitive: prim}
 	if attr.Engine != lockeng.KindNone {
 		if attr.Protocol != ProtocolNone {
 			// Spinning waiters never park, so there is nobody to boost:
@@ -260,11 +261,12 @@ func (s *System) acquireAtomic(m *Mutex, t *Thread) bool {
 // perverted policy. Only the ceiling protocol enters the kernel here;
 // the common no-protocol acquisition stays entirely in user mode.
 func (s *System) afterAcquire(m *Mutex, t *Thread) {
-	t.owned = append(t.owned, m)
+	t.own(m)
 	if m.protocol == ProtocolCeiling {
 		s.enterKernel()
-		t.ceilStack = append(t.ceilStack, t.prio)
-		if m.ceiling > t.prio {
+		c := t.coldState()
+		c.ceilStack = append(c.ceilStack, int(t.prio))
+		if m.ceiling > int(t.prio) {
 			s.setPriority(t, m.ceiling, true)
 		}
 		s.leaveKernel()
@@ -289,7 +291,7 @@ func (s *System) lockCheck(m *Mutex) Errno {
 	t := s.current
 	if m.owner == t {
 		t.errno = EDEADLK
-	} else if m.protocol == ProtocolCeiling && t.prio > m.ceiling {
+	} else if m.protocol == ProtocolCeiling && int(t.prio) > m.ceiling {
 		t.errno = EINVAL
 	} else {
 		return OK
@@ -371,13 +373,13 @@ func (s *System) lockSlow(w *waitOp) (parked bool) {
 			s.metrics.MutexContended(s.clock.Now(), t, m, m.owner)
 		}
 		if m.protocol == ProtocolInherit {
-			s.boostOwnerChain(m, t.prio)
+			s.boostOwnerChain(m, int(t.prio))
 		}
 		t.waitingMutex = m
-		m.waiters.push(t, t.prio)
+		m.waiters.push(t, int(t.prio))
 		t.wake = wakeNone
 		w.phase = 1
-		if s.block(w.declared, BlockMutex, m.waitName) {
+		if s.block(w.declared, verbMutex) {
 			return true
 		}
 	}
@@ -432,11 +434,19 @@ func (s *System) mutexUnlock(m *Mutex) {
 	s.leaveKernel()
 }
 
-// disown drops m from t's list of held mutexes.
+// own puts m at the head of t's list of held mutexes.
+func (t *Thread) own(m *Mutex) {
+	m.ownedNext = t.owned
+	t.owned = m
+}
+
+// disown drops m from t's list of held mutexes. A release is usually of
+// the most recent acquisition, at the head.
 func (t *Thread) disown(m *Mutex) {
-	for i, x := range t.owned {
-		if x == m {
-			t.owned = append(t.owned[:i], t.owned[i+1:]...)
+	for p := &t.owned; *p != nil; p = &(*p).ownedNext {
+		if *p == m {
+			*p = m.ownedNext
+			m.ownedNext = nil
 			return
 		}
 	}
@@ -454,24 +464,25 @@ func (s *System) releaseLocked(m *Mutex, detail string) {
 	case ProtocolInherit:
 		// "Linear search of locked mutexes" to find the remaining
 		// boost; reset places the thread at the head of its level.
-		if np := s.recomputePrio(t); np != t.prio {
+		if np := s.recomputePrio(t); np != int(t.prio) {
 			s.setPriority(t, np, true)
 		}
 	case ProtocolCeiling:
 		var saved int
-		if n := len(t.ceilStack); n > 0 {
-			saved = t.ceilStack[n-1]
-			t.ceilStack = t.ceilStack[:n-1]
+		if c := t.cold; c != nil && len(c.ceilStack) > 0 {
+			n := len(c.ceilStack)
+			saved = c.ceilStack[n-1]
+			c.ceilStack = c.ceilStack[:n-1]
 		} else {
-			saved = t.basePrio
+			saved = int(t.basePrio)
 		}
 		if s.cfg.MixedProtocolUnlock == MixLinearSearch {
 			// Safe mixing: recompute across every held mutex instead
 			// of trusting the stack (Table 4, column Pi).
-			if np := s.recomputePrio(t); np != t.prio {
+			if np := s.recomputePrio(t); np != int(t.prio) {
 				s.setPriority(t, np, true)
 			}
-		} else if saved != t.prio {
+		} else if saved != int(t.prio) {
 			// SRP proper: restore the pre-lock priority (Table 4,
 			// column Pc — diverges if an inheritance boost arrived in
 			// between).
@@ -499,13 +510,14 @@ func (s *System) grantLocked(m *Mutex, w *Thread) {
 	s.cpu.ChargeInstr(instrMutexGrant)
 	m.owner = w
 	m.ownerWord.Store(int64(w.id))
-	w.owned = append(w.owned, m)
+	w.own(m)
 	if m.protocol == ProtocolCeiling {
-		w.ceilStack = append(w.ceilStack, w.prio)
-		if m.ceiling > w.prio {
-			w.prio = m.ceiling
+		c := w.coldState()
+		c.ceilStack = append(c.ceilStack, int(w.prio))
+		if m.ceiling > int(w.prio) {
+			w.prio = int8(m.ceiling)
 			if s.tracer != nil {
-				s.trace(EvPrio, w, prioName(w.prio), "ceiling boost at grant")
+				s.trace(EvPrio, w, prioName(int(w.prio)), "ceiling boost at grant")
 			}
 		}
 	}
@@ -525,7 +537,7 @@ func (s *System) grantLocked(m *Mutex, w *Thread) {
 func (s *System) boostOwnerChain(m *Mutex, prio int) {
 	for m != nil {
 		o := m.owner
-		if o == nil || o.prio >= prio {
+		if o == nil || int(o.prio) >= prio {
 			return
 		}
 		s.setPriority(o, prio, true)
@@ -541,8 +553,8 @@ func (s *System) boostOwnerChain(m *Mutex, prio int) {
 // contending for inheritance mutexes it still holds, and the ceilings of
 // ceiling mutexes it still holds.
 func (s *System) recomputePrio(t *Thread) int {
-	p := t.basePrio
-	for _, m := range t.owned {
+	p := int(t.basePrio)
+	for m := t.owned; m != nil; m = m.ownedNext {
 		s.cpu.ChargeInstr(6)
 		switch m.protocol {
 		case ProtocolInherit:

@@ -108,7 +108,7 @@ func (s *System) pervertMutexSwitch() {
 	cur := s.current
 	if cur.state == StateRunning && !s.ready.Empty() {
 		cur.state = StateReady
-		s.ready.Enqueue(cur, cur.prio)
+		s.ready.Enqueue(cur, int(cur.prio))
 		s.dispatcherFlag = true
 		s.trace(EvState, cur, "ready", "perverted mutex switch")
 		s.mState(cur)

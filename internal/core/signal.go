@@ -19,7 +19,7 @@ const (
 )
 
 // wakeCause tells a thread resuming from a blocking call why it woke.
-type wakeCause int
+type wakeCause uint8
 
 const (
 	wakeNone wakeCause = iota
@@ -232,7 +232,7 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 	// rules and terminates the wait directly.
 	if tag, ok := info.Datum.(*timedWaitTag); ok && info.Cause == unixkern.CauseTimer {
 		t := tag.t
-		if t.state == StateBlocked && t.blockReason == BlockCond && t.waitingCond == tag.c {
+		if t.state == StateBlocked && t.blockReason() == BlockCond && t.waitingCond == tag.c {
 			t.waitTimer = 0 // fired; nothing to disarm
 			s.endWait(t, wakeTimeout)
 		}
@@ -246,7 +246,7 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 	// expiry likewise terminates the wait directly.
 	if tag, ok := info.Datum.(*fdWaitTag); ok && info.Cause == unixkern.CauseTimer {
 		t := tag.t
-		if t.state == StateBlocked && t.blockReason == BlockFD {
+		if t.state == StateBlocked && t.blockReason() == BlockFD {
 			t.waitTimer = 0 // fired; nothing to disarm
 			s.endWait(t, wakeTimeout)
 		}
@@ -353,7 +353,7 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 			if t.state == StateRunning && progressed {
 				t.state = StateReady
 				s.cpu.ChargeInstr(instrReadyQueueOp)
-				s.ready.Enqueue(t, t.prio)
+				s.ready.Enqueue(t, int(t.prio))
 				s.dispatcherFlag = true
 				s.trace(EvState, t, "ready", "time slice expired")
 				s.mState(t)
@@ -361,7 +361,7 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 			s.kern.RecycleSigInfo(info) // terminal: consumed by the slice logic
 			return
 		}
-		if t.state == StateBlocked && t.blockReason == BlockSleep {
+		if t.state == StateBlocked && t.blockReason() == BlockSleep {
 			t.waitTimer = 0
 			t.wake = wakeTimer
 			s.makeReady(t, false)
@@ -374,7 +374,7 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 
 	// I/O completion wakes the thread suspended on that request.
 	if sig == unixkern.SIGIO && info.Cause == unixkern.CauseIO &&
-		t.state == StateBlocked && t.blockReason == BlockIO {
+		t.state == StateBlocked && t.blockReason() == BlockIO {
 		t.wake = wakeIO
 		s.makeReady(t, false)
 		return
@@ -382,11 +382,11 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 
 	// Rule 3: the thread is suspended in sigwait for this signal (or is
 	// just entering the wait; then the wait is satisfied synchronously).
-	if t.inSigwait && t.sigwaitSet.Has(sig) {
-		t.inSigwait = false
-		t.sigwaitGot = sig
+	if t.sigwaitsFor(sig) {
+		t.cold.inSigwait = false
+		t.cold.sigwaitGot = sig
 		t.wake = wakeSigwait
-		if t.state == StateBlocked && t.blockReason == BlockSigwait {
+		if t.state == StateBlocked && t.blockReason() == BlockSigwait {
 			s.makeReady(t, false)
 		}
 		return
@@ -546,13 +546,14 @@ func (s *System) Sigwait(set unixkern.Sigset) (unixkern.Signal, error) {
 	// just another case where the signal is unmasked").
 	saved := t.sigMask
 	t.sigMask = t.sigMask.Minus(set)
-	t.inSigwait = true
-	t.sigwaitSet = set
+	c := t.coldState()
+	c.inSigwait = true
+	c.sigwaitSet = set
 	t.wake = wakeNone
 	s.checkProcessPending()
-	if t.inSigwait {
+	if c.inSigwait {
 		// Nothing pended for us during checkProcessPending: block.
-		s.block(false, BlockSigwait, "sigwait "+set.String())
+		s.block(false, verbSigwait)
 	} else {
 		// checkProcessPending satisfied the wait synchronously: rule 3
 		// recorded the signal and wake cause without a queue
@@ -561,7 +562,7 @@ func (s *System) Sigwait(set unixkern.Sigset) (unixkern.Signal, error) {
 	}
 
 	if t.wake == wakeInterrupt || t.wake == wakeCancel {
-		t.inSigwait = false
+		c.inSigwait = false
 		t.sigMask = saved
 		s.TestCancel()
 		return 0, EINTR.Or()
@@ -569,5 +570,5 @@ func (s *System) Sigwait(set unixkern.Sigset) (unixkern.Signal, error) {
 	// Rule 3: on return the awaited signals are masked for the thread.
 	t.sigMask = saved.Union(set)
 	s.TestCancel()
-	return t.sigwaitGot, nil
+	return c.sigwaitGot, nil
 }

@@ -355,14 +355,14 @@ func (s *System) newPooledTCB() *Thread {
 // addThread appends a thread to the roster, recording its slot for the
 // O(1) tombstone removal in dropThread.
 func (s *System) addThread(t *Thread) {
-	t.allIdx = len(s.all)
+	t.allIdx = int32(len(s.all))
 	s.all = append(s.all, t)
 }
 
 // dropThread tombstones a reclaimed thread's roster slot and compacts
 // the roster once tombstones outnumber live entries.
 func (s *System) dropThread(t *Thread) {
-	if t.allIdx < len(s.all) && s.all[t.allIdx] == t {
+	if int(t.allIdx) < len(s.all) && s.all[t.allIdx] == t {
 		s.all[t.allIdx] = nil
 		s.allDead++
 	}
@@ -370,7 +370,7 @@ func (s *System) dropThread(t *Thread) {
 		live := 0
 		for _, x := range s.all {
 			if x != nil {
-				x.allIdx = live
+				x.allIdx = int32(live)
 				s.all[live] = x
 				live++
 			}
@@ -567,10 +567,12 @@ func (s *System) exitCurrent(status any) {
 	// Cleanup handlers, LIFO, in thread context (they may use the
 	// library freely). An Exit from inside a cleanup handler is
 	// absorbed: the thread is already exiting.
-	for len(t.cleanup) > 0 {
-		rec := t.cleanup[len(t.cleanup)-1]
-		t.cleanup = t.cleanup[:len(t.cleanup)-1]
-		s.runProtected(func() { rec.fn(rec.arg) })
+	if c := t.cold; c != nil {
+		for len(c.cleanup) > 0 {
+			rec := c.cleanup[len(c.cleanup)-1]
+			c.cleanup = c.cleanup[:len(c.cleanup)-1]
+			s.runProtected(func() { rec.fn(rec.arg) })
+		}
 	}
 	s.runTSDDestructors(t)
 
@@ -578,7 +580,9 @@ func (s *System) exitCurrent(status any) {
 	s.stats.ThreadsExited++
 	t.state = StateTerminated
 	t.retval = status
-	t.fakeStack = nil
+	if t.cold != nil {
+		t.cold.fakeStack = nil
+	}
 	t.cancelPending = false
 	s.liveCnt--
 	if s.tracer != nil {
@@ -638,7 +642,6 @@ func (s *System) reclaim(t *Thread) {
 		t.cont = nil
 	}
 	t.stack = nil
-	t.tsd = nil
 	t.fn = nil
 	t.arg = nil
 	// retval survives reclaim: when several joiners wake together, the
@@ -647,11 +650,8 @@ func (s *System) reclaim(t *Thread) {
 	t.joinTarget = nil
 	t.waitingMutex = nil
 	t.waitingCond = nil
-	t.condMutex = nil
 	t.owned = nil
-	t.ceilStack = nil
-	t.cleanup = nil
-	t.fakeStack = nil
+	t.cold = nil
 	t.pending = nil
 	t.fdTag = fdWaitTag{}
 	t.cvTag = timedWaitTag{}
@@ -688,8 +688,8 @@ func (s *System) allocTCB(attr Attr) *Thread {
 	s.nextID++
 	t.id = s.nextID
 	t.name = attr.Name
-	t.basePrio = attr.Priority
-	t.prio = attr.Priority
+	t.basePrio = int8(attr.Priority)
+	t.prio = int8(attr.Priority)
 	t.policy = attr.Policy
 	t.detached = attr.Detached
 	t.lazy = attr.Lazy
@@ -725,7 +725,7 @@ func (s *System) BlockedReport() string {
 			continue
 		}
 		if t.state == StateBlocked || t.state == StateNew {
-			fmt.Fprintf(&b, "  %v: %v %s\n", t, t.blockReason, t.waitingFor)
+			fmt.Fprintf(&b, "  %v: %v %s\n", t, t.blockReason(), s.waitLabel(t))
 		}
 	}
 	return b.String()

@@ -15,7 +15,7 @@ type ThreadID int32
 // State is a thread's scheduling state, per the paper's "Thread States"
 // section: blocked, ready, running, or terminated — plus New for threads
 // whose activation is deferred (lazy creation) and not yet triggered.
-type State int
+type State uint8
 
 const (
 	// StateNew: created with deferred activation and not yet activated.
@@ -49,7 +49,7 @@ func (s State) String() string {
 
 // BlockReason records why a blocked thread is blocked; diagnostics (in
 // particular the deadlock report) print it.
-type BlockReason int
+type BlockReason uint8
 
 const (
 	BlockNone BlockReason = iota
@@ -91,7 +91,7 @@ func (b BlockReason) String() string {
 }
 
 // Policy is a scheduling policy.
-type Policy int
+type Policy uint8
 
 const (
 	// SchedFIFO is preemptive priority scheduling, first-in first-out
@@ -114,7 +114,7 @@ func (p Policy) String() string {
 }
 
 // CancelState is the interruptibility state of Table 1.
-type CancelState int
+type CancelState uint8
 
 const (
 	// CancelControlled: cancellation enabled, acted upon at interruption
@@ -198,20 +198,49 @@ const (
 
 // Thread is a thread control block (TCB). All fields are owned by the
 // library kernel; user code holds *Thread purely as a handle.
+//
+// A parked thread is mostly its TCB, so the TCB is kept small: the
+// scheduling state is packed into bytes, a wait is described by a verb
+// and the object it names (the label is rendered only where a string is
+// read), and the state that a parked thread never touches lives in a
+// record allocated on first use (threadCold).
 type Thread struct {
-	id   ThreadID
-	name string
 	sys  *System
+	name string
+	id   ThreadID
 
-	state       State
-	blockReason BlockReason
+	// allIdx is the thread's slot in the System.all roster (tombstone
+	// removal; see addThread/dropThread).
+	allIdx int32
 
-	basePrio int // the priority assigned by the program
-	prio     int // current priority, including protocol boosts
-	policy   Policy
+	// Descriptor wait (BlockFD): the descriptor whose wait list the
+	// thread sits on; verb names the direction.
+	waitFD unixkern.FD
 
-	detached bool
-	lazy     bool
+	errno Errno
+
+	state State
+	// verb is what a blocked thread is doing; the block reason derives
+	// from it (see waitVerb).
+	verb waitVerb
+	// wake records why the last blocking wait ended.
+	wake        wakeCause
+	policy      Policy
+	cancelState CancelState
+
+	basePrio int8 // the priority assigned by the program
+	prio     int8 // current priority, including protocol boosts
+	// qLevel is the level the thread was queued at on its wait list.
+	qLevel int8
+
+	detached      bool
+	lazy          bool
+	cancelPending bool
+	// pooled marks TCBs drawn from (and returned to) the creation pool.
+	pooled bool
+	// dead marks a TCB whose memory has been reclaimed; any use is a
+	// reference to a destroyed thread.
+	dead bool
 
 	// Execution context (runner.go): no thread owns a goroutine. A
 	// thread binds a pooled runner at its first dispatch and parks on
@@ -222,13 +251,10 @@ type Thread struct {
 	cont   *Cont
 	runner *runner
 
-	// stackSize records the requested stack size so lazily created
-	// threads can defer the host stack allocation to first activation.
+	// Simulated stack. stackSize records the requested size so lazily
+	// created threads can defer the host stack to first activation.
+	stack     *hw.Stack
 	stackSize int64
-
-	// allIdx is the thread's slot in the System.all roster (tombstone
-	// removal; see addThread/dropThread).
-	allIdx int
 
 	fn     func(arg any) any
 	arg    any
@@ -236,7 +262,6 @@ type Thread struct {
 
 	joiners    waitList // threads blocked joining this one, at joinLevel
 	joinTarget *Thread  // the thread this one is blocked joining
-	waitingFor string   // human-readable wait description for diagnostics
 
 	// Signal state.
 	sigMask unixkern.Sigset
@@ -244,44 +269,25 @@ type Thread struct {
 	// time a signal pends on the thread (most threads never have one)
 	// and dropped at reclaim; read and write it through pendingSig and
 	// setPending.
-	pending    *[unixkern.NSIGAll]*unixkern.SigInfo
-	fakeStack  []*fakeFrame
-	inSigwait  bool
-	sigwaitSet unixkern.Sigset
-	sigwaitGot unixkern.Signal
+	pending *[unixkern.NSIGAll]*unixkern.SigInfo
 
-	// Cancellation (Table 1).
-	cancelState   CancelState
-	cancelPending bool
+	// cold holds the state a parked thread never touches, allocated on
+	// first use and dropped at reclaim (see threadCold).
+	cold *threadCold
 
-	// Cleanup handlers and thread-specific data.
-	cleanup []cleanupRec
-	tsd     []any
-
-	errno Errno
-
-	// Synchronization bookkeeping.
-	owned        []*Mutex // mutexes currently held (for inheritance recomputation)
+	// Synchronization bookkeeping. owned heads the list of mutexes the
+	// thread holds, threaded through Mutex.ownedNext, most recent first
+	// (for inheritance recomputation).
+	owned        *Mutex
 	waitingMutex *Mutex
 	waitingCond  *Cond
-	condMutex    *Mutex
-	ceilStack    []int // SRP: saved priorities, one per held ceiling mutex
 
-	// Why the last blocking wait ended.
-	wake wakeCause
-
-	// Sleep / timed wait / I/O.
+	// Sleep / timed wait.
 	waitTimer vtime.TimerID
-	aioID     unixkern.AioID
 
-	// Descriptor wait (BlockFD): which per-fd wait list the thread sits
-	// on.
-	waitFD    unixkern.FD
-	waitFDDir FDDir
 	// Wait-list links: the thread's place in the one wait list it is
-	// blocked on, whatever the object (see waitlist.go), and the level
-	// it was queued at.
-	qLevel       int8
+	// blocked on, whatever the object (see waitlist.go); qLevel above is
+	// the level it was queued at.
 	qPrev, qNext *Thread
 	// fdTag is the thread's reusable timer datum for timed descriptor
 	// waits: a thread has at most one outstanding fd-wait timer, so the
@@ -292,21 +298,61 @@ type Thread struct {
 	// again, so one tag per thread suffices.
 	cvTag timedWaitTag
 
-	// Simulated stack.
-	stack *hw.Stack
-
 	// Per-thread stats.
 	Dispatches int64
 	SigsTaken  int64
 	// userNS accumulates modelled user computation (Compute); the RR
 	// quantum measures it, ITIMER_VIRTUAL-style.
 	userNS int64
+}
 
-	// pooled marks TCBs drawn from (and returned to) the creation pool.
-	pooled bool
-	// dead marks a TCB whose memory has been reclaimed; any use is a
-	// reference to a destroyed thread.
-	dead bool
+// threadCold is the part of a TCB that a parked thread never touches:
+// pending fake calls, the sigwait state, cleanup handlers,
+// thread-specific data, the SRP ceiling stack, the asynchronous I/O
+// request, and the operands of the rare waits' labels. Most threads
+// never need any of it. It is allocated the first time a thread does
+// (coldState) and dropped at reclaim, like the pending-signal table, so
+// a reissued TCB never carries a dead thread's handlers or data.
+type threadCold struct {
+	fakeStack []*fakeFrame
+	cleanup   []cleanupRec
+	tsd       []any
+	ceilStack []int // SRP: saved priorities, one per held ceiling mutex
+
+	inSigwait  bool
+	sigwaitSet unixkern.Sigset
+	sigwaitGot unixkern.Signal
+
+	aioID unixkern.AioID
+	// device is a device transfer's device, for its wait label.
+	device *unixkern.Device
+	// sleepFor is the duration of the last sleep, recorded only with a
+	// tracer attached: a traced sleep's label carries it ("sleep 5ms"),
+	// an untraced one does not ("sleep").
+	sleepFor vtime.Duration
+}
+
+// coldState returns the thread's cold record, allocating it on first
+// use. Readers that may run before any use check t.cold for nil instead.
+func (t *Thread) coldState() *threadCold {
+	if t.cold == nil {
+		t.cold = new(threadCold)
+	}
+	return t.cold
+}
+
+// fakeCalls counts the thread's pending fake calls.
+func (t *Thread) fakeCalls() int {
+	if t.cold == nil {
+		return 0
+	}
+	return len(t.cold.fakeStack)
+}
+
+// sigwaitsFor reports whether the thread waits in sigwait for sig.
+func (t *Thread) sigwaitsFor(sig unixkern.Signal) bool {
+	c := t.cold
+	return c != nil && c.inSigwait && c.sigwaitSet.Has(sig)
 }
 
 // ID returns the thread's identifier.
@@ -321,10 +367,10 @@ func (t *Thread) Name() string { return t.name }
 func (t *Thread) State() State { return t.state }
 
 // Priority returns the thread's current (possibly boosted) priority.
-func (t *Thread) Priority() int { return t.prio }
+func (t *Thread) Priority() int { return int(t.prio) }
 
 // BasePriority returns the thread's assigned priority, ignoring boosts.
-func (t *Thread) BasePriority() int { return t.basePrio }
+func (t *Thread) BasePriority() int { return int(t.basePrio) }
 
 // Detached reports whether the thread is detached.
 func (t *Thread) Detached() bool { return t.detached }

@@ -58,11 +58,11 @@ func (s *System) SetSpecific(k Key, value any) error {
 		s.current.errno = EINVAL
 		return EINVAL.Or()
 	}
-	t := s.current
-	for len(t.tsd) <= int(k) {
-		t.tsd = append(t.tsd, nil)
+	c := s.current.coldState()
+	for len(c.tsd) <= int(k) {
+		c.tsd = append(c.tsd, nil)
 	}
-	t.tsd[k] = value
+	c.tsd[k] = value
 	s.cpu.ChargeInstr(6)
 	return nil
 }
@@ -70,12 +70,12 @@ func (s *System) SetSpecific(k Key, value any) error {
 // GetSpecific returns the calling thread's value for the key (nil if
 // never set).
 func (s *System) GetSpecific(k Key) any {
-	t := s.current
+	c := s.current.cold
 	s.cpu.ChargeInstr(4)
-	if int(k) < 0 || int(k) >= len(t.tsd) {
+	if c == nil || int(k) < 0 || int(k) >= len(c.tsd) {
 		return nil
 	}
-	return t.tsd[k]
+	return c.tsd[k]
 }
 
 // runTSDDestructors runs the destructors for a terminating thread: each
@@ -83,14 +83,18 @@ func (s *System) GetSpecific(k Key) any {
 // ones; rounds repeat (a destructor may set other keys) up to
 // DestructorIterations times.
 func (s *System) runTSDDestructors(t *Thread) {
+	c := t.cold
+	if c == nil {
+		return
+	}
 	for round := 0; round < DestructorIterations; round++ {
 		ran := false
-		for i := range t.tsd {
-			v := t.tsd[i]
+		for i := range c.tsd {
+			v := c.tsd[i]
 			if v == nil || i >= len(s.keys) || !s.keys[i].used || s.keys[i].destructor == nil {
 				continue
 			}
-			t.tsd[i] = nil
+			c.tsd[i] = nil
 			ran = true
 			s.runProtected(func() { s.keys[i].destructor(v) })
 		}

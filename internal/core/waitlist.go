@@ -75,7 +75,7 @@ func (l *waitList) pop() *Thread {
 // waitListOf returns the list a blocked thread is queued on, or nil for
 // a wait without one.
 func (s *System) waitListOf(t *Thread) *waitList {
-	switch t.blockReason {
+	switch t.blockReason() {
 	case BlockMutex:
 		return &t.waitingMutex.waiters
 	case BlockCond:
@@ -83,7 +83,7 @@ func (s *System) waitListOf(t *Thread) *waitList {
 	case BlockJoin:
 		return &t.joinTarget.joiners
 	case BlockFD:
-		return s.fdList(t.waitFD, t.waitFDDir)
+		return s.fdList(t.waitFD, t.fdVerb().Dir())
 	}
 	return nil
 }
@@ -99,7 +99,9 @@ func (s *System) endWait(t *Thread, cause wakeCause) {
 	}
 	c := t.waitingCond
 	t.waitingMutex, t.waitingCond, t.joinTarget = nil, nil, nil
-	t.inSigwait = false
+	if t.cold != nil {
+		t.cold.inSigwait = false
+	}
 	if t.waitTimer != 0 {
 		s.kern.DisarmInternal(t.waitTimer)
 		t.waitTimer = 0

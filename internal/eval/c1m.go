@@ -47,7 +47,12 @@ const c1mRunnerBudget = 8
 // fails (rather than reporting) when a resource invariant breaks:
 // a parked thread holding a goroutine, or the runner pool scaling
 // with the population.
-func RunC1M(n int) (C1MPoint, error) {
+func RunC1M(n int) (C1MPoint, error) { return runC1M(n, false) }
+
+// runC1M is RunC1M, with the parked threads sharing one mutex and
+// condition variable or, with own, each waiting on a mutex and a
+// condition variable of its own, which then count in its footprint.
+func runC1M(n int, own bool) (C1MPoint, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -67,7 +72,13 @@ func RunC1M(n int) (C1MPoint, error) {
 		setup := time.Now()
 
 		ths := make([]*core.Thread, 0, n)
+		var conds []*core.Cond
 		for i := 0; i < n; i++ {
+			m, c := m, c
+			if own {
+				m, c = s.MustMutex(core.MutexAttr{Name: "c1m"}), s.NewCond("c1m")
+				conds = append(conds, c)
+			}
 			th, err := s.CreateCont(attr, func(k *core.Cont) {
 				k.Lock(m, func(k *core.Cont) {
 					k.CondWait(c, m, func(k *core.Cont) { m.Unlock() })
@@ -107,6 +118,9 @@ func RunC1M(n int) (C1MPoint, error) {
 		m.Lock()
 		c.Broadcast()
 		m.Unlock()
+		for _, c := range conds {
+			c.Broadcast()
+		}
 		for _, th := range ths {
 			if _, err := s.Join(th); err != nil {
 				panic(err)

@@ -27,3 +27,22 @@ func TestC1MInvariantsSmallN(t *testing.T) {
 		t.Errorf("BytesPerResident = %.1f, want (0, 4096]", pt.BytesPerResident)
 	}
 }
+
+// TestC1MOwnSyncObjects is the resident rung where every parked thread
+// waits on a mutex and a condition variable of its own, so a resident
+// pays a TCB, a continuation frame, a simulated stack and two
+// synchronization objects. It must stay within 1 KiB of host heap.
+func TestC1MOwnSyncObjects(t *testing.T) {
+	const n = 20000
+	pt, err := runC1M(n, true)
+	if err != nil {
+		t.Fatalf("runC1M(%d, own): %v", n, err)
+	}
+	if pt.ContParked != n {
+		t.Errorf("ContParked = %d, want %d", pt.ContParked, n)
+	}
+	if pt.BytesPerResident <= 0 || pt.BytesPerResident > 1024 {
+		t.Errorf("BytesPerResident = %.1f with a mutex and cond each, want (0, 1024]", pt.BytesPerResident)
+	}
+	t.Logf("%.1f bytes/resident with a mutex and cond each", pt.BytesPerResident)
+}

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"pthreads/internal/core"
 	"pthreads/internal/metrics"
 	"pthreads/internal/net"
 	"pthreads/internal/obs"
@@ -288,7 +289,7 @@ func (o *fleetObs) checkWaitCycle(f *Fabric) {
 		if mask&(1<<uint(h.ID)) == 0 {
 			continue
 		}
-		for _, fl := range blockedFlows(h.Sys.BlockedReport()) {
+		for _, fl := range blockedFlows(h.Sys) {
 			ends, ok := o.flowEnds[fl]
 			if !ok {
 				continue
@@ -327,28 +328,23 @@ func (o *fleetObs) checkWaitCycle(f *Fabric) {
 	})
 }
 
-// blockedFlows extracts the flow ids ("#fN") a host's blocked-thread
-// report references — the fd-wait labels of cross-host jackets leak
-// them ("read sock5->r0:echo#f3").
-func blockedFlows(report string) []uint64 {
+// blockedFlows returns the flows a host's threads are blocked on, in
+// roster order: each thread blocked reading or writing a descriptor
+// whose object is a cross-host connection contributes that
+// connection's flow.
+func blockedFlows(sys *core.System) []uint64 {
 	var out []uint64
-	for i := 0; ; {
-		j := strings.Index(report[i:], "#f")
-		if j < 0 {
-			return out
+	for _, t := range sys.Threads() {
+		fd, verb, ok := t.FDWait()
+		if !ok || (verb != core.VerbRead && verb != core.VerbWrite) {
+			continue
 		}
-		i += j + 2
-		var n uint64
-		ok := false
-		for i < len(report) && report[i] >= '0' && report[i] <= '9' {
-			n = n*10 + uint64(report[i]-'0')
-			i++
-			ok = true
-		}
-		if ok {
-			out = append(out, n)
+		obj, _ := sys.Process().FDObject(fd)
+		if c, ok := obj.(*net.Conn); ok && c.Remote() {
+			out = append(out, c.Flow())
 		}
 	}
+	return out
 }
 
 // findCycle returns one cycle in the wait digraph (vertex ids, rotated

@@ -218,6 +218,22 @@ func TestStackReset(t *testing.T) {
 	}
 }
 
+// TestNewStackOneAlloc pins a new stack at one host allocation: the
+// base frame sits in the stack's own one-element array, and only a
+// second frame (an interrupt or fake call) moves the frames out.
+func TestNewStackOneAlloc(t *testing.T) {
+	var s *Stack
+	if n := testing.AllocsPerRun(100, func() { s = NewStack(DefaultStackSize) }); n != 1 {
+		t.Errorf("NewStack allocates %.1f times, want 1", n)
+	}
+	if s.Depth() != 1 || s.Top().Kind != FrameBase || s.SP != DefaultStackSize-BaseFrameSize {
+		t.Errorf("new stack: depth %d, top %v, SP %d", s.Depth(), s.Top().Kind, s.SP)
+	}
+	if err := s.Push(Frame{Kind: FrameInterrupt, Size: InterruptFrameSize}); err != nil || s.Depth() != 2 || s.frames[0].Kind != FrameBase {
+		t.Errorf("second push: %v, depth %d", err, s.Depth())
+	}
+}
+
 func TestStackHighWater(t *testing.T) {
 	s := NewStack(4096)
 	s.Push(Frame{Kind: FrameInterrupt, Size: InterruptFrameSize})

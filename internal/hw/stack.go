@@ -87,11 +87,16 @@ type Stack struct {
 	// HighWater is the maximum depth observed (Size - min SP), kept for
 	// the harness's resource reports.
 	HighWater int64
+
+	// base backs frames until a second frame is pushed, so a new stack
+	// is one allocation.
+	base [1]Frame
 }
 
 // NewStack returns a stack of the given size with the base frame pushed.
 func NewStack(size int64) *Stack {
 	s := &Stack{Size: size, SP: size}
+	s.frames = s.base[:0]
 	if err := s.Push(Frame{Kind: FrameBase, Size: BaseFrameSize}); err != nil {
 		panic("hw: stack smaller than base frame")
 	}

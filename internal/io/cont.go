@@ -47,7 +47,7 @@ func (c *Conn) contRead(k *core.Cont, max int, d vtime.Duration, then core.ContF
 	st := c.x.getContRead()
 	st.c, st.op, st.ref, st.then, st.prevEnv = c, op, ref, then, k.Env
 	k.Env = st
-	k.FDOp(c.nc.FD(), core.FDRead, c.readWhat, d, op, contReadDone)
+	k.FDOp(c.nc.FD(), core.VerbRead, d, op, contReadDone)
 }
 
 // contReadDone is the completion step, shared by every ContRead (no

@@ -62,7 +62,7 @@ func (f *File) read(bytes int, d vtime.Duration) (int, error) {
 	var id unixkern.AioID
 	issued := false
 	var n int
-	err := f.x.sys.FDBlockingCall(f.fd, core.FDRead, "file read "+f.name, d,
+	err := f.x.sys.FDBlockingCall(f.fd, core.VerbFileRead, d,
 		func() (bool, bool) {
 			if !issued {
 				issued = true

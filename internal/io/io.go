@@ -75,24 +75,32 @@ func (x *IO) SetSpans(r *obs.Recorder) { x.spans = r }
 // Spans returns the attached recorder (nil when spans are off).
 func (x *IO) Spans() *obs.Recorder { return x.spans }
 
-// openSpan starts a jacket-call span on the current thread; NoSpan — a
-// single nil check, no allocation — with spans off.
-func (x *IO) openSpan(k obs.Kind, name string) obs.SpanRef {
+// openSpan starts a jacket-call span named "<verb> <obj>" on the current
+// thread; NoSpan — a single nil check, no allocation, no name built —
+// with spans off.
+func (x *IO) openSpan(k obs.Kind, verb, obj string) obs.SpanRef {
 	if x.spans == nil {
 		return obs.NoSpan
 	}
 	t := x.sys.Current()
-	return x.spans.Open(x.sys.Clock().Now(), int32(t.ID()), t.Name(), k, name)
+	return x.spans.Open(x.sys.Clock().Now(), int32(t.ID()), t.Name(), k, verb+" "+obj)
 }
 
-// openConnSpan starts a read/write span under the connection's trace
-// context (established by the dial or accept span).
-func (x *IO) openConnSpan(k obs.Kind, name string, trace, parent uint64) obs.SpanRef {
+// openConnSpan starts a read or write span on c ("read sock5->srv")
+// under the connection's trace context (established by the dial or
+// accept span).
+func (c *Conn) openConnSpan(k obs.Kind, write bool) obs.SpanRef {
+	x := c.x
 	if x.spans == nil {
 		return obs.NoSpan
 	}
+	sp := c.spanState()
+	name := sp.readName
+	if write {
+		name = sp.writeName
+	}
 	t := x.sys.Current()
-	return x.spans.OpenUnder(x.sys.Clock().Now(), int32(t.ID()), t.Name(), k, name, trace, parent)
+	return x.spans.OpenUnder(x.sys.Clock().Now(), int32(t.ID()), t.Name(), k, name, sp.trace, sp.parent)
 }
 
 // closeSpan ends a jacket-call span, annotating any error (EOF
@@ -164,10 +172,10 @@ func (l *Listener) Accept() (*Conn, error) { return l.accept(0) }
 func (l *Listener) AcceptTimeout(d vtime.Duration) (*Conn, error) { return l.accept(d) }
 
 func (l *Listener) accept(d vtime.Duration) (*Conn, error) {
-	ref := l.x.openSpan(obs.KAccept, "accept "+l.nl.Addr())
+	ref := l.x.openSpan(obs.KAccept, "accept", l.nl.Addr())
 	var nc *net.Conn
 	var opErr error
-	err := l.x.sys.FDBlockingCall(l.nl.FD(), core.FDRead, "accept "+l.nl.Addr(), d,
+	err := l.x.sys.FDBlockingCall(l.nl.FD(), core.VerbAccept, d,
 		func() (bool, bool) {
 			c, e := l.nl.TryAccept()
 			if e == net.ErrWouldBlock {
@@ -194,13 +202,14 @@ func (l *Listener) accept(d vtime.Duration) (*Conn, error) {
 			l.x.sys.TraceNet(nc.FlowIn(), "recv", "0")
 		}
 	}
-	c := newConn(l.x, nc)
+	c := &Conn{x: l.x, nc: nc}
 	if ref != obs.NoSpan {
 		// A remote connection's SYN carried the dialer's span context;
 		// adopting it stitches dial span → wire arrow → accept span.
 		l.x.spans.Adopt(ref, nc.Flow())
 		sp := l.x.spans.Span(ref)
-		c.trace, c.parent = sp.Trace, sp.ID
+		st := c.spanState()
+		st.trace, st.parent = sp.Trace, sp.ID
 		l.x.closeSpan(ref, nil)
 	}
 	return c, nil
@@ -218,25 +227,32 @@ func (l *Listener) Close() error {
 	return err
 }
 
-// Conn is the blocking face of a net.Conn endpoint.
+// Conn is the blocking face of a net.Conn endpoint. Its wait labels
+// ("read sock5->srv") are the core's to render, from the descriptor,
+// only where one is read.
 type Conn struct {
 	x  *IO
 	nc *net.Conn
 
-	// Precomputed wait labels ("read sock5->srv"): built once per
-	// endpoint instead of concatenated on every blocking call.
-	readWhat  string
-	writeWhat string
-
-	// Trace context read/write spans on this connection open under: the
-	// dial or accept span that produced the endpoint. Zero with spans
-	// off.
-	trace, parent uint64
+	// spans is the endpoint's span state, allocated only with spans on.
+	spans *connSpans
 }
 
-// newConn wraps an established endpoint, precomputing its wait labels.
-func newConn(x *IO, nc *net.Conn) *Conn {
-	return &Conn{x: x, nc: nc, readWhat: "read " + nc.Name(), writeWhat: "write " + nc.Name()}
+// connSpans is what the read and write spans on an endpoint open with:
+// the trace context of the dial or accept span that produced it (zero
+// if spans were off then) and their names, rendered once.
+type connSpans struct {
+	trace, parent       uint64
+	readName, writeName string
+}
+
+// spanState returns the endpoint's span state, building it on first use.
+func (c *Conn) spanState() *connSpans {
+	if c.spans == nil {
+		name := c.nc.Name()
+		c.spans = &connSpans{readName: "read " + name, writeName: "write " + name}
+	}
+	return c.spans
 }
 
 // connOp is the jacket's pooled core.FDOp: the state the per-call
@@ -323,7 +339,7 @@ func (x *IO) Dial(addr string) (*Conn, error) { return x.dial(addr, 0) }
 func (x *IO) DialTimeout(addr string, d vtime.Duration) (*Conn, error) { return x.dial(addr, d) }
 
 func (x *IO) dial(addr string, d vtime.Duration) (*Conn, error) {
-	ref := x.openSpan(obs.KDial, "dial "+addr)
+	ref := x.openSpan(obs.KDial, "dial", addr)
 	if ref != obs.NoSpan {
 		// The SYN departs inside Dial; bracket it with the dial span's
 		// context so the handshake message carries the trace.
@@ -349,7 +365,7 @@ func (x *IO) dial(addr string, d vtime.Duration) (*Conn, error) {
 		}
 	}
 	var opErr error
-	err = x.sys.FDBlockingCall(nc.FD(), core.FDWrite, "connect "+addr, d,
+	err = x.sys.FDBlockingCall(nc.FD(), core.VerbConnect, d,
 		func() (bool, bool) {
 			e := nc.ConnectStatus()
 			if e == net.ErrWouldBlock {
@@ -366,10 +382,11 @@ func (x *IO) dial(addr string, d vtime.Duration) (*Conn, error) {
 		x.closeSpan(ref, err)
 		return nil, err
 	}
-	c := newConn(x, nc)
+	c := &Conn{x: x, nc: nc}
 	if ref != obs.NoSpan {
 		sp := x.spans.Span(ref)
-		c.trace, c.parent = sp.Trace, sp.ID
+		st := c.spanState()
+		st.trace, st.parent = sp.Trace, sp.ID
 		x.closeSpan(ref, nil)
 	}
 	return c, nil
@@ -389,14 +406,14 @@ func (c *Conn) read(max int, d vtime.Duration) (int, error) {
 		return 0, core.EINVAL.Or()
 	}
 	ref, op := c.readStart(max)
-	return c.readDone(ref, op, c.x.sys.FDBlockingOp(c.nc.FD(), core.FDRead, c.readWhat, d, op))
+	return c.readDone(ref, op, c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbRead, d, op))
 }
 
 // readStart is the half of a read before the park, shared with
 // ContRead: it opens the read span and checks out the pooled attempt,
 // carrying the span context.
 func (c *Conn) readStart(max int) (obs.SpanRef, *connOp) {
-	ref := c.x.openConnSpan(obs.KRead, c.readWhat, c.trace, c.parent)
+	ref := c.openConnSpan(obs.KRead, false)
 	op := c.x.getOp(c.nc, false, max)
 	if ref != obs.NoSpan {
 		sp := c.x.spans.Span(ref)
@@ -434,7 +451,7 @@ func (c *Conn) Write(n int) (int, error) {
 	if n < 0 {
 		return 0, core.EINVAL.Or()
 	}
-	ref := c.x.openConnSpan(obs.KWrite, c.writeWhat, c.trace, c.parent)
+	ref := c.openConnSpan(obs.KWrite, true)
 	var sctx net.SpanCtx
 	if ref != obs.NoSpan {
 		sp := c.x.spans.Span(ref)
@@ -444,7 +461,7 @@ func (c *Conn) Write(n int) (int, error) {
 	for total < n {
 		op := c.x.getOp(c.nc, true, n-total)
 		op.sctx = sctx
-		err := c.x.sys.FDBlockingOp(c.nc.FD(), core.FDWrite, c.writeWhat, 0, op)
+		err := c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbWrite, 0, op)
 		k, opErr := op.n, op.opErr
 		c.x.putOp(op)
 		total += k

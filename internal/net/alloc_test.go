@@ -1,6 +1,9 @@
 package net
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Allocation regression tests for the zero-alloc I/O path: the socket
 // layer's per-segment bookkeeping (deferred window updates and segment
@@ -100,5 +103,13 @@ func TestBacklogCapacityReuse(t *testing.T) {
 		if c != nil {
 			t.Fatalf("drained backlog slot %d still pins a connection", i)
 		}
+	}
+}
+
+// TestConnSize pins the endpoint: it keeps the dial address and its
+// descriptor, not a rendered name (Name builds the label when read).
+func TestConnSize(t *testing.T) {
+	if n := unsafe.Sizeof(Conn{}); n > 56 {
+		t.Errorf("net.Conn is %d bytes, want at most 56", n)
 	}
 }

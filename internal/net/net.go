@@ -24,7 +24,6 @@ package net
 
 import (
 	"errors"
-	"strconv"
 
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
@@ -165,11 +164,11 @@ func (st *Stack) Dial(addr string) (*Conn, error) {
 			return st.dialRemote(addr, laddr, rst, out, back, flow)
 		}
 	}
-	client := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}}
+	client := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}, dialed: true}
 	server := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}}
 	client.peer, server.peer = server, client
 	client.fd = st.p.AllocFD(client)
-	client.name = "sock" + strconv.Itoa(int(client.fd)) + "->" + addr
+	client.addr = addr
 	st.k.NetAfter(st.p, st.cfg.ConnectDelay, func() *unixkern.IOCompletion {
 		if client.closed {
 			// The caller abandoned the connect (timeout, EINTR).
@@ -182,7 +181,7 @@ func (st *Stack) Dial(addr string) (*Conn, error) {
 			return &unixkern.IOCompletion{Ready: []unixkern.IOReady{{FD: client.fd, W: true}}}
 		}
 		server.fd = st.p.AllocFD(server)
-		server.name = "sock" + strconv.Itoa(int(server.fd)) + "<-" + addr
+		server.addr = addr
 		server.established = true
 		client.established = true
 		l.backlog = append(l.backlog, server)

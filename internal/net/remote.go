@@ -53,7 +53,6 @@ type remote struct {
 	peerSt *Stack // stack hosting the peer endpoint
 	wire   Wire   // carries this endpoint's segments toward the peer
 	flow   uint64
-	client bool  // true at the dialing endpoint
 	sent   int64 // cumulative payload bytes admitted into flight
 	rcvd   int64 // cumulative payload bytes consumed by TryRead
 }
@@ -65,10 +64,10 @@ func (c *Conn) Remote() bool { return c.rem != nil }
 // ("f7>" on the dialing side, "f7<" on the accepting side); FlowIn labels
 // the stream it reads. The fleet race checker joins the sender's vector
 // clock into the receiver's on matching labels (cumulative-byte edges).
-func (c *Conn) FlowOut() string { return flowLabel(c.rem.flow, c.rem.client) }
+func (c *Conn) FlowOut() string { return flowLabel(c.rem.flow, c.dialed) }
 
 // FlowIn labels the stream this endpoint reads; see FlowOut.
-func (c *Conn) FlowIn() string { return flowLabel(c.rem.flow, !c.rem.client) }
+func (c *Conn) FlowIn() string { return flowLabel(c.rem.flow, !c.dialed) }
 
 func flowLabel(flow uint64, clientOrigin bool) string {
 	dir := "<"
@@ -91,20 +90,19 @@ func (c *Conn) RcvdBytes() int64 { return c.rem.rcvd }
 // state lives. Both pipes are allocated here, like the local path, so
 // window bookkeeping works before the handshake completes.
 func (st *Stack) dialRemote(addr, laddr string, rst *Stack, out, back Wire, flow uint64) (*Conn, error) {
-	client := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}}
+	client := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}, dialed: true}
 	server := &Conn{st: rst, in: &pipe{cap: rst.cfg.RecvBuf}}
 	client.peer, server.peer = server, client
-	client.rem = &remote{peerSt: rst, wire: out, flow: flow, client: true}
+	client.rem = &remote{peerSt: rst, wire: out, flow: flow}
 	server.rem = &remote{peerSt: st, wire: back, flow: flow}
 	client.fd = st.p.AllocFD(client)
-	fs := "#f" + strconv.FormatUint(flow, 10)
-	client.name = "sock" + strconv.Itoa(int(client.fd)) + "->" + addr + fs
+	client.addr = addr
 	dep := st.dev.Occupy(0)
 	at, ok := out.Arrival(dep, 0, false)
 	carrySpan(out, flow, st.spanCtx, dep, at, ok, 0, "syn")
 	if ok {
 		rst.k.NetAt(rst.p, at, func() *unixkern.IOCompletion {
-			return rst.synArrived(client, server, addr, laddr, fs)
+			return rst.synArrived(client, server, addr, laddr)
 		})
 	}
 	// else: the SYN vanished into an unhealed partition; the client
@@ -116,7 +114,7 @@ func (st *Stack) dialRemote(addr, laddr string, rst *Stack, out, back Wire, flow
 // (listener missing, closed, or backlog full) or establish and enqueue.
 // Either outcome is announced back to the dialing host over the reverse
 // wire.
-func (rst *Stack) synArrived(client, server *Conn, addr, laddr, fs string) *unixkern.IOCompletion {
+func (rst *Stack) synArrived(client, server *Conn, addr, laddr string) *unixkern.IOCompletion {
 	if client.closed {
 		// The caller abandoned the connect before the SYN landed.
 		return nil
@@ -134,7 +132,7 @@ func (rst *Stack) synArrived(client, server *Conn, addr, laddr, fs string) *unix
 		return nil
 	}
 	server.fd = rst.p.AllocFD(server)
-	server.name = "sock" + strconv.Itoa(int(server.fd)) + "<-" + addr + fs
+	server.addr = addr
 	server.established = true
 	l.backlog = append(l.backlog, server)
 	rst.xControl(server, func(c *Conn) *unixkern.IOCompletion {

@@ -1,6 +1,10 @@
 package net
 
-import "pthreads/internal/unixkern"
+import (
+	"strconv"
+
+	"pthreads/internal/unixkern"
+)
 
 // Listener accepts connections on an address, holding up to cap
 // fully-established connections in its backlog.
@@ -93,26 +97,51 @@ type pipe struct {
 // simulated process (the simulation is single-process); each owns the
 // pipe that flows toward it.
 type Conn struct {
-	st   *Stack
-	fd   unixkern.FD
-	name string
+	st *Stack
+	// addr is the address the connection was dialed to. It is set when
+	// the endpoint gets its descriptor, and with the descriptor it makes
+	// the endpoint's name.
+	addr string
 	peer *Conn
 	in   *pipe // data flowing toward this endpoint
-
-	established bool
-	refused     bool
-	closed      bool
 
 	// rem is non-nil when the peer endpoint lives on another host (see
 	// remote.go); every single-host connection leaves it nil.
 	rem *remote
+
+	fd unixkern.FD
+
+	dialed      bool // the dialing endpoint, not the accepted one
+	established bool
+	refused     bool
+	closed      bool
 }
 
 // FD returns the endpoint's descriptor.
 func (c *Conn) FD() unixkern.FD { return c.fd }
 
-// Name labels the endpoint in traces ("sock5->srv", "sock6<-srv").
-func (c *Conn) Name() string { return c.name }
+// Addr returns the address the connection was dialed to.
+func (c *Conn) Addr() string { return c.addr }
+
+// Name labels the endpoint in traces: "sock5->srv" at the dialing end,
+// "sock6<-srv" at the accepting end, with the flow appended across hosts
+// ("sock5->r0:echo#f3"). It is rendered on each call; an endpoint keeps
+// only what the name is made of. An accepting endpoint has no name
+// until its connection is established.
+func (c *Conn) Name() string {
+	if c.addr == "" {
+		return ""
+	}
+	arrow := "<-"
+	if c.dialed {
+		arrow = "->"
+	}
+	name := "sock" + strconv.Itoa(int(c.fd)) + arrow + c.addr
+	if c.rem != nil {
+		name += "#f" + strconv.FormatUint(c.rem.flow, 10)
+	}
+	return name
+}
 
 // out is the pipe this endpoint writes into (the peer's inbound pipe).
 func (c *Conn) out() *pipe { return c.peer.in }
