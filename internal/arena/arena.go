@@ -1,10 +1,18 @@
 // Package arena provides chunked slab allocation for the kernel's
 // long-lived per-thread and per-connection records. An Arena carves
-// fixed-size slots out of large chunks (index-addressed at carve time:
-// slot i of chunk c is &chunk[i]) and recycles returned slots through a
-// LIFO free list, so a million resident records cost a few hundred
-// chunk allocations instead of a million individual ones, and churn
+// fixed-size slots out of chunks (index-addressed at carve time: slot i
+// of chunk c is &chunk[i]) and recycles returned slots through a LIFO
+// free list, so a million resident records cost a few thousand chunk
+// allocations instead of a million individual ones, and churn
 // (create/join loops) reuses hot slots instead of growing the heap.
+//
+// Chunks are sized in bytes, not slots, so the footprint follows the
+// population: the first chunk holds 2 KiB of slots and each later one
+// doubles, up to 32 KiB. A system with a few dozen records pays a few
+// KiB, and a retired chunk that one long-lived record pins costs at
+// most 32 KiB. 32 KiB is the Go runtime's largest small-object size
+// class, so a full chunk wastes less than one slot to rounding; a slot
+// larger than a chunk's budget still gets one slot per chunk.
 //
 // Arenas are deliberately not thread-safe: every caller in this
 // codebase allocates from kernel context, which is single-threaded by
@@ -13,18 +21,21 @@ package arena
 
 import "unsafe"
 
-// DefaultChunkSlots is the default number of slots per chunk.
-const DefaultChunkSlots = 1024
+// Chunk byte budgets: the first chunk's, and the cap that doubling
+// stops at (firstChunkBytes << maxChunkShift).
+const (
+	firstChunkBytes = 2 << 10
+	maxChunkShift   = 4
+)
 
 // Arena is a chunked slab allocator for values of type T.
-// The zero value is not usable; create arenas with New.
+// The zero value is an empty arena ready to use.
 type Arena[T any] struct {
-	chunkSlots int
-	cur        []T  // current partially-carved chunk
-	next       int  // next uncarved slot in cur
-	free       []*T // LIFO free list of returned slots
-	chunks     int  // chunks carved over the arena's lifetime
-	live       int  // slots handed out and not returned
+	cur    []T  // current partially-carved chunk
+	next   int  // next uncarved slot in cur
+	free   []*T // LIFO free list of returned slots
+	chunks int  // chunks carved over the arena's lifetime
+	live   int  // slots handed out and not returned
 }
 
 // Stats is a point-in-time snapshot of an arena's footprint.
@@ -42,13 +53,14 @@ type Stats struct {
 	SlotBytes int64
 }
 
-// New creates an arena carving chunks of chunkSlots slots each.
-// chunkSlots <= 0 selects DefaultChunkSlots.
-func New[T any](chunkSlots int) *Arena[T] {
-	if chunkSlots <= 0 {
-		chunkSlots = DefaultChunkSlots
-	}
-	return &Arena[T]{chunkSlots: chunkSlots}
+// New creates an empty arena.
+func New[T any]() *Arena[T] { return &Arena[T]{} }
+
+// chunkLen is the slot count of chunk k (from 0) for slots of
+// slotBytes: the chunk's byte budget over the slot size, at least one.
+func chunkLen(slotBytes uintptr, k int) int {
+	budget := uintptr(firstChunkBytes) << min(k, maxChunkShift)
+	return int(max(budget/max(slotBytes, 1), 1))
 }
 
 // Get returns a zeroed slot, reusing a freed slot if one is available
@@ -62,7 +74,8 @@ func (a *Arena[T]) Get() *T {
 		return p
 	}
 	if a.next >= len(a.cur) {
-		a.cur = make([]T, a.chunkSlots)
+		var zero T
+		a.cur = make([]T, chunkLen(unsafe.Sizeof(zero), a.chunks))
 		a.next = 0
 		a.chunks++
 	}

@@ -1,6 +1,9 @@
 package arena
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 type rec struct {
 	id   int64
@@ -9,9 +12,11 @@ type rec struct {
 }
 
 func TestCarveAndChunkGrowth(t *testing.T) {
-	a := New[rec](4)
+	a := New[rec]()
+	size := unsafe.Sizeof(rec{})
+	n := chunkLen(size, 0) + chunkLen(size, 1) + 1 // two full chunks and one slot of a third
 	seen := map[*rec]bool{}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		p := a.Get()
 		if p == nil {
 			t.Fatalf("Get returned nil at %d", i)
@@ -24,18 +29,18 @@ func TestCarveAndChunkGrowth(t *testing.T) {
 	}
 	st := a.Stats()
 	if st.Chunks != 3 {
-		t.Fatalf("10 slots at 4/chunk: chunks = %d, want 3", st.Chunks)
+		t.Fatalf("%d slots: chunks = %d, want 3", n, st.Chunks)
 	}
-	if st.Live != 10 || st.Free != 0 {
-		t.Fatalf("stats = %+v, want live 10 free 0", st)
+	if st.Live != n || st.Free != 0 {
+		t.Fatalf("stats = %+v, want live %d free 0", st, n)
 	}
-	if st.SlotBytes <= 0 {
-		t.Fatalf("SlotBytes = %d", st.SlotBytes)
+	if st.SlotBytes != int64(size) {
+		t.Fatalf("SlotBytes = %d, want %d", st.SlotBytes, size)
 	}
 }
 
 func TestFreeListLIFOReuseAndZeroing(t *testing.T) {
-	a := New[rec](8)
+	a := New[rec]()
 	p1, p2 := a.Get(), a.Get()
 	p1.id, p1.name = 7, "stale"
 	p2.id = 9
@@ -61,22 +66,81 @@ func TestFreeListLIFOReuseAndZeroing(t *testing.T) {
 	}
 }
 
+// TestDefaultChunkSlots pins the default geometry for an 8-byte slot:
+// the first chunk is 2 KiB, 256 slots, and the second doubles to 512.
 func TestDefaultChunkSlots(t *testing.T) {
-	a := New[int64](0)
-	for i := 0; i < DefaultChunkSlots; i++ {
+	var a Arena[int64]
+	for i := 0; i < 256; i++ {
 		a.Get()
 	}
 	if got := a.Stats().Chunks; got != 1 {
-		t.Fatalf("chunks = %d, want 1 after exactly one chunk's worth", got)
+		t.Fatalf("chunks = %d, want 1 after exactly one 2 KiB chunk's worth", got)
 	}
 	a.Get()
 	if got := a.Stats().Chunks; got != 2 {
 		t.Fatalf("chunks = %d, want 2 after one more", got)
 	}
+	if got := len(a.cur); got != 512 {
+		t.Fatalf("second chunk holds %d slots, want 512", got)
+	}
+}
+
+// carveChunks carves n chunks of T and returns each one's slot count.
+func carveChunks[T any](n int) []int {
+	var a Arena[T]
+	var lens []int
+	for len(lens) < n {
+		a.Get()
+		if a.next == 1 {
+			lens = append(lens, len(a.cur))
+		}
+	}
+	return lens
+}
+
+// TestChunkBytesDoubleTo32KiB checks that chunks are sized in bytes:
+// the first holds at most 2 KiB of slots, each later one doubles the
+// budget until it stops at 32 KiB, a chunk wastes less than one slot
+// of its budget, and a slot larger than the budget gets one per chunk.
+func TestChunkBytesDoubleTo32KiB(t *testing.T) {
+	check := func(name string, size int, lens []int) {
+		t.Helper()
+		if len(lens) != 8 {
+			t.Fatalf("%s: carved %d chunks, want 8", name, len(lens))
+		}
+		budget := 2 << 10
+		for k, n := range lens {
+			switch {
+			case size > budget && n != 1:
+				t.Errorf("%s: chunk %d holds %d slots of %d B over a %d B budget, want 1", name, k, n, size, budget)
+			case size <= budget && (n*size > budget || n*size <= budget-size):
+				t.Errorf("%s: chunk %d is %d B (%d slots) for a %d B budget", name, k, n*size, n, budget)
+			}
+			if budget < 32<<10 {
+				budget *= 2
+			}
+		}
+	}
+	tcb, big := carveChunks[[280]byte](8), carveChunks[[3000]byte](8)
+	check("int64", 8, carveChunks[int64](8))
+	check("rec", int(unsafe.Sizeof(rec{})), carveChunks[rec](8))
+	check("[280]byte", 280, tcb)
+	check("[3000]byte", 3000, big)
+	check("[40000]byte", 40000, carveChunks[[40000]byte](8))
+
+	if tcb[0] != 7 || tcb[4] != 117 || tcb[7] != 117 {
+		t.Errorf("280 B slots per chunk = %v, want 7 first and 117 from the fifth", tcb)
+	}
+	if big[0] != 1 {
+		t.Errorf("a 3000 B slot's first chunk holds %d slots, want 1", big[0])
+	}
+	if got := carveChunks[struct{}](2); got[0] < 1 || got[1] < 1 {
+		t.Errorf("zero-size slots per chunk = %v, want at least 1", got)
+	}
 }
 
 func TestChurnStaysFlat(t *testing.T) {
-	a := New[rec](256)
+	a := New[rec]()
 	// Steady-state churn: after warmup, chunk count must not move.
 	var held []*rec
 	for i := 0; i < 256; i++ {

@@ -215,7 +215,7 @@ func (s *System) selectNext() *Thread {
 		s.randomPick = false
 		if n := s.ready.Len(); n > 0 {
 			s.prngDraws++
-			t, p, _ := s.ready.Nth(s.prng.Intn(n))
+			t, p, _ := s.ready.Nth(s.rng().Intn(n))
 			s.ready.Remove(t, p)
 			s.lastPickForce = true
 			s.lastPickPrio = p

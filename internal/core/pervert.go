@@ -76,7 +76,7 @@ func (s *System) pervertKernelExit() {
 		// actually dispatched.
 		s.prngDraws++
 		s.prngDecisions++
-		if s.prng.Intn(2) == 0 {
+		if s.rng().Intn(2) == 0 {
 			return
 		}
 		cur.state = StateReady

@@ -107,11 +107,12 @@ type SMPSystem struct {
 	threads []*SMPThread
 	env     *smpEnv
 
-	live    int
-	active  *SMPThread
-	back    chan struct{}
-	started bool
-	err     error
+	live     int
+	active   *SMPThread
+	back     chan struct{}
+	started  bool
+	aborting bool // Run is unwinding the threads a deadlock left parked
+	err      error
 
 	// Dispatches counts thread-to-CPU assignments; the schedule hash
 	// folds every dispatch and steal into an FNV-1a checksum that the
@@ -219,8 +220,39 @@ func (s *SMPSystem) Run() error {
 		c.cur.resume <- struct{}{}
 		<-s.back
 	}
+	if s.err != nil {
+		s.abort()
+	}
 	s.active = nil
 	return s.err
+}
+
+// smpAbort unwinds a thread that Run gave up on.
+type smpAbort struct{}
+
+// abort unwinds, one at a time, every thread a deadlock left parked,
+// so no thread goroutine outlives Run: closing a thread's resume
+// channel makes its park panic with smpAbort, main recovers it, and
+// the exit is reported on back. Any SMP operation a deferred call
+// makes while the thread unwinds panics the same way at its turn,
+// before it could send on back.
+func (s *SMPSystem) abort() {
+	s.aborting = true
+	for _, t := range s.threads {
+		if !t.done {
+			s.active = t
+			close(t.resume)
+			<-s.back
+		}
+	}
+}
+
+// park waits until the executor resumes t, and unwinds t if Run has
+// closed its channel instead.
+func (t *SMPThread) park() {
+	if _, ok := <-t.resume; !ok {
+		panic(smpAbort{})
+	}
 }
 
 // dispatch pulls work onto an idle CPU: local queue first, then a
@@ -274,6 +306,9 @@ func (s *SMPSystem) pickCPU() *smpCPU {
 // time. Every charge and memory operation calls this first.
 func (t *SMPThread) turn() {
 	s := t.sys
+	if s.aborting {
+		panic(smpAbort{})
+	}
 	mine := s.cpus[t.cpu]
 	for {
 		yield := false
@@ -287,15 +322,23 @@ func (t *SMPThread) turn() {
 			return
 		}
 		s.back <- struct{}{}
-		<-t.resume
+		t.park()
 	}
 }
 
 func (t *SMPThread) main() {
-	<-t.resume
+	s := t.sys
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(smpAbort); !ok {
+				panic(r)
+			}
+			s.back <- struct{}{}
+		}
+	}()
+	t.park()
 	t.turn()
 	t.body(t)
-	s := t.sys
 	c := s.cpus[t.cpu]
 	now := c.Now()
 	for _, j := range t.joiners {
@@ -332,7 +375,7 @@ func (t *SMPThread) Yield() {
 	s.run.Local(t.cpu).Enqueue(t, smpDefaultPrio)
 	c.cur = nil
 	s.back <- struct{}{}
-	<-t.resume
+	t.park()
 	t.turn()
 }
 
@@ -352,7 +395,7 @@ func (t *SMPThread) Join(o *SMPThread) {
 	t.blocked = true
 	c.cur = nil
 	s.back <- struct{}{}
-	<-t.resume
+	t.park()
 	t.turn()
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"pthreads/internal/lockeng"
@@ -160,13 +161,47 @@ func TestSMPJoinAndYield(t *testing.T) {
 	}
 }
 
+// TestSMPDeadlockDetected also requires Run to unwind the deadlocked
+// threads: the goroutine count comes back to its baseline.
 func TestSMPDeadlockDetected(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := NewSMP(SMPConfig{VCPUs: 2})
 	var a, b *SMPThread
 	a = s.Go("a", func(th *SMPThread) { th.Join(b) })
 	b = s.Go("b", func(th *SMPThread) { th.Join(a) })
 	if err := s.Run(); err == nil {
 		t.Fatalf("mutual join did not report deadlock")
+	}
+	awaitGoroutines(t, before)
+}
+
+// TestSMPDeadlockUnwindsDeferredOps deadlocks threads whose bodies
+// defer SMP operations, one of them on a held engine mutex: each
+// deferred operation unwinds instead of waiting for a turn, the
+// deferred calls around it still run, and every thread goroutine ends
+// with Run.
+func TestSMPDeadlockUnwindsDeferredOps(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewSMP(SMPConfig{VCPUs: 1})
+	m := s.NewSMPMutex(lockeng.KindTAS, "m")
+	var a, b *SMPThread
+	ran := 0
+	a = s.Go("a", func(th *SMPThread) {
+		defer func() { ran++ }()
+		defer th.Compute(10)
+		th.Join(b)
+	})
+	b = s.Go("b", func(th *SMPThread) {
+		m.Lock(th)
+		defer m.Unlock(th)
+		th.Join(a)
+	})
+	if err := s.Run(); err == nil {
+		t.Fatalf("mutual join did not report deadlock")
+	}
+	awaitGoroutines(t, before)
+	if ran != 1 {
+		t.Errorf("a's deferred calls ran %d times, want 1", ran)
 	}
 }
 

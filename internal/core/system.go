@@ -222,8 +222,8 @@ type System struct {
 	contArena *arena.Arena[Cont]
 
 	pool          []poolEntry
-	prng          *rand.Rand
-	lockEnv       *lockEnv // lazily created when a mutex selects a lock engine
+	prng          *rand.Rand // built at the first draw (rng)
+	lockEnv       *lockEnv   // lazily created when a mutex selects a lock engine
 	quantum       vtime.Duration
 	sliceTimer    vtime.TimerID
 	sliceFor      *Thread
@@ -309,12 +309,11 @@ func New(cfg Config) *System {
 		tracer:  cfg.Tracer,
 		metrics: cfg.Metrics,
 		spans:   cfg.Spans,
-		prng:    rand.New(rand.NewSource(cfg.Seed)),
 		doneCh:  make(chan struct{}),
 	}
 	s.atoms = hw.NewAtomics(s.cpu)
-	s.tcbArena = arena.New[Thread](0)
-	s.contArena = arena.New[Cont](0)
+	s.tcbArena = arena.New[Thread]()
+	s.contArena = arena.New[Cont]()
 	s.explorer = cfg.Explorer
 	s.pervertArm = s.explorer == nil && (cfg.Pervert == PervertRROrdered || cfg.Pervert == PervertRandom)
 	s.proc = k.NewProcess("pthreads")
@@ -342,6 +341,16 @@ func New(cfg Config) *System {
 		}
 	}
 	return s
+}
+
+// rng returns the scheduler's PRNG, seeded from cfg.Seed at its first
+// draw. Only the random-switch perverted policy draws, so no other
+// system builds the source (about 4.9 KB).
+func (s *System) rng() *rand.Rand {
+	if s.prng == nil {
+		s.prng = rand.New(rand.NewSource(s.cfg.Seed))
+	}
+	return s.prng
 }
 
 // newPooledTCB carves a pool TCB from the arena.

@@ -61,8 +61,8 @@ func New(sys *core.System, cfg net.Config) *IO {
 	return &IO{
 		sys:       sys,
 		st:        net.NewStack(sys.Kernel(), sys.Process(), cfg),
-		ops:       arena.New[connOp](0),
-		contReads: arena.New[contReadState](0),
+		ops:       arena.New[connOp](),
+		contReads: arena.New[contReadState](),
 	}
 }
 

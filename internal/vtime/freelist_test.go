@@ -130,3 +130,32 @@ func TestFreeListRecyclesCancelled(t *testing.T) {
 		t.Fatal("ScheduleAt did not reuse the free-list entry")
 	}
 }
+
+// TestDrainedBurstPoolsFewPages arms 100,000 timers at once and fires
+// them all. Afterwards the clock may keep the frontier page resident
+// and at most two spare index pages: a burst must not hold its index
+// for the clock's lifetime.
+func TestDrainedBurstPoolsFewPages(t *testing.T) {
+	const n = 100000
+	c := NewClock()
+	for i := 0; i < n; i++ {
+		c.ScheduleAfter(Duration(1+i%1000), nil)
+	}
+	c.Advance(1000)
+	fired := 0
+	for {
+		if _, ok := c.PopDue(); !ok {
+			break
+		}
+		fired++
+	}
+	if fired != n || c.Pending() != 0 {
+		t.Fatalf("fired %d of %d, %d still pending", fired, n, c.Pending())
+	}
+	if got := len(c.pagePool); got > 2 {
+		t.Errorf("clock pools %d spare index pages after the burst, want <= 2", got)
+	}
+	if got := len(c.pages); got > 1 {
+		t.Errorf("clock keeps %d index pages resident with nothing armed, want <= 1", got)
+	}
+}

@@ -123,15 +123,21 @@ type timerEntry struct {
 // The live-entry index maps TimerID -> *timerEntry for Cancel. IDs are
 // handed out monotonically, so a hash map would send every arm to a
 // random bucket — one cache miss per operation once the table is large.
-// Instead the index is paged: 4096 consecutive IDs share one page, so the
+// Instead the index is paged: 256 consecutive IDs share one page, so the
 // arm/cancel/fire hot path stays on a single cached page, and a page is
-// recycled through a pool the moment its last live entry leaves. Lookup
-// is two shifts and two loads; the small page map is only consulted when
-// the ID crosses a page boundary (once per 4096 arms on the hot path).
+// recycled through a small pool the moment its last live entry leaves.
+// Lookup is two shifts and two loads; the small page map is only
+// consulted when the ID crosses a page boundary (once per 256 arms on
+// the hot path). A page is 2,056 B (the runtime's 2,304 B size class),
+// so a clock with a few armed timers holds a few KiB of index, and the
+// pool keeps at most maxPooledPages of them once a burst of armed
+// timers has drained.
 const (
-	pageBits = 12
+	pageBits = 8
 	pageSize = 1 << pageBits
 	pageMask = pageSize - 1
+
+	maxPooledPages = 2
 )
 
 type timerPage struct {
@@ -188,8 +194,9 @@ type Clock struct {
 	due      timerList
 
 	// Paged TimerID -> entry index (see timerPage). lastIdx/lastPage
-	// memoize the most recently touched page; pagePool recycles emptied
-	// pages so a steady-state workload never allocates one.
+	// memoize the most recently touched page; pagePool recycles up to
+	// maxPooledPages emptied pages, so a steady-state workload never
+	// allocates one and a drained burst does not keep its pages.
 	pages    map[TimerID]*timerPage
 	lastIdx  TimerID
 	lastPage *timerPage
@@ -273,7 +280,7 @@ func (c *Clock) indexPut(e *timerEntry) {
 		// that no future ID can land there.
 		if prev, ok := c.pages[idx-1]; ok && prev.live == 0 {
 			delete(c.pages, idx-1)
-			c.pagePool = append(c.pagePool, prev)
+			c.poolPage(prev)
 		}
 	}
 	pg.slots[e.id&pageMask] = e
@@ -298,6 +305,15 @@ func (c *Clock) indexDel(e *timerEntry, pg *timerPage) {
 		if c.lastIdx == idx {
 			c.lastIdx, c.lastPage = -1, nil
 		}
+		c.poolPage(pg)
+	}
+}
+
+// poolPage keeps an emptied page for the next boundary crossing, unless
+// the pool is full; then the page is left to the garbage collector.
+// Every slot of an emptied page is already nil.
+func (c *Clock) poolPage(pg *timerPage) {
+	if len(c.pagePool) < maxPooledPages {
 		c.pagePool = append(c.pagePool, pg)
 	}
 }
