@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"pthreads"
+	"pthreads/internal/unixkern"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func main() {
 		fmt.Printf("\nsignals: %d internal, %d external; fake calls: %d; cancellations: %d\n",
 			st.SignalsInternal, st.SignalsExternal, st.FakeCalls, st.Cancellations)
 		fmt.Printf("sigsetmask system calls: %d (at most two per received signal)\n",
-			sys.Kernel().SyscallCounts["sigsetmask"])
+			sys.Kernel().SyscallCounts[unixkern.SysSigsetmask])
 	})
 	if err != nil {
 		fmt.Println("system error:", err)

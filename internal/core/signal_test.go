@@ -439,7 +439,7 @@ func TestExternalSignalDemultiplexed(t *testing.T) {
 		t.Fatal("external path not counted")
 	}
 	// The budget: two sigsetmask system calls for the received signal.
-	if n := s.Kernel().SyscallCounts["sigsetmask"]; n != 2 {
+	if n := s.Kernel().SyscallCounts[unixkern.SysSigsetmask]; n != 2 {
 		t.Fatalf("sigsetmask count = %d, want 2", n)
 	}
 }

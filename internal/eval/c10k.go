@@ -20,8 +20,9 @@ import (
 // SPARCstation; the question here is whether the reproduction's hot
 // paths stay O(1) as the population grows three orders of magnitude —
 // ring-buffer ready queues, kernel-free mutex fast path, per-descriptor
-// wait maps, and the timer heap (the one deliberately O(log n)
-// structure) are each pinned by one scenario.
+// wait maps, and the timer wheel are each pinned by one scenario. The
+// timer rows also count the wheel's own work per op, which a test holds
+// flat across the ladder exactly where host ns are only a tripwire.
 //
 // Host metrics (wall nanoseconds, allocations) vary by machine and are
 // recorded into BENCH_host.json next to the -host benchmarks; the
@@ -48,14 +49,24 @@ type C10KPoint struct {
 	IntervalVUS float64 `json:"interval_vus,omitempty"`
 	P50VUS      float64 `json:"p50_vus,omitempty"`
 	P99VUS      float64 `json:"p99_vus,omitempty"`
+
+	// Timer-wheel host work per op (vtime.WheelStats), set by the timer
+	// scenario. Like VUSOp it is deterministic, but it is not identical
+	// across rungs: each rung starts its window at a different virtual
+	// instant, so the wheel's slot boundaries fall differently.
+	WheelScansOp   float64 `json:"wheel_scans_per_op,omitempty"`
+	WheelRefiledOp float64 `json:"wheel_refiled_per_op,omitempty"`
+	WheelSlotOp    float64 `json:"wheel_slot_scanned_per_op,omitempty"`
+	WheelBoundOp   float64 `json:"wheel_bound_polls_per_op,omitempty"`
 }
 
 // c10kMeter brackets a measured region: host wall clock, cumulative
-// allocation count, and the virtual clock.
+// allocation count, the virtual clock and the timer wheel's work.
 type c10kMeter struct {
 	host    time.Time
 	mallocs uint64
 	vt      vtime.Time
+	wheel   vtime.WheelStats
 }
 
 func c10kStart(s *core.System) c10kMeter {
@@ -64,7 +75,18 @@ func c10kStart(s *core.System) c10kMeter {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return c10kMeter{host: time.Now(), mallocs: ms.Mallocs, vt: s.Now()}
+	return c10kMeter{host: time.Now(), mallocs: ms.Mallocs, vt: s.Now(), wheel: s.Clock().WheelStats()}
+}
+
+// wheelPerOp sets the point's timer-wheel counts from the work the clock
+// did since the meter started.
+func (m c10kMeter) wheelPerOp(s *core.System, pt *C10KPoint) {
+	w := s.Clock().WheelStats()
+	n := float64(pt.Ops)
+	pt.WheelScansOp = float64(w.RegionScans-m.wheel.RegionScans) / n
+	pt.WheelRefiledOp = float64(w.Refiled-m.wheel.Refiled) / n
+	pt.WheelSlotOp = float64(w.SlotScanned-m.wheel.SlotScanned) / n
+	pt.WheelBoundOp = float64(w.BoundPolls-m.wheel.BoundPolls) / n
 }
 
 func (m c10kMeter) stop(s *core.System, scenario string, threads int, ops int64) C10KPoint {
@@ -201,9 +223,11 @@ func c10kMutex(n int) (C10KPoint, error) {
 }
 
 // c10kTimer keeps n-1 timed waiters asleep far in the future (the timer
-// heap holds n entries) while main arms, fires, and reaps short sleeps:
-// each op is one arm + idle advance + expiry dispatch against a heap of
-// depth n. This is the one deliberately O(log n) path in the suite.
+// wheel holds n entries, most of them in one coarse slot) while main
+// arms, fires, and reaps short sleeps: each op is one arm + idle advance
+// + expiry dispatch. The wheel never walks the sleepers' slot on the way,
+// so the rung is flat, and its per-op wheel counts pin that exactly: an
+// O(n) walk of the sleepers would show as slot scans growing with n.
 func c10kTimer(n int) (C10KPoint, error) {
 	const ops = 20000
 	const long = 10 * vtime.Second
@@ -232,6 +256,7 @@ func c10kTimer(n int) (C10KPoint, error) {
 			s.Sleep(vtime.Microsecond)
 		}
 		pt = m.stop(s, "timer", n, ops)
+		m.wheelPerOp(s, &pt)
 		for _, th := range ths {
 			s.Join(th)
 		}
@@ -406,8 +431,10 @@ func FormatC10K(pts []C10KPoint) string {
 	b.WriteString(" mutex = uncontended lock beside an n-deep lock chain; timer = 1µs\n")
 	b.WriteString(" sleeps beside n far-future waiters; echo = jacket round trips beside\n")
 	b.WriteString(" n parked readers. xBase is host ns/op relative to the scenario's\n")
-	b.WriteString(" smallest population; timer is the O(log n) exception.)\n")
-	b.WriteString("  scenario  threads      ops   host-ns/op  allocs/op    vus/op   xBase\n")
+	b.WriteString(" smallest population. Timer rows add the wheel's work per op:\n")
+	b.WriteString(" earliest-region scans, entries re-filed, coarse-slot entries read\n")
+	b.WriteString(" and polls answered by the bound; all four should stay flat.)\n")
+	b.WriteString("  scenario  threads      ops   host-ns/op  allocs/op    vus/op   xBase   scans  refiled  slotread   bound\n")
 	base := map[string]float64{}
 	openloop := false
 	for _, p := range pts {
@@ -422,8 +449,13 @@ func FormatC10K(pts []C10KPoint) string {
 		if base[p.Scenario] > 0 {
 			rel = p.HostNSOp / base[p.Scenario]
 		}
-		b.WriteString(fmt.Sprintf("  %-8s  %7d  %7d  %11.1f  %9.3f  %8.2f  %6.2f\n",
+		b.WriteString(fmt.Sprintf("  %-8s  %7d  %7d  %11.1f  %9.3f  %8.2f  %6.2f",
 			p.Scenario, p.Threads, p.Ops, p.HostNSOp, p.AllocsOp, p.VUSOp, rel))
+		if p.Scenario == "timer" {
+			b.WriteString(fmt.Sprintf("  %6.3f  %7.3f  %8.3f  %6.3f",
+				p.WheelScansOp, p.WheelRefiledOp, p.WheelSlotOp, p.WheelBoundOp))
+		}
+		b.WriteString("\n")
 	}
 	if openloop {
 		b.WriteString("\nOpen-loop echo: fixed arrival schedule at ~80% of the 16-client\n")

@@ -32,16 +32,13 @@ func measureSyscalls(operation string, n int, setup func(s *core.System) (op fun
 	err := s.Run(func() {
 		op, teardown := setup(s)
 		op() // warm-up outside the counted window
-		before := map[string]int64{}
-		for k, v := range s.Kernel().SyscallCounts {
-			before[k] = v
-		}
+		before := s.Kernel().SyscallCounts
 		for i := 0; i < n; i++ {
 			op()
 		}
-		for k, v := range s.Kernel().SyscallCounts {
-			if d := v - before[k]; d > 0 {
-				profile.PerOp[k] = float64(d) / float64(n)
+		for sc, v := range s.Kernel().SyscallCounts {
+			if d := v - before[sc]; d > 0 {
+				profile.PerOp[unixkern.Syscall(sc).String()] = float64(d) / float64(n)
 				profile.Total += float64(d) / float64(n)
 			}
 		}

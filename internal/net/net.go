@@ -135,8 +135,8 @@ func (st *Stack) Config() Config { return st.cfg }
 
 // Listen binds a listener with a bounded accept backlog to an address.
 func (st *Stack) Listen(addr string, backlog int) (*Listener, error) {
-	st.k.CountSyscall("socket")
-	st.k.CountSyscall("listen")
+	st.k.CountSyscall(unixkern.SysSocket)
+	st.k.CountSyscall(unixkern.SysListen)
 	if backlog < 1 {
 		backlog = 1
 	}
@@ -156,8 +156,8 @@ func (st *Stack) Listen(addr string, backlog int) (*Listener, error) {
 // and the client writable — or is refused (no listener, or backlog
 // full). Poll ConnectStatus, or wait for writability, to learn which.
 func (st *Stack) Dial(addr string) (*Conn, error) {
-	st.k.CountSyscall("socket")
-	st.k.CountSyscall("connect")
+	st.k.CountSyscall(unixkern.SysSocket)
+	st.k.CountSyscall(unixkern.SysConnect)
 	st.stats.Dials++
 	if st.router != nil {
 		if rst, laddr, out, back, flow, ok := st.router.Route(addr); ok {

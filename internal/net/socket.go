@@ -28,7 +28,7 @@ func (l *Listener) Pending() int { return len(l.backlog) }
 
 // TryAccept pops the oldest queued connection, or reports ErrWouldBlock.
 func (l *Listener) TryAccept() (*Conn, error) {
-	l.st.k.CountSyscall("accept")
+	l.st.k.CountSyscall(unixkern.SysAccept)
 	if l.closed {
 		return nil, ErrClosed
 	}
@@ -50,7 +50,7 @@ func (l *Listener) Close() error {
 	if l.closed {
 		return ErrClosed
 	}
-	l.st.k.CountSyscall("close")
+	l.st.k.CountSyscall(unixkern.SysClose)
 	l.closed = true
 	delete(l.st.listeners, l.addr)
 	for _, c := range l.backlog {
@@ -212,7 +212,7 @@ func (c *Conn) writeSpace() int {
 // At end of stream it returns (0, EOF); a reset direction reports
 // ErrReset; an empty buffer reports ErrWouldBlock.
 func (c *Conn) TryRead(max int) (int, error) {
-	c.st.k.CountSyscall("recv")
+	c.st.k.CountSyscall(unixkern.SysRecv)
 	if c.closed {
 		return 0, ErrClosed
 	}
@@ -249,7 +249,7 @@ func (c *Conn) TryRead(max int) (int, error) {
 // into a connection whose data arrives at a closed endpoint provokes a
 // reset (observed on a later operation, as TCP does it).
 func (c *Conn) TryWrite(n int) (int, error) {
-	c.st.k.CountSyscall("send")
+	c.st.k.CountSyscall(unixkern.SysSend)
 	switch {
 	case c.closed:
 		return 0, ErrClosed
@@ -290,7 +290,7 @@ func (c *Conn) Close() error {
 	if c.closed {
 		return ErrClosed
 	}
-	c.st.k.CountSyscall("close")
+	c.st.k.CountSyscall(unixkern.SysClose)
 	c.closed = true
 	peer := c.peer
 	if !c.established {

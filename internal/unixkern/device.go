@@ -40,7 +40,7 @@ func (k *Kernel) NewDevice(name string, setup, perByte vtime.Duration) (*Device,
 // the device has worked through its queue and this transfer. It returns
 // the request id and the predicted completion time.
 func (k *Kernel) AioDevice(d *Device, p *Process, bytes int, datum any) (AioID, vtime.Time) {
-	k.countSyscall("aioread")
+	k.CountSyscall(SysAioread)
 	d.Requests++
 	start := k.Clock.Now()
 	if d.busyUntil > start {

@@ -97,7 +97,7 @@ func TestGetpidChargesSyscall(t *testing.T) {
 	if d := k.Clock.Now().Sub(before); int64(d) != k.CPU.Model.SyscallNS {
 		t.Fatalf("getpid cost %v", d)
 	}
-	if k.SyscallCounts["getpid"] != 1 {
+	if k.SyscallCounts[SysGetpid] != 1 {
 		t.Fatal("syscall not counted")
 	}
 }
@@ -327,7 +327,7 @@ func TestQuantumTimerUncharged(t *testing.T) {
 	if k.Clock.Now() != before {
 		t.Fatal("internal timers charged time")
 	}
-	if k.SyscallCounts["setitimer"] != 0 {
+	if k.SyscallCounts[SysSetitimer] != 0 {
 		t.Fatal("internal timers counted as syscalls")
 	}
 }
@@ -372,9 +372,9 @@ func TestRestoreMaskNoSyscall(t *testing.T) {
 	k := newKern(t)
 	p := k.NewProcess("p")
 	p.Sigsetmask(MakeSigset(SIGUSR1))
-	count := k.SyscallCounts["sigsetmask"]
+	count := k.SyscallCounts[SysSigsetmask]
 	p.RestoreMask(0)
-	if k.SyscallCounts["sigsetmask"] != count {
+	if k.SyscallCounts[SysSigsetmask] != count {
 		t.Fatal("RestoreMask charged a syscall")
 	}
 	if !p.Mask().Empty() {

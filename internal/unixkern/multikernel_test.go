@@ -80,7 +80,7 @@ func TestTwoKernelsSideBySide(t *testing.T) {
 	}
 
 	// Syscall accounting is per-kernel too: the fd traffic above went
-	// through countSyscall on its own kernel only.
+	// through CountSyscall on its own kernel only.
 	aCalls, bCalls := int64(0), int64(0)
 	for _, n := range ka.SyscallCounts {
 		aCalls += n

@@ -212,8 +212,3 @@ func (nd *NetDevice) Occupy(bytes int) vtime.Time {
 
 // BusyUntil reports when the interface's transmit queue drains.
 func (nd *NetDevice) BusyUntil() vtime.Time { return nd.busyUntil }
-
-// CountSyscall lets kernel-adjacent subsystems (the socket layer) charge
-// and record a system call by name, exactly as the kernel's own entry
-// points do.
-func (k *Kernel) CountSyscall(name string) { k.countSyscall(name) }

@@ -10,15 +10,26 @@
 // debugging policies.
 //
 // The timer queue is a hierarchical timer wheel (Varghese & Lauck): eleven
-// levels of 64 slots each, with a per-level occupancy bitmap. Level 0 slots
-// are exact one-nanosecond ticks; level l slots span 64^l nanoseconds.
-// Arm and cancel are O(1) (entries are intrusively doubly-linked, so cancel
+// levels of 64 slots each, with a per-level occupancy bitmap and one
+// summary word naming the non-empty levels. Level 0 slots are exact
+// one-nanosecond ticks; level l slots span 64^l nanoseconds. Arm and
+// cancel are O(1) (entries are intrusively doubly-linked, so cancel
 // unlinks and recycles immediately), and advancing cascades each entry at
 // most once per level, so draining n timers costs O(n·L) total rather than
-// the binary heap's O(n·log n). Unlike a classic wheel, expiry remains
-// exact: NextExpiry reports the precise timestamp of the earliest timer
-// (memoized between structural changes), so Step and the idle loop stop at
-// bit-identical instants and the determinism contract is untouched.
+// the binary heap's O(n·log n). A due region holding a single entry moves
+// it straight to the due list instead of cascading it level by level.
+//
+// The kernel polls the queue at every exit and idle step, and most polls
+// find nothing. The clock keeps a bound, an instant before which no wheel
+// entry expires: the base of the earliest wheel region when a poll last
+// stopped short of it, or an earlier expiry armed since. A poll made
+// before the clock reaches the bound is one compare.
+//
+// Unlike a classic wheel, expiry remains exact: NextExpiry reports the
+// precise timestamp of the earliest timer (memoized between structural
+// changes), so Step and the idle loop stop at bit-identical instants and
+// the determinism contract is untouched. WheelStats counts the wheel's
+// own host work, so that its O(1) claims can be gated exactly.
 package vtime
 
 import (
@@ -187,11 +198,22 @@ type Clock struct {
 	// its timestamp relative to wt (same enclosing window, strictly after
 	// the anchor's position at its level); every entry with at <= wt is
 	// on the due list, kept in (at, seq) order. The anchor trails now
-	// lazily and is caught up by fixup before any query.
+	// lazily and is caught up by the first poll that reaches the bound,
+	// or by an arm into an empty wheel.
 	wt       Time
 	wheel    [levelCount][slotCount]timerList
 	occupied [levelCount]uint64
+	levels   uint16 // bit l set while occupied[l] != 0
 	due      timerList
+
+	// bound is at or below the expiry of every wheel entry (Infinity once
+	// the wheel is empty), so until now reaches it no wheel entry is due
+	// and a poll costs one compare. fixup sets it where it stops short:
+	// the base of the earliest region, or the expiry of a region's only
+	// entry. place lowers it to each expiry it files; a cancel leaves it
+	// low, which is only conservative.
+	bound Time
+	stats WheelStats
 
 	// Paged TimerID -> entry index (see timerPage). lastIdx/lastPage
 	// memoize the most recently touched page; pagePool recycles up to
@@ -240,8 +262,22 @@ type Clock struct {
 
 // NewClock returns a clock at time zero with no timers armed.
 func NewClock() *Clock {
-	return &Clock{pages: make(map[TimerID]*timerPage), lastIdx: -1}
+	return &Clock{pages: make(map[TimerID]*timerPage), lastIdx: -1, bound: Infinity}
 }
+
+// WheelStats counts the host work the timer queue has done since the
+// clock was made. None of it is simulated time: these are the loops the
+// queue's O(1) claims are about, counted so that a gate can hold them
+// exactly where host nanoseconds are only a noisy tripwire.
+type WheelStats struct {
+	RegionScans int64 // lookups of the earliest occupied wheel region
+	Refiled     int64 // entries a cascade moved to a finer level
+	SlotScanned int64 // entries NextExpiry read in a coarse slot
+	BoundPolls  int64 // polls answered by the bound alone
+}
+
+// WheelStats returns the counts of the queue's host work so far.
+func (c *Clock) WheelStats() WheelStats { return c.stats }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
@@ -319,7 +355,8 @@ func (c *Clock) poolPage(pg *timerPage) {
 }
 
 // place files an entry into its canonical wheel slot relative to the
-// anchor. The caller guarantees e.at > c.wt.
+// anchor and lowers the bound to its expiry. The caller guarantees
+// e.at > c.wt.
 func (c *Clock) place(e *timerEntry) {
 	diff := uint64(e.at) ^ uint64(c.wt)
 	level := (63 - bits.LeadingZeros64(diff)) / levelBits
@@ -327,6 +364,18 @@ func (c *Clock) place(e *timerEntry) {
 	e.level, e.slot = int8(level), int8(slot)
 	c.wheel[level][slot].append(e)
 	c.occupied[level] |= 1 << uint(slot)
+	c.levels |= 1 << uint(level)
+	if e.at < c.bound {
+		c.bound = e.at
+	}
+}
+
+// vacate clears the occupancy bits of a wheel slot that has just emptied.
+func (c *Clock) vacate(level, slot int) {
+	c.occupied[level] &^= 1 << uint(slot)
+	if c.occupied[level] == 0 {
+		c.levels &^= 1 << uint(level)
+	}
 }
 
 // armDue inserts an entry whose expiry is at or behind the anchor into the
@@ -375,6 +424,9 @@ func (c *Clock) ScheduleAt(at Time, payload any) TimerID {
 		c.liveLen++
 	}
 	c.indexPut(e)
+	if c.levels == 0 {
+		c.wt = c.now // an empty wheel may take any anchor up to now
+	}
 	if at > c.wt {
 		c.place(e)
 	} else {
@@ -430,7 +482,7 @@ func (c *Clock) CancelTake(id TimerID) (any, bool) {
 		lv, sl := int(e.level), int(e.slot)
 		c.wheel[lv][sl].remove(e)
 		if c.wheel[lv][sl].head == nil {
-			c.occupied[lv] &^= 1 << uint(sl)
+			c.vacate(lv, sl)
 		}
 	}
 	if c.cachedOK && e.at == c.cachedNext {
@@ -445,55 +497,60 @@ func (c *Clock) CancelTake(id TimerID) (any, bool) {
 func (c *Clock) Pending() int { return c.npending }
 
 // findMinRegion locates the earliest occupied region of the wheel: the
-// lowest level with an occupied slot strictly after the anchor's position,
-// and the first such slot. By the placement invariant, every entry at
-// level l+1 expires after every entry at level l, and slots at one level
-// are in time order, so this region contains the earliest wheel entry.
-func (c *Clock) findMinRegion() (level, slot int, ok bool) {
-	for l := 0; l < levelCount; l++ {
-		pos := uint(uint64(c.wt)>>(uint(l)*levelBits)) & slotMask
-		m := c.occupied[l] &^ (2<<pos - 1)
-		if m != 0 {
-			return l, bits.TrailingZeros64(m), true
-		}
-	}
-	return 0, 0, false
+// lowest non-empty level, and its first occupied slot. Every entry at
+// level l sits in a slot strictly after the anchor's position there (the
+// placement invariant), every entry at level l+1 expires after every entry
+// at level l, and slots at one level are in time order, so this region
+// contains the earliest wheel entry. The caller guarantees c.levels != 0.
+func (c *Clock) findMinRegion() (level, slot int) {
+	c.stats.RegionScans++
+	level = bits.TrailingZeros16(c.levels)
+	return level, bits.TrailingZeros64(c.occupied[level])
 }
 
-// fixup advances the anchor to now, moving every entry with at <= now onto
-// the due list in (at, seq) order and re-filing the rest at finer levels.
-// It repeatedly takes the earliest occupied region: a level-0 slot is one
-// exact tick, so its whole (seq-ordered) list flushes to the due list; a
-// higher-level slot whose base has been reached cascades, in list order,
-// into strictly lower levels — which preserves FIFO order because a
-// freshly-entered window's lower slots are provably empty before their
-// first cascade. Each entry moves at most once per level, so a drain of n
-// timers costs O(n·L) amortized.
+// fixup moves every wheel entry with at <= now onto the due list in
+// (at, seq) order. Before now reaches the bound there is none, and fixup
+// returns at once, leaving the anchor behind: any anchor at or before now
+// that the wheel was filed against stays valid. It is small enough to
+// inline, so such a poll costs no call.
 func (c *Clock) fixup() {
-	if c.wt == c.now {
-		return // every wheel entry is strictly after the anchor: none is due
-	}
-	if c.npending == 0 {
-		c.wt = c.now // nothing armed anywhere: catch up without a scan
+	if c.now < c.bound {
+		c.stats.BoundPolls++
 		return
 	}
-	for {
-		l, s, ok := c.findMinRegion()
-		if !ok {
-			c.wt = c.now
+	c.cascade()
+}
+
+// cascade is fixup's slow path. It advances the anchor to now by taking
+// the earliest occupied region again and again. A level-0 slot is one
+// exact tick, so its whole (seq-ordered) list flushes to the due list.
+// So does a coarser slot whose base has been reached and that holds a
+// single entry already due: every other wheel entry expires after it and
+// every due entry before it. Any other reached slot cascades, in list
+// order, into strictly lower levels — which preserves FIFO order because
+// a freshly-entered window's lower slots are provably empty before their
+// first cascade. Each entry moves at most once per level, so a drain of n
+// timers costs O(n·L) amortized. The region it stops short of sets the
+// bound: its base, or its only entry's expiry.
+func (c *Clock) cascade() {
+	for c.levels != 0 {
+		l, s := c.findMinRegion()
+		shift := uint(l) * levelBits
+		base := Time(uint64(c.wt)&^(1<<(shift+levelBits)-1) | uint64(s)<<shift)
+		sl := &c.wheel[l][s]
+		if base > c.now {
+			c.wt, c.bound = c.now, base
+			if sl.head == sl.tail {
+				c.bound = sl.head.at
+			}
 			return
 		}
-		if l == 0 {
-			at := Time(uint64(c.wt)&^slotMask | uint64(s))
-			if at > c.now {
-				c.wt = c.now
-				return
-			}
-			c.wt = at
-			// Every entry in a level-0 slot shares this exact expiry,
-			// and the slot list is in seq order: splice it whole onto
-			// the due tail.
-			sl := &c.wheel[0][s]
+		c.wt = base
+		c.vacate(l, s)
+		if l == 0 || sl.head == sl.tail && sl.head.at <= c.now {
+			// Every entry in a level-0 slot shares this exact expiry, and
+			// the slot list is in seq order: splice it whole onto the due
+			// tail.
 			for e := sl.head; e != nil; e = e.next {
 				e.level = levelDue
 			}
@@ -505,20 +562,10 @@ func (c *Clock) fixup() {
 			}
 			c.due.tail = sl.tail
 			sl.head, sl.tail = nil, nil
-			c.occupied[0] &^= 1 << uint(s)
 			continue
 		}
-		shift := uint(l) * levelBits
-		base := Time(uint64(c.wt)&^(1<<(shift+levelBits)-1) | uint64(s)<<shift)
-		if base > c.now {
-			c.wt = c.now
-			return
-		}
-		c.wt = base
-		sl := &c.wheel[l][s]
 		e := sl.head
 		sl.head, sl.tail = nil, nil
-		c.occupied[l] &^= 1 << uint(s)
 		for e != nil {
 			next := e.next
 			e.prev, e.next = nil, nil
@@ -527,10 +574,12 @@ func (c *Clock) fixup() {
 				c.due.append(e)
 			} else {
 				c.place(e)
+				c.stats.Refiled++
 			}
 			e = next
 		}
 	}
+	c.wt, c.bound = c.now, Infinity
 }
 
 // NextExpiry returns the expiry of the earliest armed timer. It is O(1)
@@ -540,17 +589,14 @@ func (c *Clock) NextExpiry() (Time, bool) {
 		return c.cachedNext, true
 	}
 	c.fixup()
-	if c.npending == 0 {
-		return 0, false
-	}
 	if e := c.due.head; e != nil {
 		c.cachedNext, c.cachedOK = e.at, true
 		return e.at, true
 	}
-	l, s, ok := c.findMinRegion()
-	if !ok {
+	if c.levels == 0 {
 		return 0, false
 	}
+	l, s := c.findMinRegion()
 	var min Time
 	if l == 0 {
 		// A level-0 slot is a single exact tick.
@@ -565,6 +611,7 @@ func (c *Clock) NextExpiry() (Time, bool) {
 			if e.at < min {
 				min = e.at
 			}
+			c.stats.SlotScanned++
 		}
 	}
 	c.cachedNext, c.cachedOK = min, true

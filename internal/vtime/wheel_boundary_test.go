@@ -73,8 +73,8 @@ func TestWheelBoundaryArmFireOrder(t *testing.T) {
 		r := newRefClock()
 		c.AdvanceTo(anchor)
 		r.now = anchor
-		// Force the wheel anchor wt to the advanced instant: the anchor
-		// only moves lazily, inside a cascade.
+		// The first arm into the empty wheel anchors it at the advanced
+		// instant; before it, an empty clock must report no expiry.
 		expiryCompare(t, "empty", c, r)
 
 		for _, d := range boundaryOffsets() {
@@ -87,6 +87,9 @@ func TestWheelBoundaryArmFireOrder(t *testing.T) {
 			}
 			c.ScheduleAfter(d, ^int64(d))
 			r.ScheduleAfter(d, ^int64(d))
+		}
+		if c.wt != anchor {
+			t.Fatalf("anchor %v: wheel filed against %v, so the offsets straddle no edge", anchor, c.wt)
 		}
 		expiryCompare(t, "armed", c, r)
 
