@@ -698,6 +698,24 @@ func BenchmarkC1MEcho(b *testing.B) {
 }
 
 func benchEchoParked(b *testing.B, parked int, spans bool) {
+	withEchoParked(b, parked, spans, func(s *pthreads.System, round func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		v0 := s.Now()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+		b.StopTimer()
+		reportVirtual(b, s, v0, b.N)
+	})
+}
+
+// withEchoParked builds the echo ladder's population once — parked
+// continuation readers, each in ContRead on its own connection whose far
+// end main holds, beside an echo server — and calls run from main with
+// one 64-byte round trip to the server. It tears the population down
+// when run returns.
+func withEchoParked(tb testing.TB, parked int, spans bool, run func(s *pthreads.System, round func())) {
 	s := pthreads.New(pthreads.Config{PoolSize: parked + 4})
 	err := s.Run(func() {
 		x := pthreads.NewIO(s, pthreads.NetConfig{})
@@ -706,7 +724,7 @@ func benchEchoParked(b *testing.B, parked int, spans bool) {
 		}
 		l, err := x.Listen("echo", 1)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		attr := pthreads.DefaultAttr()
 		attr.Name = "server"
@@ -728,7 +746,7 @@ func benchEchoParked(b *testing.B, parked int, spans bool) {
 
 		lp, err := x.Listen("park", 16)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		pattr := pthreads.DefaultAttr()
 		pattr.Priority = s.Self().Priority() + 1
@@ -745,38 +763,33 @@ func benchEchoParked(b *testing.B, parked int, spans bool) {
 				c.ContRead(k, 1, func(k *pthreads.Cont) { c.Close() })
 			}, nil)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			parkers = append(parkers, th)
 			sc, err := lp.Accept()
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			held = append(held, sc)
 		}
 
 		c, err := x.Dial("echo")
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		v0 := s.Now()
-		for i := 0; i < b.N; i++ {
+		run(s, func() {
 			if _, err := c.Write(64); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			got := 0
 			for got < 64 {
 				n, err := c.Read(64)
 				if err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 				got += n
 			}
-		}
-		b.StopTimer()
-		reportVirtual(b, s, v0, b.N)
+		})
 		c.Close()
 		s.Join(server)
 		for _, sc := range held {
@@ -787,7 +800,7 @@ func benchEchoParked(b *testing.B, parked int, spans bool) {
 		}
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 

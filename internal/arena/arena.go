@@ -10,9 +10,13 @@
 // population: the first chunk holds 2 KiB of slots and each later one
 // doubles, up to 32 KiB. A system with a few dozen records pays a few
 // KiB, and a retired chunk that one long-lived record pins costs at
-// most 32 KiB. 32 KiB is the Go runtime's largest small-object size
-// class, so a full chunk wastes less than one slot to rounding; a slot
-// larger than a chunk's budget still gets one slot per chunk.
+// most 32 KiB. Each budget is a Go runtime size class (32 KiB is the
+// largest small one), so a chunk costs its budget and wastes less than
+// one slot. Below 32 KiB the slots leave room for the 8 B header the
+// runtime puts before a pointer-holding object of more than 512 B: eight
+// 256 B slots would need 2,056 B and land in the 2,304 B class. A 32 KiB
+// chunk is a large object, which has no header. A slot larger than a
+// chunk's budget still gets one slot per chunk.
 //
 // Arenas are deliberately not thread-safe: every caller in this
 // codebase allocates from kernel context, which is single-threaded by
@@ -22,10 +26,13 @@ package arena
 import "unsafe"
 
 // Chunk byte budgets: the first chunk's, and the cap that doubling
-// stops at (firstChunkBytes << maxChunkShift).
+// stops at (firstChunkBytes << maxChunkShift). mallocHeaderBytes is the
+// type header the runtime stores in a small pointer-holding object of
+// more than 512 B; the slots of a budget below the cap leave room for it.
 const (
-	firstChunkBytes = 2 << 10
-	maxChunkShift   = 4
+	firstChunkBytes   = 2 << 10
+	maxChunkShift     = 4
+	mallocHeaderBytes = 8
 )
 
 // Arena is a chunked slab allocator for values of type T.
@@ -57,10 +64,19 @@ type Stats struct {
 func New[T any]() *Arena[T] { return &Arena[T]{} }
 
 // chunkLen is the slot count of chunk k (from 0) for slots of
-// slotBytes: the chunk's byte budget over the slot size, at least one.
+// slotBytes: the room in the chunk's byte budget over the slot size, at
+// least one.
 func chunkLen(slotBytes uintptr, k int) int {
-	budget := uintptr(firstChunkBytes) << min(k, maxChunkShift)
-	return int(max(budget/max(slotBytes, 1), 1))
+	return int(max(chunkRoom(k)/max(slotBytes, 1), 1))
+}
+
+// chunkRoom is the bytes of slots chunk k holds: its budget, less the
+// malloc header below the 32 KiB cap.
+func chunkRoom(k int) uintptr {
+	if k >= maxChunkShift {
+		return firstChunkBytes << maxChunkShift
+	}
+	return firstChunkBytes<<k - mallocHeaderBytes
 }
 
 // Get returns a zeroed slot, reusing a freed slot if one is available

@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -67,10 +68,11 @@ func TestFreeListLIFOReuseAndZeroing(t *testing.T) {
 }
 
 // TestDefaultChunkSlots pins the default geometry for an 8-byte slot:
-// the first chunk is 2 KiB, 256 slots, and the second doubles to 512.
+// the first chunk is 2 KiB less the malloc header, 255 slots, and the
+// second doubles to 511.
 func TestDefaultChunkSlots(t *testing.T) {
 	var a Arena[int64]
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 255; i++ {
 		a.Get()
 	}
 	if got := a.Stats().Chunks; got != 1 {
@@ -80,8 +82,8 @@ func TestDefaultChunkSlots(t *testing.T) {
 	if got := a.Stats().Chunks; got != 2 {
 		t.Fatalf("chunks = %d, want 2 after one more", got)
 	}
-	if got := len(a.cur); got != 512 {
-		t.Fatalf("second chunk holds %d slots, want 512", got)
+	if got := len(a.cur); got != 511 {
+		t.Fatalf("second chunk holds %d slots, want 511", got)
 	}
 }
 
@@ -110,10 +112,11 @@ func TestChunkBytesDoubleTo32KiB(t *testing.T) {
 		}
 		budget := 2 << 10
 		for k, n := range lens {
+			room := int(chunkRoom(k))
 			switch {
-			case size > budget && n != 1:
+			case size > room && n != 1:
 				t.Errorf("%s: chunk %d holds %d slots of %d B over a %d B budget, want 1", name, k, n, size, budget)
-			case size <= budget && (n*size > budget || n*size <= budget-size):
+			case size <= room && (n*size > room || n*size <= room-size):
 				t.Errorf("%s: chunk %d is %d B (%d slots) for a %d B budget", name, k, n*size, n, budget)
 			}
 			if budget < 32<<10 {
@@ -136,6 +139,33 @@ func TestChunkBytesDoubleTo32KiB(t *testing.T) {
 	}
 	if got := carveChunks[struct{}](2); got[0] < 1 || got[1] < 1 {
 		t.Errorf("zero-size slots per chunk = %v, want at least 1", got)
+	}
+}
+
+// TestChunksCostTheirBudget measures what each chunk of pointer-holding
+// 256 B slots (the TCB's size) costs the heap: its byte budget, not the
+// next size class up, which a budget filled to the byte would reach
+// once the runtime adds its malloc header (2,304 B for the first chunk).
+func TestChunksCostTheirBudget(t *testing.T) {
+	type slot struct {
+		p *int
+		_ [248]byte
+	}
+	a := New[slot]()
+	budget := uint64(firstChunkBytes)
+	for k := 0; k <= maxChunkShift+1; k++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for n := chunkLen(unsafe.Sizeof(slot{}), k); n > 0; n-- {
+			a.Get()
+		}
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
+			t.Errorf("chunk %d of 256 B slots costs %d B of heap, want at most its %d B budget", k, got, budget)
+		}
+		if k < maxChunkShift {
+			budget *= 2
+		}
 	}
 }
 

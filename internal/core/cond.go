@@ -21,11 +21,10 @@ type Cond struct {
 }
 
 // timedWaitTag marks the expiry timer of a TimedWait; the delivery model
-// short-circuits it into the wait machinery.
-type timedWaitTag struct {
-	t *Thread
-	c *Cond
-}
+// short-circuits it into the wait machinery. It is a typed view of the
+// waiting thread's TCB, so arming the timer stores a pointer and no tag:
+// the cond whose wait it ends is the one t.waitingCond names.
+type timedWaitTag Thread
 
 // NewCond initializes a condition variable (pthread_cond_init).
 func (s *System) NewCond(name string) *Cond {
@@ -106,8 +105,7 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 			s.metrics.CondWaitStart(s.clock.Now(), t, c)
 		}
 		if w.timed {
-			t.cvTag.t, t.cvTag.c = t, c
-			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, w.d, &t.cvTag)
+			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, w.d, (*timedWaitTag)(t))
 		}
 		// Release the mutex atomically with the suspension: we are
 		// inside the kernel, so no other thread can intervene between

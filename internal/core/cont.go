@@ -36,20 +36,19 @@ type ContFunc func(k *Cont)
 
 // Cont is a continuation thread's resume descriptor: the declared
 // operation and its frame, the step to run when it completes, and the
-// thread's argument, status and scratch slots. It is the whole
-// host-side cost of a parked thread beyond the TCB. Frames are
-// arena-backed and recycled when the thread is reclaimed.
+// thread's argument, status and scratch slots. Beside the TCB it is the
+// whole host-side cost of a parked thread in the core: the system is
+// the TCB's, the dispatch flags live in the TCB's spare bytes, and the
+// thread has no simulated stack until something pushes a frame on it.
+// Frames are arena-backed and recycled when the thread is reclaimed.
 //
 // The declared operation's results are the frame's exported fields,
 // promoted here: Err (its error result), N (a byte count, written by
 // the I/O jacket), Rem (Sleep's remaining time) and Val (Join's exit
-// status). Declaring an operation clears all four.
+// status). Declaring an operation clears all four; a descriptor
+// operation's FDOp stays readable through DeclaredFDOp.
 type Cont struct {
-	s *System
 	t *Thread
-
-	first  bool // next dispatch is the thread's first (no kernel-exit tail owed)
-	parked bool // currently parked without a runner
 
 	next ContFunc // continuation recorded by the pending op (or next step)
 	// op is the declared blocking operation, re-entered at the frame's
@@ -61,8 +60,8 @@ type Cont struct {
 	Arg any
 	// Ret is the thread's exit status when the last step returns.
 	Ret any
-	// Env is a scratch slot for jacket layers that thread their own
-	// state through a step chain without a closure.
+	// Env is a scratch slot for state a step chain threads through its
+	// steps without a closure; the jacket calls leave it alone.
 	Env any
 }
 
@@ -70,7 +69,7 @@ type Cont struct {
 func (k *Cont) Self() *Thread { return k.t }
 
 // Sys returns the owning system.
-func (k *Cont) Sys() *System { return k.s }
+func (k *Cont) Sys() *System { return k.t.sys }
 
 // declare records the step's blocking operation and returns its frame,
 // at phase 0 with every result cleared, so an operation that fails
@@ -130,6 +129,11 @@ func (k *Cont) FDOp(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, op FDOp
 	w := k.declare((*System).fdOp, then)
 	w.fd, w.verb, w.d, w.fdop = fd, verb, timeout, op
 }
+
+// DeclaredFDOp returns the op of the step's descriptor operation (FDOp),
+// so the jacket's continuation reads its per-call state back from the
+// frame instead of a slot of its own.
+func (k *Cont) DeclaredFDOp() FDOp { return k.fdop }
 
 // contSteps drives the step machine: run the pending declared operation
 // (if any), then successive steps until one parks or no continuation

@@ -730,10 +730,11 @@ func TestLockstepCancelAtCondWait(t *testing.T) {
 
 // TestContFrameSize pins the per-resident cost of a parked
 // continuation's resume descriptor: a million residents pay it each. The
-// frame holds no wait label, only the descriptor verb.
+// frame holds no wait label, only the descriptor verb, and no system
+// pointer or dispatch flags: those are the TCB's.
 func TestContFrameSize(t *testing.T) {
-	if n := unsafe.Sizeof(Cont{}); n > 208 {
-		t.Errorf("Cont is %d bytes, want at most 208", n)
+	if n := unsafe.Sizeof(Cont{}); n > 192 {
+		t.Errorf("Cont is %d bytes, want at most 192", n)
 	}
 }
 
@@ -743,11 +744,14 @@ func TestContFrameSize(t *testing.T) {
 // cleanup, TSD, the ceiling stack, AIO) and the pending-signal table
 // are pointers allocated on first use, the wait-list and held-mutex
 // lists are threaded through the TCBs and mutexes, and the execution
-// context is a borrowed runner, not a channel. The bound is the TCB's
-// size exactly, so a field order that adds 8 B of padding fails it.
+// context is a borrowed runner, not a channel. A timed wait's timer
+// datum is a typed view of the TCB pointer, not a tag stored in it, and
+// a continuation's dispatch flags sit in the packed bytes. The bound is
+// the TCB's size exactly, so a field order that adds 8 B of padding
+// fails it.
 func TestThreadSize(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 280 {
-		t.Errorf("Thread is %d bytes, want at most 280", n)
+	if n := unsafe.Sizeof(Thread{}); n > 256 {
+		t.Errorf("Thread is %d bytes, want at most 256", n)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 // Create starts a new thread executing fn(arg) (pthread_create). The
 // returned handle identifies the thread for Join, Detach, Kill, Cancel
 // and the scheduling calls. With attr.Lazy the thread is created in
-// StateNew and activated — with its resources allocated — only when first
-// needed.
+// StateNew and activated only when first needed.
 func (s *System) Create(attr Attr, fn func(arg any) any, arg any) (*Thread, error) {
 	return s.create(attr, fn, nil, arg)
 }
@@ -50,9 +49,10 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 	t := s.allocTCB(attr)
 	if step != nil {
 		k := s.contArena.Get()
-		k.s, k.t, k.first, k.next, k.Arg = s, t, true, step, arg
+		k.t, k.next, k.Arg = t, step, arg
 		k.declared = true
 		t.cont = k
+		t.contFirst = true
 		s.stats.ContThreads++
 	} else {
 		t.fn = fn
@@ -71,9 +71,7 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 			s.current.name, t.name)
 	}
 	if attr.Lazy {
-		// Deferred activation: stays in StateNew, holding only a TCB. The
-		// host stack is deferred too — allocTCB skips it for lazy threads
-		// and ensureStack materializes it at first activation.
+		// Deferred activation: stays in StateNew, holding only a TCB.
 		t.state = StateNew
 		t.verb = verbActivation
 		s.mState(t)
@@ -87,7 +85,6 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 // activateLocked makes a created thread eligible to run. Runs in the
 // kernel.
 func (s *System) activateLocked(t *Thread) {
-	s.ensureStack(t)
 	t.state = StateBlocked // transitional: makeReady validates from Blocked
 	t.verb = verbNone
 	s.makeReady(t, false)

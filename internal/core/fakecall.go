@@ -53,8 +53,7 @@ func (sc *SigContext) RedirectTo(jb *JmpBuf, val int) {
 func (s *System) pushFakeCall(t *Thread, f *fakeFrame) {
 	s.stats.FakeCalls++
 	s.cpu.ChargeInstr(instrFakeCallPush)
-	s.ensureStack(t) // lazy threads may not have a host stack yet
-	if err := t.stack.Push(hw.Frame{Kind: hw.FrameFakeCall, Size: hw.FakeCallFrameSize}); err != nil {
+	if err := t.frames().Push(hw.Frame{Kind: hw.FrameFakeCall, Size: hw.FakeCallFrameSize}); err != nil {
 		s.finish(fmt.Errorf("stack overflow installing fake call for %v on %v: %w", f.sig, t, err), nil)
 		panic(killPanic{})
 	}

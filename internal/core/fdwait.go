@@ -94,12 +94,11 @@ func (s *System) fdListEnsure(fd unixkern.FD, dir FDDir) *waitList {
 	return &sh.slots[idx][dir]
 }
 
-// fdWaitTag is the timer datum of a timed descriptor wait; like
-// timedWaitTag it bypasses the recipient rules and terminates the wait
-// directly (see deliverToLibrary).
-type fdWaitTag struct {
-	t *Thread
-}
+// fdWaitTag is the timer datum of a timed descriptor wait, a typed view
+// of the waiting thread's TCB; like timedWaitTag it bypasses the
+// recipient rules and terminates the wait directly (see
+// deliverToLibrary).
+type fdWaitTag Thread
 
 // fdLabel returns the interned queue label for traces ("fd3/read").
 // Call sites guard on the tracer, so when tracing is off neither the
@@ -247,8 +246,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 				w.Err = ETIMEDOUT.Or()
 				return false
 			}
-			t.fdTag.t = t
-			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, &t.fdTag)
+			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, (*fdWaitTag)(t))
 		}
 		s.fdEnqueue(fd, dir, t)
 		t.wake = wakeNone

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"pthreads/internal/hw"
 	"pthreads/internal/unixkern"
 )
 
@@ -90,6 +91,10 @@ func (s *System) Inspect(t *Thread) (ThreadInfo, error) {
 	if t.stack != nil {
 		info.StackSize = t.stack.Size
 		info.StackUsedMax = t.stack.HighWater
+	} else {
+		// No frame was ever pushed past the base frame.
+		info.StackSize = t.stackSize
+		info.StackUsedMax = hw.BaseFrameSize
 	}
 	return info, nil
 }

@@ -296,7 +296,7 @@ func (s *System) contextSwitch(next *Thread) {
 		s.releaseRunner(prev)
 	}
 	if handoff {
-		prev.cont.parked = true
+		prev.contParked = true
 		s.stats.ContParked++
 		s.releaseRunner(prev)
 	}

@@ -50,7 +50,7 @@ func checkKernel(s *System) error {
 			}
 			boundTo[r] = th
 		}
-		if k := th.cont; k != nil && k.parked {
+		if th.contParked {
 			if th.runner != nil {
 				return fmt.Errorf("parked continuation %v holds a runner", th)
 			}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
+	"pthreads/internal/hw"
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
@@ -12,8 +14,10 @@ import (
 // parked-continuation work:
 //
 //  1. allocTCB eagerly allocated a host stack for lazily created threads,
-//     so a thread that never ran still paid for a stack. The stack is now
-//     deferred to first activation (ensureStack).
+//     so a thread that never ran still paid for a stack. A thread off the
+//     creation pool, lazy or not, now gets its stack at its first push
+//     past the base frame (frames), and reports its stack from stackSize
+//     until then.
 //  2. reclaim built each replacement pool TCB with a fresh 1-buffered
 //     resume channel while the dead TCB kept its own alive, so create/join
 //     churn accumulated channels (and any goroutine parked on one). A TCB
@@ -38,11 +42,13 @@ func TestLazyThreadDefersStack(t *testing.T) {
 		if err := s.Activate(th); err != nil {
 			t.Fatalf("Activate: %v", err)
 		}
-		if th.stack == nil {
-			t.Errorf("activated thread has no host stack")
-		}
 		if v, _ := s.Join(th); v != "ran" {
 			t.Errorf("join = %v", v)
+		}
+		// Activation and a whole run without a signal, a fake call or
+		// UseStack push nothing past the base frame.
+		if th.stack != nil {
+			t.Errorf("thread built a host stack without pushing a frame")
 		}
 	})
 	if err != nil {
@@ -51,8 +57,8 @@ func TestLazyThreadDefersStack(t *testing.T) {
 }
 
 func TestLazyThreadStackOnSignalDelivery(t *testing.T) {
-	// Signal delivery to a StateNew thread pushes a fake call, which
-	// needs the host stack; ensureStack must run before the push.
+	// Signal delivery to a StateNew thread pushes a fake call, the first
+	// frame past its base frame: the push builds the stack.
 	s := New(Config{DisablePool: true})
 	got := 0
 	err := s.Run(func() {
@@ -68,6 +74,14 @@ func TestLazyThreadStackOnSignalDelivery(t *testing.T) {
 		}
 		if err := s.Kill(th, unixkern.SIGUSR1); err != nil {
 			t.Fatalf("Kill: %v", err)
+		}
+		info, _ := s.Inspect(th)
+		if th.stack == nil || th.stack.Depth() != 2 || th.stack.Top().Kind != hw.FrameFakeCall {
+			t.Errorf("fake call did not build the stack with base and fake-call frames")
+		}
+		if want := int64(hw.BaseFrameSize + hw.FakeCallFrameSize); info.StackSize != hw.DefaultStackSize || info.StackUsedMax != want {
+			t.Errorf("after the fake call: StackSize %d, StackUsedMax %d; want %d, %d",
+				info.StackSize, info.StackUsedMax, hw.DefaultStackSize, want)
 		}
 		s.Join(th)
 	})
@@ -98,6 +112,94 @@ func TestLazyContThreadDefersStack(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// stackReport is what a thread reports of its stack: Inspect's size
+// and high-water mark, and StackFree from inside the thread.
+type stackReport struct{ size, usedMax, free int64 }
+
+func reportStack(s *System) stackReport {
+	info, _ := s.Inspect(s.Self())
+	return stackReport{info.StackSize, info.StackUsedMax, s.StackFree()}
+}
+
+// TestStackReportBeforeFirstPush: main with a pooled stack and main with
+// none (the pool disabled) report the same stack values before and after
+// the first interrupt frame: before it, the requested size and the base
+// frame; after a handled signal, the interrupt and fake-call frames in
+// the high-water mark, and the stack built. A lazy thread that has not
+// run reports its requested size and the base frame too.
+func TestStackReportBeforeFirstPush(t *testing.T) {
+	type run struct{ lazy, before, during, after stackReport }
+	measure := func(disablePool bool) (r run, built bool) {
+		s := New(Config{DisablePool: disablePool})
+		err := s.Run(func() {
+			if !disablePool && s.Self().stack == nil {
+				t.Fatal("pooled main has no stack")
+			}
+			attr := DefaultAttr()
+			attr.Lazy, attr.StackSize = true, 8192
+			th, _ := s.Create(attr, func(any) any { return nil }, nil)
+			info, _ := s.Inspect(th)
+			r.lazy = stackReport{info.StackSize, info.StackUsedMax, 0}
+			s.Join(th)
+			r.before = reportStack(s)
+			s.Sigaction(unixkern.SIGALRM, func(unixkern.Signal, *unixkern.SigInfo, *SigContext) {
+				r.during = reportStack(s)
+			}, 0)
+			s.Alarm(vtime.Millisecond)
+			s.Compute(2 * vtime.Millisecond)
+			r.after = reportStack(s)
+			built = s.Self().stack != nil
+		})
+		if err != nil {
+			t.Fatalf("Run(DisablePool %v): %v", disablePool, err)
+		}
+		return r, built
+	}
+	const size = hw.DefaultStackSize
+	used := int64(hw.BaseFrameSize + hw.InterruptFrameSize + hw.FakeCallFrameSize)
+	want := run{
+		lazy:   stackReport{8192, hw.BaseFrameSize, 0},
+		before: stackReport{size, hw.BaseFrameSize, size - hw.BaseFrameSize},
+		during: stackReport{size, used, size - used},
+		after:  stackReport{size, used, size - hw.BaseFrameSize},
+	}
+	pooled, _ := measure(false)
+	lazy, built := measure(true)
+	if pooled != want {
+		t.Errorf("pooled stack reports %+v, want %+v", pooled, want)
+	}
+	if lazy != want {
+		t.Errorf("stack built at first push reports %+v, want %+v", lazy, want)
+	}
+	if !built {
+		t.Error("the interrupt frame did not build the stack")
+	}
+}
+
+// TestUseStackOverflowWithoutStack: UseStack past the stack's size on a
+// thread that has no stack object yet raises the same SIGSEGV, with the
+// same report, as on a pooled stack.
+func TestUseStackOverflowWithoutStack(t *testing.T) {
+	overflow := func(disablePool bool) error {
+		s := New(Config{DisablePool: disablePool})
+		return s.Run(func() {
+			if disablePool && s.Self().stack != nil {
+				t.Error("main has a stack before its first push")
+			}
+			s.UseStack(s.StackFree()+1, func() {
+				t.Error("body ran despite overflow")
+			})
+		})
+	}
+	pooled, lazy := overflow(false), overflow(true)
+	if lazy == nil || !strings.Contains(lazy.Error(), "SIGSEGV") {
+		t.Fatalf("overflow without a stack: err = %v", lazy)
+	}
+	if pooled == nil || pooled.Error() != lazy.Error() {
+		t.Errorf("overflow reports differ:\n pooled: %v\n  built: %v", pooled, lazy)
 	}
 }
 

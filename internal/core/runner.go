@@ -56,8 +56,8 @@ func (s *System) bindRunner(t *Thread) {
 	r.t = t
 	t.runner = r
 	s.stats.RunnerBinds++
-	if k := t.cont; k != nil && k.parked {
-		k.parked = false
+	if t.contParked {
+		t.contParked = false
 		s.stats.ContParked--
 	}
 }
@@ -169,10 +169,10 @@ func (s *System) runThread(t *Thread) (status any, exited bool) {
 	// context already ran it.
 	k := t.cont
 	if k != nil {
-		if !k.first {
+		if !t.contFirst {
 			s.pollOutsideKernel()
 		}
-		k.first = false
+		t.contFirst = false
 	}
 	s.drainFakeCalls()
 	s.armSliceOnUserReturn()

@@ -169,7 +169,7 @@ func (s *System) universalHandler(sig unixkern.Signal, info *unixkern.SigInfo) {
 	// The UNIX kernel pushed an interrupt frame on the interrupted
 	// thread's stack; account for it. Overflow here is fatal: there is
 	// no room to even deliver SIGSEGV.
-	if err := t.stack.Push(hw.Frame{Kind: hw.FrameInterrupt, Size: hw.InterruptFrameSize}); err != nil {
+	if err := t.frames().Push(hw.Frame{Kind: hw.FrameInterrupt, Size: hw.InterruptFrameSize}); err != nil {
 		s.finish(fmt.Errorf("stack overflow delivering %v to %v: %w", sig, t, err), nil)
 		panic(killPanic{})
 	}
@@ -231,8 +231,10 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 	// Library-internal timer: a TimedWait expiry bypasses the thread
 	// rules and terminates the wait directly.
 	if tag, ok := info.Datum.(*timedWaitTag); ok && info.Cause == unixkern.CauseTimer {
-		t := tag.t
-		if t.state == StateBlocked && t.blockReason() == BlockCond && t.waitingCond == tag.c {
+		t := (*Thread)(tag)
+		// A stale expiry (the wait it was armed for already ended) finds
+		// the thread out of its cond wait, or in one with no timer armed.
+		if t.state == StateBlocked && t.blockReason() == BlockCond && t.waitTimer != 0 {
 			t.waitTimer = 0 // fired; nothing to disarm
 			s.endWait(t, wakeTimeout)
 		}
@@ -245,7 +247,7 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 	// Library-internal timer: a timed descriptor wait (jacket call)
 	// expiry likewise terminates the wait directly.
 	if tag, ok := info.Datum.(*fdWaitTag); ok && info.Cause == unixkern.CauseTimer {
-		t := tag.t
+		t := (*Thread)(tag)
 		if t.state == StateBlocked && t.blockReason() == BlockFD {
 			t.waitTimer = 0 // fired; nothing to disarm
 			s.endWait(t, wakeTimeout)

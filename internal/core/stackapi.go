@@ -29,7 +29,7 @@ func (s *System) UseStack(n int64, body func()) {
 		panic("core: negative stack use")
 	}
 	t := s.current
-	if err := t.stack.Push(hw.Frame{Kind: hw.FrameUser, Size: n}); err != nil {
+	if err := t.frames().Push(hw.Frame{Kind: hw.FrameUser, Size: n}); err != nil {
 		// The fault: the faulting "instruction" cannot continue. The
 		// handler must redirect (longjmp) somewhere; returning to the
 		// fault would just fault again, so absent a redirect the
@@ -51,7 +51,13 @@ func (s *System) UseStack(n int64, body func()) {
 }
 
 // StackFree reports the unused bytes of the calling thread's stack.
-func (s *System) StackFree() int64 { return s.current.stack.SP }
+func (s *System) StackFree() int64 {
+	t := s.current
+	if t.stack == nil {
+		return t.stackSize - hw.BaseFrameSize
+	}
+	return t.stack.SP
+}
 
 // performDefaultActionPublic terminates the process as an unrecovered
 // fault would.

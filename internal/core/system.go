@@ -109,12 +109,15 @@ type Stats struct {
 	PoolMisses       int64
 
 	// Ready-queue pressure (host-side ring counters, snapshotted from the
-	// scheduler on read): peak depth, ring wrap-arounds, and capacity
-	// growths over the run. Purely diagnostic — no virtual cost attaches
-	// to them.
+	// scheduler on read): peak depth, ring wrap-arounds, capacity
+	// growths, dispatcher picks and the ring entries searches compared
+	// over the run. Purely diagnostic — no virtual cost attaches to
+	// them.
 	ReadyMaxDepth int64
 	ReadyWraps    int64
 	ReadyGrows    int64
+	ReadyPicks    int64
+	ReadyScanned  int64
 
 	// Blocking-I/O jacket counters (see fdwait.go).
 	FDWaits        int64 // suspensions on a per-descriptor wait queue
@@ -392,12 +395,16 @@ func (s *System) dropThread(t *Thread) {
 	}
 }
 
-// ensureStack materializes a lazily deferred host stack at the thread's
-// first activation (or first fake-call push, whichever comes first).
-func (s *System) ensureStack(t *Thread) {
+// frames returns the thread's simulated stack, building it at the first
+// push past the base frame: a thread off the creation pool holds no
+// stack object until then. Readers that may run first (Inspect,
+// StackFree, the pops) check t.stack for nil and derive the base-frame
+// state from stackSize instead.
+func (t *Thread) frames() *hw.Stack {
 	if t.stack == nil {
 		t.stack = hw.NewStack(t.stackSize)
 	}
+	return t.stack
 }
 
 // Clock exposes the virtual clock (read-only use intended).
@@ -421,6 +428,7 @@ func (s *System) Stats() Stats {
 	st := s.stats
 	qs := s.ready.Stats()
 	st.ReadyMaxDepth, st.ReadyWraps, st.ReadyGrows = qs.MaxDepth, qs.Wraps, qs.Grows
+	st.ReadyPicks, st.ReadyScanned = qs.Picks, qs.Scanned
 	st.RunnerLive, st.RunnerPeak = s.runnerLive, s.runnerPeak
 	ta, ca := s.tcbArena.Stats(), s.contArena.Stats()
 	st.ArenaChunks = int64(ta.Chunks + ca.Chunks)
@@ -662,11 +670,9 @@ func (s *System) reclaim(t *Thread) {
 	t.owned = nil
 	t.cold = nil
 	t.pending = nil
-	t.fdTag = fdWaitTag{}
-	t.cvTag = timedWaitTag{}
 }
 
-// allocTCB produces a TCB with a stack, drawing from the pool when
+// allocTCB produces a TCB, drawing it and its stack from the pool when
 // possible ("pre-allocating a pool of thread control blocks and stacks").
 func (s *System) allocTCB(attr Attr) *Thread {
 	var t *Thread
@@ -683,16 +689,14 @@ func (s *System) allocTCB(attr Attr) *Thread {
 		s.stats.PoolHits++
 		s.cpu.ChargeInstr(12) // pop of the pool free list
 	} else {
+		// The simulated allocation is charged here; the host stack is
+		// built at the thread's first frame push (frames), so a thread
+		// that never takes a signal, a fake call or UseStack costs only
+		// its TCB.
 		s.stats.PoolMisses++
 		s.cpu.ChargeHeapAlloc()
 		t = s.tcbArena.Get()
 		t.sys = s
-		// Lazily created threads defer the host stack to first
-		// activation (ensureStack) — a thread that never runs costs only
-		// its TCB.
-		if !attr.Lazy {
-			stack = hw.NewStack(size)
-		}
 	}
 	s.nextID++
 	t.id = s.nextID
@@ -701,7 +705,6 @@ func (s *System) allocTCB(attr Attr) *Thread {
 	t.prio = int8(attr.Priority)
 	t.policy = attr.Policy
 	t.detached = attr.Detached
-	t.lazy = attr.Lazy
 	t.stack = stack
 	t.stackSize = size
 	t.state = StateNew

@@ -154,9 +154,8 @@ type Attr struct {
 	// reclaimed at termination and it cannot be joined.
 	Detached bool
 	// Lazy defers activation: the thread is created in StateNew and only
-	// becomes ready — with its stack allocated — when first needed (a
-	// join, a kill, or an explicit Activate). This is the paper's lazy
-	// thread creation extension.
+	// becomes ready when first needed (a join, a kill, or an explicit
+	// Activate). This is the paper's lazy thread creation extension.
 	Lazy bool
 	// Name labels the thread in traces and diagnostics.
 	Name string
@@ -234,13 +233,16 @@ type Thread struct {
 	qLevel int8
 
 	detached      bool
-	lazy          bool
 	cancelPending bool
 	// pooled marks TCBs drawn from (and returned to) the creation pool.
 	pooled bool
 	// dead marks a TCB whose memory has been reclaimed; any use is a
 	// reference to a destroyed thread.
 	dead bool
+	// contFirst and contParked are a continuation thread's dispatch
+	// state: its next dispatch is its first (no kernel-exit tail owed),
+	// and it is parked without a runner.
+	contFirst, contParked bool
 
 	// Execution context (runner.go): no thread owns a goroutine. A
 	// thread binds a pooled runner at its first dispatch and parks on
@@ -251,8 +253,10 @@ type Thread struct {
 	cont   *Cont
 	runner *runner
 
-	// Simulated stack. stackSize records the requested size so lazily
-	// created threads can defer the host stack to first activation.
+	// Simulated stack. A pooled TCB comes with its stack; any other
+	// thread gets one at its first push past the base frame (an
+	// interrupt frame, a fake call, UseStack), so stackSize records the
+	// requested size until then (see frames).
 	stack     *hw.Stack
 	stackSize int64
 
@@ -289,14 +293,6 @@ type Thread struct {
 	// blocked on, whatever the object (see waitlist.go); qLevel above is
 	// the level it was queued at.
 	qPrev, qNext *Thread
-	// fdTag is the thread's reusable timer datum for timed descriptor
-	// waits: a thread has at most one outstanding fd-wait timer, so the
-	// tag never needs to be allocated per iteration.
-	fdTag fdWaitTag
-	// cvTag is the same for condition-variable timed waits: the expiry
-	// timer is always disarmed (or consumed) before the thread can wait
-	// again, so one tag per thread suffices.
-	cvTag timedWaitTag
 
 	// Per-thread stats.
 	Dispatches int64

@@ -396,8 +396,8 @@ func TestRunnerTrampolineStopsOnShutdown(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{})
 			ran := false
-			th := &Thread{sys: s, state: StateRunning}
-			th.cont = &Cont{s: s, t: th, first: true, next: func(*Cont) { ran = true }}
+			th := &Thread{sys: s, state: StateRunning, contFirst: true}
+			th.cont = &Cont{t: th, next: func(*Cont) { ran = true }}
 			s.current = th
 			r := &runner{resume: make(chan resumeMsg, 1), t: th, again: true}
 			if tc.finished {

@@ -58,15 +58,24 @@ type C10KPoint struct {
 	WheelRefiledOp float64 `json:"wheel_refiled_per_op,omitempty"`
 	WheelSlotOp    float64 `json:"wheel_slot_scanned_per_op,omitempty"`
 	WheelBoundOp   float64 `json:"wheel_bound_polls_per_op,omitempty"`
+
+	// Ready-queue host work per op (sched.Stats), set by the dispatch
+	// and mutex scenarios: dispatcher picks, and ring entries compared
+	// by searches of the queue.
+	ReadyPicksOp   float64 `json:"ready_picks_per_op,omitempty"`
+	ReadyScannedOp float64 `json:"ready_scanned_per_op,omitempty"`
 }
 
 // c10kMeter brackets a measured region: host wall clock, cumulative
-// allocation count, the virtual clock and the timer wheel's work.
+// allocation count, the virtual clock, the timer wheel's work and the
+// ready queue's.
 type c10kMeter struct {
 	host    time.Time
 	mallocs uint64
 	vt      vtime.Time
 	wheel   vtime.WheelStats
+	picks   int64
+	scanned int64
 }
 
 func c10kStart(s *core.System) c10kMeter {
@@ -75,7 +84,18 @@ func c10kStart(s *core.System) c10kMeter {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return c10kMeter{host: time.Now(), mallocs: ms.Mallocs, vt: s.Now(), wheel: s.Clock().WheelStats()}
+	st := s.Stats()
+	return c10kMeter{host: time.Now(), mallocs: ms.Mallocs, vt: s.Now(), wheel: s.Clock().WheelStats(),
+		picks: st.ReadyPicks, scanned: st.ReadyScanned}
+}
+
+// readyPerOp sets the point's ready-queue counts from the work the
+// queue did since the meter started.
+func (m c10kMeter) readyPerOp(s *core.System, pt *C10KPoint) {
+	st := s.Stats()
+	n := float64(pt.Ops)
+	pt.ReadyPicksOp = float64(st.ReadyPicks-m.picks) / n
+	pt.ReadyScannedOp = float64(st.ReadyScanned-m.scanned) / n
 }
 
 // wheelPerOp sets the point's timer-wheel counts from the work the clock
@@ -166,6 +186,7 @@ func c10kDispatch(n int) (C10KPoint, error) {
 			s.Yield()
 		}
 		pt = m.stop(s, "dispatch", n, s.Stats().ContextSwitches-cs0)
+		m.readyPerOp(s, &pt)
 		stop = true
 		for _, th := range ths {
 			s.Join(th)
@@ -214,6 +235,7 @@ func c10kMutex(n int) (C10KPoint, error) {
 			hot.Unlock()
 		}
 		pt = m.stop(s, "mutex", n, ops)
+		m.readyPerOp(s, &pt)
 		chain.Unlock()
 		for _, th := range ths {
 			s.Join(th)
@@ -431,10 +453,11 @@ func FormatC10K(pts []C10KPoint) string {
 	b.WriteString(" mutex = uncontended lock beside an n-deep lock chain; timer = 1µs\n")
 	b.WriteString(" sleeps beside n far-future waiters; echo = jacket round trips beside\n")
 	b.WriteString(" n parked readers. xBase is host ns/op relative to the scenario's\n")
-	b.WriteString(" smallest population. Timer rows add the wheel's work per op:\n")
-	b.WriteString(" earliest-region scans, entries re-filed, coarse-slot entries read\n")
-	b.WriteString(" and polls answered by the bound; all four should stay flat.)\n")
-	b.WriteString("  scenario  threads      ops   host-ns/op  allocs/op    vus/op   xBase   scans  refiled  slotread   bound\n")
+	b.WriteString(" smallest population. Counts/op: dispatch and mutex rows give the\n")
+	b.WriteString(" ready queue's picks and ring entries scanned; timer rows give the\n")
+	b.WriteString(" wheel's earliest-region scans, entries re-filed, coarse-slot entries\n")
+	b.WriteString(" read and polls answered by the bound. All should stay flat.)\n")
+	b.WriteString("  scenario  threads      ops   host-ns/op  allocs/op    vus/op   xBase  counts/op\n")
 	base := map[string]float64{}
 	openloop := false
 	for _, p := range pts {
@@ -451,7 +474,10 @@ func FormatC10K(pts []C10KPoint) string {
 		}
 		b.WriteString(fmt.Sprintf("  %-8s  %7d  %7d  %11.1f  %9.3f  %8.2f  %6.2f",
 			p.Scenario, p.Threads, p.Ops, p.HostNSOp, p.AllocsOp, p.VUSOp, rel))
-		if p.Scenario == "timer" {
+		switch p.Scenario {
+		case "dispatch", "mutex":
+			b.WriteString(fmt.Sprintf("  %6.3f  %7.3f", p.ReadyPicksOp, p.ReadyScannedOp))
+		case "timer":
 			b.WriteString(fmt.Sprintf("  %6.3f  %7.3f  %8.3f  %6.3f",
 				p.WheelScansOp, p.WheelRefiledOp, p.WheelSlotOp, p.WheelBoundOp))
 		}

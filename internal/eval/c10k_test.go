@@ -45,3 +45,45 @@ func TestC10KTimerWheelCountsFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestC10KReadyQueueCountsFlat is the dispatch leg of the same gate: the
+// ready queue's picks and the ring entries its searches compare, per op
+// of the dispatch and mutex rungs, must not grow as the population grows
+// from 8 to 1,000 threads. A dispatch is one pick from a level the
+// bitmap names, so a search of the ring on the dispatch path (a
+// membership check, a walk to a thread) would make the scanned count
+// grow with the n-8 threads queued below the hot ring.
+func TestC10KReadyQueueCountsFlat(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		run  func(int) (C10KPoint, error)
+	}{{"dispatch", c10kDispatch}, {"mutex", c10kMutex}} {
+		var base C10KPoint
+		for _, n := range []int{8, 100, 1000} {
+			pt, err := sc.run(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%-8s %5d threads: picks %.4f scanned %.4f per op", sc.name, n, pt.ReadyPicksOp, pt.ReadyScannedOp)
+			if n == 8 {
+				base = pt
+				if sc.name == "dispatch" && base.ReadyPicksOp <= 0 {
+					t.Fatalf("8-thread dispatch rung counted no picks: %+v", base)
+				}
+				continue
+			}
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"picks", pt.ReadyPicksOp, base.ReadyPicksOp},
+				{"entries scanned", pt.ReadyScannedOp, base.ReadyScannedOp},
+			} {
+				if math.Abs(c.got-c.want) > 0.01*c.want {
+					t.Errorf("%s at %d threads: %s %.4f per op, want within 1%% of the 8-thread rung's %.4f",
+						sc.name, n, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+}

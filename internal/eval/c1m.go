@@ -21,7 +21,9 @@ import (
 // The parked threads block in a condition wait — a kernel-mediated
 // park through the same declared-op handoff every other wait point uses
 // — so the measured footprint is the honest per-thread cost: TCB,
-// continuation frame, simulated stack, and wait-queue slot.
+// continuation frame and wait-queue slot. A parked thread has no
+// simulated stack object: one is built only when a frame is pushed past
+// its base frame (a signal, a fake call, UseStack).
 
 // C1MPoint is the resident-footprint measurement at one population.
 // BytesPerResident is host heap; the gauges are deterministic.
@@ -56,6 +58,7 @@ func runC1M(n int, own bool) (C1MPoint, error) {
 	if n < 1 {
 		n = 1
 	}
+	gNew := runtime.NumGoroutine()
 	s := core.New(core.Config{Machine: hw.SPARCstationIPX()})
 	pt := C1MPoint{Threads: n}
 	var invariant error
@@ -137,6 +140,13 @@ func runC1M(n int, own bool) (C1MPoint, error) {
 	if err == nil {
 		err = invariant
 	}
+	// The runners end asynchronously once Run returns, and keep the whole
+	// population reachable until they do. Wait for them, so that a
+	// measurement run next does not see this population freed between
+	// its two heap readings (and read 0 bytes per resident).
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > gNew && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	return pt, err
 }
 
@@ -166,10 +176,11 @@ func FormatMem() (string, error) {
 func FormatC1M(pt C1MPoint) string {
 	var b strings.Builder
 	b.WriteString("C1M resident footprint: parked continuation threads\n")
-	b.WriteString("(each resident thread is a TCB + continuation frame + simulated\n")
-	b.WriteString(" stack + wait-queue slot; no goroutine. bytes/resident is host\n")
-	b.WriteString(" heap across the parked population, runners is the pooled\n")
-	b.WriteString(" goroutine peak, goroutines the host delta while parked.)\n")
+	b.WriteString("(each resident thread is a TCB + continuation frame + wait-queue\n")
+	b.WriteString(" slot; no goroutine, and no simulated stack until a frame is\n")
+	b.WriteString(" pushed. bytes/resident is host heap across the parked population,\n")
+	b.WriteString(" runners is the pooled goroutine peak, goroutines the host delta\n")
+	b.WriteString(" while parked.)\n")
 	fmt.Fprintf(&b, "  threads            %12d\n", pt.Threads)
 	fmt.Fprintf(&b, "  parked             %12d\n", pt.ContParked)
 	fmt.Fprintf(&b, "  bytes/resident     %12.1f\n", pt.BytesPerResident)

@@ -219,8 +219,8 @@ func TestStackReset(t *testing.T) {
 }
 
 // TestNewStackOneAlloc pins a new stack at one host allocation: the
-// base frame sits in the stack's own one-element array, and only a
-// second frame (an interrupt or fake call) moves the frames out.
+// base frame and the first interrupt frame sit in the stack's own
+// two-element array, and only a third frame moves the frames out.
 func TestNewStackOneAlloc(t *testing.T) {
 	var s *Stack
 	if n := testing.AllocsPerRun(100, func() { s = NewStack(DefaultStackSize) }); n != 1 {
@@ -229,8 +229,20 @@ func TestNewStackOneAlloc(t *testing.T) {
 	if s.Depth() != 1 || s.Top().Kind != FrameBase || s.SP != DefaultStackSize-BaseFrameSize {
 		t.Errorf("new stack: depth %d, top %v, SP %d", s.Depth(), s.Top().Kind, s.SP)
 	}
-	if err := s.Push(Frame{Kind: FrameInterrupt, Size: InterruptFrameSize}); err != nil || s.Depth() != 2 || s.frames[0].Kind != FrameBase {
-		t.Errorf("second push: %v, depth %d", err, s.Depth())
+	interrupt := func() {
+		s = NewStack(DefaultStackSize)
+		if err := s.Push(Frame{Kind: FrameInterrupt, Size: InterruptFrameSize}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, interrupt); n != 1 {
+		t.Errorf("NewStack plus an interrupt frame allocates %.1f times, want 1", n)
+	}
+	if s.Depth() != 2 || s.frames[0].Kind != FrameBase || &s.frames[0] != &s.base[0] {
+		t.Errorf("second push left the inline frames: depth %d", s.Depth())
+	}
+	if err := s.Push(Frame{Kind: FrameFakeCall, Size: FakeCallFrameSize}); err != nil || s.Depth() != 3 || s.frames[1].Kind != FrameInterrupt {
+		t.Errorf("third push: %v, depth %d", err, s.Depth())
 	}
 }
 

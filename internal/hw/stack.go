@@ -88,9 +88,11 @@ type Stack struct {
 	// the harness's resource reports.
 	HighWater int64
 
-	// base backs frames until a second frame is pushed, so a new stack
-	// is one allocation.
-	base [1]Frame
+	// base backs frames until a third frame is pushed: the base frame
+	// and the first interrupt frame (or fake call) fit in the stack's own
+	// storage, so a stack is one allocation and the first signal
+	// delivered over its thread does not grow it.
+	base [2]Frame
 }
 
 // NewStack returns a stack of the given size with the base frame pushed.

@@ -21,11 +21,12 @@ func TestConnSize(t *testing.T) {
 // life: Dial, Accept and both Closes, beside a listener that stays up.
 // No string is built for it: the dial, connect, accept, read and write
 // labels and the socket names (ten strings) are rendered only where a
-// trace, a report or a span reads them. The budget is what remains: the
-// endpoints, their pipes, and the completions and closures of the
-// handshake and the close.
+// trace, a report or a span reads them. The handshake, FIN and RST are
+// pooled socket ops, not closures with completions of their own. The
+// budget is what remains: the connection object (both endpoints and
+// their pipes) and the two blocking endpoints.
 func TestConnectionAllocs(t *testing.T) {
-	const budget = 11
+	const budget = 3
 	s := core.New(core.Config{})
 	err := s.Run(func() {
 		x := New(s, net.Config{})

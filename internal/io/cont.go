@@ -2,27 +2,17 @@ package io
 
 import (
 	"pthreads/internal/core"
-	"pthreads/internal/obs"
 	"pthreads/internal/vtime"
 )
 
 // Continuation entry points for the jacket layer. ContRead is Conn.Read
 // with the suspension expressed as a declared continuation op (k.FDOp):
-// a thread blocked in it holds no goroutine, only its TCB plus the
-// pooled per-call state below. The jacket bookkeeping — span, pooled
-// attempt struct, error mapping — is Read's own two halves (readStart
-// and readDone), threaded through k.Env instead of a closure so
-// steady-state reads allocate nothing.
-
-// contReadState carries one ContRead call's jacket state across the
-// park. Arena-backed and recycled when the call completes.
-type contReadState struct {
-	c       *Conn
-	op      *connOp
-	ref     obs.SpanRef
-	then    core.ContFunc
-	prevEnv any
-}
+// a thread blocked in it holds no goroutine, only its TCB and frame plus
+// the read's pooled record (connOp). The jacket bookkeeping — span,
+// attempt, error mapping — is Read's own two halves (readStart and
+// readDone), and the caller's step rides in the record, which the
+// completion step reads back from the frame: no closure, no state of its
+// own, and k.Env is left to the caller.
 
 // ContRead declares a blocking read of up to max bytes as the step's
 // continuation op; then runs when the read completes, with k.N holding
@@ -43,26 +33,16 @@ func (c *Conn) contRead(k *core.Cont, max int, d vtime.Duration, then core.ContF
 		then(k)
 		return
 	}
-	ref, op := c.readStart(max)
-	st := c.x.getContRead()
-	st.c, st.op, st.ref, st.then, st.prevEnv = c, op, ref, then, k.Env
-	k.Env = st
+	op := c.readStart(max)
+	op.then = then
 	k.FDOp(c.nc.FD(), core.VerbRead, d, op, contReadDone)
 }
 
 // contReadDone is the completion step, shared by every ContRead (no
 // per-call closure): Conn.read's post-park half, then the caller's step.
 func contReadDone(k *core.Cont) {
-	st := k.Env.(*contReadState)
-	c, op, ref, then := st.c, st.op, st.ref, st.then
-	k.Env = st.prevEnv
-	c.x.putContRead(st)
-	k.N, k.Err = c.readDone(ref, op, k.Err)
+	op := k.DeclaredFDOp().(*connOp)
+	then := op.then
+	k.N, k.Err = readDone(op, k.Err)
 	then(k)
 }
-
-// getContRead checks a read-state record out of the arena.
-func (x *IO) getContRead() *contReadState { return x.contReads.Get() }
-
-// putContRead recycles a completed read-state record.
-func (x *IO) putContRead(st *contReadState) { x.contReads.Put(st) }

@@ -38,15 +38,14 @@ type IO struct {
 	sys *core.System
 	st  *net.Stack
 
-	// ops pools the jacket's reusable attempt structs (see connOp): one
-	// is checked out for the duration of each blocking read/write and
-	// returned when the call completes, so steady-state I/O allocates
-	// nothing. Arena-backed so the per-call state of many concurrently
-	// blocked threads sits in dense chunks rather than scattered heap
-	// objects. Safe without a lock: one goroutine runs at a time.
+	// ops pools the jacket's per-call records (see connOp): one is
+	// checked out for the duration of each blocking read/write, a
+	// ContRead's included, and returned when the call completes, so
+	// steady-state I/O allocates nothing. Arena-backed so the per-call
+	// state of many concurrently blocked threads sits in dense chunks
+	// rather than scattered heap objects. Safe without a lock: one
+	// goroutine runs at a time.
 	ops *arena.Arena[connOp]
-	// contReads pools ContRead's park-crossing jacket state, same regime.
-	contReads *arena.Arena[contReadState]
 
 	// spans, when attached, records a span per jacket call (dial,
 	// accept, read, write) for the fleet observability plane. Nil —
@@ -59,10 +58,9 @@ type IO struct {
 // process. Call it inside sys.Run (or before starting threads).
 func New(sys *core.System, cfg net.Config) *IO {
 	return &IO{
-		sys:       sys,
-		st:        net.NewStack(sys.Kernel(), sys.Process(), cfg),
-		ops:       arena.New[connOp](),
-		contReads: arena.New[contReadState](),
+		sys: sys,
+		st:  net.NewStack(sys.Kernel(), sys.Process(), cfg),
+		ops: arena.New[connOp](),
 	}
 }
 
@@ -255,16 +253,19 @@ func (c *Conn) spanState() *connSpans {
 	return c.spans
 }
 
-// connOp is the jacket's pooled core.FDOp: the state the per-call
-// attempt closures used to capture, held in a reusable struct.
+// connOp is one blocking read or write's record, the jacket's pooled
+// core.FDOp: the endpoint, the attempt's operands and outcome, the span
+// the call opened, and — for a ContRead — the caller's step, so a parked
+// read is this one record beside its thread's frame.
 type connOp struct {
-	x     *IO
-	nc    *net.Conn
-	write bool
-	want  int // read: max bytes; write: bytes remaining in this step
-	n     int // bytes moved by the completed attempt
+	c     *Conn
+	then  core.ContFunc // ContRead's caller step; nil for a blocking call
+	want  int           // read: max bytes; write: bytes remaining in this step
+	n     int           // bytes moved by the completed attempt
 	opErr error
 	sctx  net.SpanCtx // span context the attempt's wire messages carry
+	ref   obs.SpanRef // the read span (reads only; NoSpan with spans off)
+	write bool
 }
 
 // Attempt implements core.FDOp: with a span open it brackets the try
@@ -273,9 +274,10 @@ type connOp struct {
 // it is the bare try after a two-word compare.
 func (op *connOp) Attempt() (bool, bool) {
 	if op.sctx != (net.SpanCtx{}) {
-		op.x.st.SetSpanCtx(op.sctx)
+		st := op.c.x.st
+		st.SetSpanCtx(op.sctx)
 		done, more := op.attempt()
-		op.x.st.SetSpanCtx(net.SpanCtx{})
+		st.SetSpanCtx(net.SpanCtx{})
 		return done, more
 	}
 	return op.attempt()
@@ -284,40 +286,41 @@ func (op *connOp) Attempt() (bool, bool) {
 // attempt holds the same logic as the former closures, chain-waking
 // residual readiness.
 func (op *connOp) attempt() (bool, bool) {
+	x, nc := op.c.x, op.c.nc
 	if op.write {
-		k, e := op.nc.TryWrite(op.want)
+		k, e := nc.TryWrite(op.want)
 		if e == net.ErrWouldBlock {
 			return false, false
 		}
 		if k > 0 {
-			op.x.sys.CountFDBytes(k)
-			if op.nc.Remote() && op.x.sys.Tracing() {
-				op.x.sys.TraceNet(op.nc.FlowOut(), "xmit", strconv.FormatInt(op.nc.SentBytes(), 10))
+			x.sys.CountFDBytes(k)
+			if nc.Remote() && x.sys.Tracing() {
+				x.sys.TraceNet(nc.FlowOut(), "xmit", strconv.FormatInt(nc.SentBytes(), 10))
 			}
 		}
 		op.n, op.opErr = k, e
 		// Chain-wake: space the window still has can serve another writer.
-		return true, op.nc.Writable()
+		return true, nc.Writable()
 	}
-	k, e := op.nc.TryRead(op.want)
+	k, e := nc.TryRead(op.want)
 	if e == net.ErrWouldBlock {
 		return false, false
 	}
 	if k > 0 {
-		op.x.sys.CountFDBytes(k)
-		if op.nc.Remote() && op.x.sys.Tracing() {
-			op.x.sys.TraceNet(op.nc.FlowIn(), "recv", strconv.FormatInt(op.nc.RcvdBytes(), 10))
+		x.sys.CountFDBytes(k)
+		if nc.Remote() && x.sys.Tracing() {
+			x.sys.TraceNet(nc.FlowIn(), "recv", strconv.FormatInt(nc.RcvdBytes(), 10))
 		}
 	}
 	op.n, op.opErr = k, e
 	// Chain-wake: leftover buffered data can serve another reader.
-	return true, op.nc.Readable()
+	return true, nc.Readable()
 }
 
-// getOp checks an op out of the arena for one blocking call.
-func (x *IO) getOp(nc *net.Conn, write bool, want int) *connOp {
-	op := x.ops.Get() // zeroed
-	op.x, op.nc, op.write, op.want = x, nc, write, want
+// getOp checks an op out of the arena for one blocking call on c.
+func (c *Conn) getOp(write bool, want int) *connOp {
+	op := c.x.ops.Get() // zeroed
+	op.c, op.write, op.want = c, write, want
 	return op
 }
 
@@ -405,28 +408,28 @@ func (c *Conn) read(max int, d vtime.Duration) (int, error) {
 	if max < 0 {
 		return 0, core.EINVAL.Or()
 	}
-	ref, op := c.readStart(max)
-	return c.readDone(ref, op, c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbRead, d, op))
+	op := c.readStart(max)
+	return readDone(op, c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbRead, d, op))
 }
 
 // readStart is the half of a read before the park, shared with
-// ContRead: it opens the read span and checks out the pooled attempt,
-// carrying the span context.
-func (c *Conn) readStart(max int) (obs.SpanRef, *connOp) {
-	ref := c.openConnSpan(obs.KRead, false)
-	op := c.x.getOp(c.nc, false, max)
-	if ref != obs.NoSpan {
-		sp := c.x.spans.Span(ref)
+// ContRead: it opens the read span and checks out the pooled record,
+// carrying the span and its context.
+func (c *Conn) readStart(max int) *connOp {
+	op := c.getOp(false, max)
+	op.ref = c.openConnSpan(obs.KRead, false)
+	if op.ref != obs.NoSpan {
+		sp := c.x.spans.Span(op.ref)
 		op.sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
 	}
-	return ref, op
+	return op
 }
 
 // readDone is the half of a read after the wake, shared with ContRead:
-// given the jacket call's result err, it recycles the attempt, closes
+// given the jacket call's result err, it recycles the record, closes
 // the span, and maps the attempt's outcome to the read's result.
-func (c *Conn) readDone(ref obs.SpanRef, op *connOp, err error) (int, error) {
-	n, opErr := op.n, op.opErr
+func readDone(op *connOp, err error) (int, error) {
+	c, ref, n, opErr := op.c, op.ref, op.n, op.opErr
 	c.x.putOp(op)
 	if err != nil {
 		c.x.closeSpan(ref, err)
@@ -459,7 +462,7 @@ func (c *Conn) Write(n int) (int, error) {
 	}
 	total := 0
 	for total < n {
-		op := c.x.getOp(c.nc, true, n-total)
+		op := c.getOp(true, n-total)
 		op.sctx = sctx
 		err := c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbWrite, 0, op)
 		k, opErr := op.n, op.opErr

@@ -106,10 +106,39 @@ func TestBacklogCapacityReuse(t *testing.T) {
 	}
 }
 
-// TestConnSize pins the endpoint: it keeps the dial address and its
-// descriptor, not a rendered name (Name builds the label when read).
+// TestConnSize pins a connection, not an endpoint: the two endpoints,
+// each with its inbound pipe inline, are one object of at most 128 B (an
+// endpoint keeps the dial address and its descriptor, not a rendered
+// name). A connection's whole life at the socket layer — Dial, the
+// handshake, the accept, both Closes and the FIN — allocates that object
+// and nothing else: the handshake, FIN and RST are pooled ops.
 func TestConnSize(t *testing.T) {
-	if n := unsafe.Sizeof(Conn{}); n > 56 {
-		t.Errorf("net.Conn is %d bytes, want at most 56", n)
+	if n := unsafe.Sizeof(connection{}); n > 128 {
+		t.Errorf("a connection is %d bytes, want at most 128", n)
+	}
+	k, st := newStack(t, Config{})
+	l, err := st.Listen("srv", 4)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	round := func() {
+		c, err := st.Dial("srv")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		pump(k)
+		sc, err := l.TryAccept()
+		if err != nil {
+			t.Fatalf("accept: %v", err)
+		}
+		c.Close()
+		sc.Close()
+		pump(k)
+	}
+	for i := 0; i < 16; i++ {
+		round() // warm the op, event and SigInfo pools and the fd table
+	}
+	if n := testing.AllocsPerRun(100, round); n != 1 {
+		t.Errorf("a connection's life allocates %.1f times, want 1", n)
 	}
 }

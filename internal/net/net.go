@@ -164,31 +164,9 @@ func (st *Stack) Dial(addr string) (*Conn, error) {
 			return st.dialRemote(addr, laddr, rst, out, back, flow)
 		}
 	}
-	client := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}, dialed: true}
-	server := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}}
-	client.peer, server.peer = server, client
+	client, _ := newConnection(st, st)
 	client.fd = st.p.AllocFD(client)
 	client.addr = addr
-	st.k.NetAfter(st.p, st.cfg.ConnectDelay, func() *unixkern.IOCompletion {
-		if client.closed {
-			// The caller abandoned the connect (timeout, EINTR).
-			return nil
-		}
-		l := st.listeners[addr]
-		if l == nil || l.closed || len(l.backlog) >= l.cap {
-			client.refused = true
-			st.stats.Refused++
-			return &unixkern.IOCompletion{Ready: []unixkern.IOReady{{FD: client.fd, W: true}}}
-		}
-		server.fd = st.p.AllocFD(server)
-		server.addr = addr
-		server.established = true
-		client.established = true
-		l.backlog = append(l.backlog, server)
-		return &unixkern.IOCompletion{Ready: []unixkern.IOReady{
-			{FD: l.fd, R: true},
-			{FD: client.fd, W: true},
-		}}
-	})
+	st.k.NetAfterOp(st.p, st.cfg.ConnectDelay, st.newOp(opConnect, client, 0))
 	return client, nil
 }

@@ -87,12 +87,11 @@ func (c *Conn) RcvdBytes() int64 { return c.rem.rcvd }
 // dialRemote is Dial's cross-host path: the SYN departs the local NIC
 // and lands on the remote host's clock; everything afterwards —
 // refusal, establishment, data — is event-driven on whichever host the
-// state lives. Both pipes are allocated here, like the local path, so
-// window bookkeeping works before the handshake completes.
+// state lives. The connection, both pipes included, is allocated here,
+// like the local path, so window bookkeeping works before the handshake
+// completes.
 func (st *Stack) dialRemote(addr, laddr string, rst *Stack, out, back Wire, flow uint64) (*Conn, error) {
-	client := &Conn{st: st, in: &pipe{cap: st.cfg.RecvBuf}, dialed: true}
-	server := &Conn{st: rst, in: &pipe{cap: rst.cfg.RecvBuf}}
-	client.peer, server.peer = server, client
+	client, server := newConnection(st, rst)
 	client.rem = &remote{peerSt: rst, wire: out, flow: flow}
 	server.rem = &remote{peerSt: st, wire: back, flow: flow}
 	client.fd = st.p.AllocFD(client)
@@ -179,8 +178,8 @@ func (c *Conn) writeRemote(n int) {
 	}
 	peer, pst := c.peer, c.rem.peerSt
 	pst.k.NetAt(pst.p, at, func() *unixkern.IOCompletion {
-		p := peer.in
-		p.inflight -= n
+		p := &peer.in
+		p.inflight -= int32(n)
 		if p.reset {
 			return nil
 		}
@@ -189,7 +188,7 @@ func (c *Conn) writeRemote(n int) {
 			pst.xControl(peer, rstArrived)
 			return nil
 		}
-		p.buffered += n
+		p.buffered += int32(n)
 		return &unixkern.IOCompletion{Ready: []unixkern.IOReady{{FD: peer.fd, R: true}}}
 	})
 }

@@ -62,14 +62,7 @@ func (l *Listener) Close() error {
 			l.st.xControl(c, rstArrived)
 			continue
 		}
-		peer := c.peer
-		l.st.k.NetAfter(l.st.p, l.st.cfg.WireSetup, func() *unixkern.IOCompletion {
-			if peer.closed {
-				return nil
-			}
-			peer.markReset()
-			return &unixkern.IOCompletion{Ready: []unixkern.IOReady{{FD: peer.fd, R: true, W: true}}}
-		})
+		l.st.k.NetAfterOp(l.st.p, l.st.cfg.WireSetup, l.st.newOp(opAbort, c, 0))
 	}
 	// Clear without releasing capacity (a closed listener keeps no
 	// references; the slice header is reused if the Listener ever is).
@@ -82,20 +75,21 @@ func (l *Listener) Close() error {
 }
 
 // pipe is one direction of a connection: a bounded receive buffer plus
-// the bytes currently crossing the wire toward it.
+// the bytes currently crossing the wire toward it. Every count is
+// bounded by the receive buffer, so 32 bits hold it.
 type pipe struct {
-	cap      int
-	buffered int // delivered, readable at the receiving endpoint
-	inflight int // on the wire
+	cap      int32
+	buffered int32 // delivered, readable at the receiving endpoint
+	inflight int32 // on the wire
 
 	finSent      bool // the writing side closed cleanly
 	finDelivered bool // EOF becomes visible once buffered drains
 	reset        bool // the direction died by RST
 }
 
-// Conn is one endpoint of a connection. Both endpoints live in the same
-// simulated process (the simulation is single-process); each owns the
-// pipe that flows toward it.
+// Conn is one endpoint of a connection. Each endpoint holds, inline, the
+// pipe that flows toward it, and both endpoints of a connection live in
+// one object (see connection).
 type Conn struct {
 	st *Stack
 	// addr is the address the connection was dialed to. It is set when
@@ -103,7 +97,7 @@ type Conn struct {
 	// the endpoint's name.
 	addr string
 	peer *Conn
-	in   *pipe // data flowing toward this endpoint
+	in   pipe // data flowing toward this endpoint
 
 	// rem is non-nil when the peer endpoint lives on another host (see
 	// remote.go); every single-host connection leaves it nil.
@@ -115,6 +109,27 @@ type Conn struct {
 	established bool
 	refused     bool
 	closed      bool
+}
+
+// connection is one connection: its two endpoints and their pipes in a
+// single allocation. An endpoint is an interior pointer into it, so the
+// garbage collector keeps the whole connection while either endpoint is
+// referenced, and a stale endpoint keeps answering ErrClosed.
+type connection struct {
+	client, server Conn
+}
+
+// newConnection allocates a connection whose dialing end lives on cst
+// and whose accepting end lives on sst (the same stack unless the
+// connection crosses hosts), with each end's receive buffer sized by its
+// own stack.
+func newConnection(cst, sst *Stack) (client, server *Conn) {
+	c := &connection{
+		client: Conn{st: cst, in: pipe{cap: int32(cst.cfg.RecvBuf)}, dialed: true},
+		server: Conn{st: sst, in: pipe{cap: int32(sst.cfg.RecvBuf)}},
+	}
+	c.client.peer, c.server.peer = &c.server, &c.client
+	return &c.client, &c.server
 }
 
 // FD returns the endpoint's descriptor.
@@ -144,7 +159,7 @@ func (c *Conn) Name() string {
 }
 
 // out is the pipe this endpoint writes into (the peer's inbound pipe).
-func (c *Conn) out() *pipe { return c.peer.in }
+func (c *Conn) out() *pipe { return &c.peer.in }
 
 // markReset kills the whole connection at this endpoint: both directions
 // fail with ErrReset from now on (TCP RST semantics).
@@ -197,8 +212,8 @@ func (c *Conn) Writable() bool {
 // the local send buffer (bound on in-flight data).
 func (c *Conn) writeSpace() int {
 	out := c.out()
-	space := out.cap - out.buffered - out.inflight
-	if sb := c.st.cfg.SendBuf - out.inflight; space > sb {
+	space := int(out.cap - out.buffered - out.inflight)
+	if sb := c.st.cfg.SendBuf - int(out.inflight); space > sb {
 		space = sb
 	}
 	if space < 0 {
@@ -222,7 +237,7 @@ func (c *Conn) TryRead(max int) (int, error) {
 	if max <= 0 {
 		return 0, nil
 	}
-	n := c.in.buffered
+	n := int(c.in.buffered)
 	if n > max {
 		n = max
 	}
@@ -232,7 +247,7 @@ func (c *Conn) TryRead(max int) (int, error) {
 		}
 		return 0, ErrWouldBlock
 	}
-	c.in.buffered -= n
+	c.in.buffered -= int32(n)
 	c.st.stats.BytesRecvd += int64(n)
 	if c.rem != nil {
 		c.readRemote(n)
@@ -270,7 +285,7 @@ func (c *Conn) TryWrite(n int) (int, error) {
 	if n > space {
 		n = space
 	}
-	c.out().inflight += n
+	c.out().inflight += int32(n)
 	c.st.stats.BytesSent += int64(n)
 	c.st.stats.Segments++
 	if c.rem != nil {
@@ -292,7 +307,6 @@ func (c *Conn) Close() error {
 	}
 	c.st.k.CountSyscall(unixkern.SysClose)
 	c.closed = true
-	peer := c.peer
 	if !c.established {
 		// Connect still in flight or already refused: just abandon it;
 		// the handshake callback sees closed and does nothing.
@@ -310,24 +324,11 @@ func (c *Conn) Close() error {
 	case c.in.reset || c.out().reset:
 		// Already dead; nothing to announce.
 	case unread:
-		c.st.k.NetAfter(c.st.p, c.st.cfg.WireSetup, func() *unixkern.IOCompletion {
-			if peer.closed || peer.in.reset {
-				return nil
-			}
-			peer.markReset()
-			return &unixkern.IOCompletion{Ready: []unixkern.IOReady{{FD: peer.fd, R: true, W: true}}}
-		})
+		c.st.k.NetAfterOp(c.st.p, c.st.cfg.WireSetup, c.st.newOp(opReset, c, 0))
 	default:
-		out := c.out()
-		out.finSent = true
+		c.out().finSent = true
 		// FIN rides the wire behind any data still queued ahead of it.
-		c.st.dev.Send(c.st.p, 0, 0, func() *unixkern.IOCompletion {
-			out.finDelivered = true
-			if peer.closed {
-				return nil
-			}
-			return &unixkern.IOCompletion{Ready: []unixkern.IOReady{{FD: peer.fd, R: true}}}
-		})
+		c.st.dev.SendOp(c.st.p, 0, 0, c.st.newOp(opFin, c, 0))
 	}
 	c.st.p.CloseFD(c.fd)
 	return nil

@@ -265,3 +265,51 @@ func TestSizeInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStatsCountPicksAndScans: DequeueMax counts one pick per item it
+// hands out, a search counts the entries it compares (through the match,
+// or the whole level on a miss), and Nth counts the levels it steps
+// through.
+func TestStatsCountPicksAndScans(t *testing.T) {
+	var q Queue[int]
+	for i := 1; i <= 4; i++ {
+		q.Enqueue(i, 5)
+	}
+	q.Enqueue(9, 7)
+	if x, _, _ := q.DequeueMax(); x != 9 {
+		t.Fatalf("DequeueMax = %d, want 9", x)
+	}
+	if st := q.Stats(); st.Picks != 1 || st.Scanned != 0 {
+		t.Fatalf("after one pick: %+v", st)
+	}
+	steps := []struct {
+		name    string
+		op      func()
+		scanned int64
+	}{
+		{"Remove hit", func() { q.Remove(3, 5) }, 3},                       // 1, 2, 3
+		{"Remove miss", func() { q.Remove(8, 5) }, 3},                      // 1, 2, 4
+		{"Contains", func() { q.Contains(4) }, 3},                          // 1, 2, 4
+		{"RemoveAny", func() { q.RemoveAny(2) }, 2},                        // 1, 2
+		{"Nth", func() { q.Nth(1) }, sched31to5},                           // levels 31..5
+		{"PeekMax", func() { q.PeekMax() }, 0},                             // no search
+		{"DequeueAt", func() { q.DequeueAt(5) }, 0},                        // not a pick
+		{"Enqueue", func() { q.Enqueue(6, 5) }, 0},                         // no search
+		{"DequeueMax twice", func() { q.DequeueMax(); q.DequeueMax() }, 0}, // two picks, 4 and 6
+		{"DequeueMax empty", func() { q.DequeueMax() }, 0},                 // no item, no pick
+		{"Contains empty", func() { q.Contains(6) }, 0},                    // no level to scan
+	}
+	var want int64
+	for _, s := range steps {
+		s.op()
+		want += s.scanned
+		if got := q.Stats().Scanned; got != want {
+			t.Errorf("after %s: Scanned %d, want %d", s.name, got, want)
+		}
+	}
+	if got := q.Stats().Picks; got != 3 {
+		t.Errorf("Picks %d, want 3", got)
+	}
+}
+
+const sched31to5 = 31 - 5 + 1

@@ -113,15 +113,11 @@ func (k *Kernel) newBatch() *batchCompletion {
 	return b
 }
 
-// NetAfter schedules apply to run after d of virtual time. It models
+// NetAfterOp schedules op to run after d of virtual time. It models
 // latency-only network events — connect handshakes, receive-window
-// updates — that do not occupy the interface.
-func (k *Kernel) NetAfter(p *Process, d vtime.Duration, apply func() *IOCompletion) vtime.TimerID {
-	return k.Clock.ScheduleAfter(d, k.newNetEvent(p, apply, nil))
-}
-
-// NetAfterOp is NetAfter for pooled operation structs: no closure is
-// allocated, and the netEvent itself comes from the free list.
+// updates, resets — that do not occupy the interface. The op is a
+// pooled operation struct, so no closure is allocated, and the netEvent
+// itself comes from the free list.
 func (k *Kernel) NetAfterOp(p *Process, d vtime.Duration, op NetApplier) vtime.TimerID {
 	return k.Clock.ScheduleAfter(d, k.newNetEvent(p, nil, op))
 }
@@ -165,21 +161,13 @@ func (k *Kernel) NewNetDevice(name string, setup, perByte vtime.Duration) *NetDe
 	return &NetDevice{Name: name, Setup: setup, PerByte: perByte, k: k}
 }
 
-// Send carries a segment of the given size across the interface: the
+// SendOp carries a segment of the given size across the interface: the
 // wire is occupied for setup + bytes·perByte after any queued segments,
-// then apply runs (delivering the data into the receiver's buffer) and
-// the readiness it returns is posted as SIGIO. extra adds propagation
-// delay that does not occupy the interface. It returns the delivery time.
-func (nd *NetDevice) Send(p *Process, bytes int, extra vtime.Duration, apply func() *IOCompletion) vtime.Time {
-	return nd.send(p, bytes, extra, apply, nil)
-}
-
-// SendOp is Send for pooled operation structs (no per-segment closure).
+// then op runs (delivering the data, or a FIN, at the receiver) and the
+// readiness it returns is posted as SIGIO. extra adds propagation delay
+// that does not occupy the interface. The op is a pooled operation
+// struct (no per-segment closure). It returns the delivery time.
 func (nd *NetDevice) SendOp(p *Process, bytes int, extra vtime.Duration, op NetApplier) vtime.Time {
-	return nd.send(p, bytes, extra, nil, op)
-}
-
-func (nd *NetDevice) send(p *Process, bytes int, extra vtime.Duration, apply func() *IOCompletion, op NetApplier) vtime.Time {
 	nd.Segments++
 	nd.Bytes += int64(bytes)
 	start := nd.k.Clock.Now()
@@ -189,7 +177,7 @@ func (nd *NetDevice) send(p *Process, bytes int, extra vtime.Duration, apply fun
 	done := start.Add(nd.Setup + vtime.Duration(bytes)*nd.PerByte)
 	nd.busyUntil = done
 	at := done.Add(extra)
-	nd.k.Clock.ScheduleAt(at, nd.k.newNetEvent(p, apply, op))
+	nd.k.Clock.ScheduleAt(at, nd.k.newNetEvent(p, nil, op))
 	return at
 }
 
