@@ -3,6 +3,13 @@
 // with the Table 3 quantification, Table 4 in both unlock modes, the
 // perverted-scheduling experiment, the ablation studies, and the
 // context-switch attribution. Its output is the body of EXPERIMENTS.md.
+//
+// Three subcommands print one artifact each:
+//
+//	ptreport conform             # the POSIX 1003.4a (Draft 6) checklist; exits 1 if a check fails
+//	ptreport inversion           # Figure 5 (a,b,c) + Table 3 quantification
+//	ptreport inversion -table 4  # Table 4 mixing trace
+//	ptreport pervert [-seed N]   # perverted scheduling, random-switch PRNG seed N
 package main
 
 import (
@@ -10,10 +17,65 @@ import (
 	"fmt"
 	"os"
 
+	"pthreads/internal/conformance"
 	"pthreads/internal/eval"
 )
 
 func main() {
+	if len(os.Args) > 1 {
+		name, args := os.Args[1], os.Args[2:]
+		fs := flag.NewFlagSet("ptreport "+name, flag.ExitOnError)
+		switch name {
+		case "conform":
+			parse(fs, args)
+			results := conformance.RunAll()
+			fmt.Print(conformance.Format(results))
+			for _, r := range results {
+				if !r.Pass() {
+					os.Exit(1)
+				}
+			}
+			return
+		case "inversion":
+			table := fs.Int("table", 3, "4 prints the Table 4 mixing trace")
+			parse(fs, args)
+			if *table == 4 {
+				emit(fs.Name(), eval.FormatTable4)
+			} else {
+				emit(fs.Name(), eval.FormatFigure5)
+			}
+			return
+		case "pervert":
+			seed := fs.Int64("seed", 1, "PRNG seed for the random-switch policy")
+			parse(fs, args)
+			emit(fs.Name(), func() (string, error) { return eval.FormatPervert(*seed) })
+			return
+		}
+	}
+	report()
+}
+
+// parse parses a subcommand's flags and rejects anything left over.
+func parse(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "%s: unexpected arguments: %v\n", fs.Name(), fs.Args())
+		os.Exit(1)
+	}
+}
+
+// emit prints one artifact, or its error and exits 1.
+func emit(name string, f func() (string, error)) {
+	out, err := f()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
+	}
+	fmt.Print(out)
+}
+
+// report prints the full report.
+func report() {
 	// The exploration and profile sections are opt-in so the default
 	// report stays byte-stable across releases that only add new
 	// experiments.

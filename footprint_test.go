@@ -11,21 +11,44 @@ import (
 )
 
 // TestEchoLadderZeroAllocs is the echo ladder's steady-state allocation
-// gate: a round trip beside 10,000 and beside 100,000 parked readers
-// allocates nothing, because the wait-queue shards, descriptor table,
-// timer wheel and batched completions are all preallocated or pooled.
-// Each population is built once (BenchmarkC10KEcho and
-// BenchmarkC100KEcho time the same round trip).
+// gate: a round trip with no parked readers, beside 10,000 and beside
+// 100,000 allocates nothing, because the wait-queue shards, descriptor
+// table, timer wheel and batched completions are all preallocated or
+// pooled. Each population is built once (BenchmarkNetEcho,
+// BenchmarkC10KEcho and BenchmarkC100KEcho time the same round trip).
+// The empty rung runs again with the fleet span recorder attached, and
+// the same rounds must take the same virtual time, with the same time
+// spent blocked in them: the observability plane bills host bytes, never
+// virtual time.
 func TestEchoLadderZeroAllocs(t *testing.T) {
-	for _, parked := range []int{10000, 100000} {
-		withEchoParked(t, parked, false, func(_ *pthreads.System, round func()) {
+	type timing struct{ elapsed, blocked pthreads.Duration }
+	var off, on timing // the empty rung's rounds, spans off and on
+	for _, rung := range []struct {
+		parked int
+		spans  bool
+	}{{0, false}, {0, true}, {10000, false}, {100000, false}} {
+		withEchoParked(t, rung.parked, rung.spans, func(s *pthreads.System, round func()) {
 			for i := 0; i < 100; i++ {
 				round() // warm the pools
 			}
-			if n := testing.AllocsPerRun(200, round); n != 0 {
-				t.Errorf("echo round trip beside %d parked readers allocates %.0f times, want 0", parked, n)
+			v0, b0 := s.Now(), s.Stats().FDBlockedNS
+			n := testing.AllocsPerRun(200, round)
+			got := timing{s.Now().Sub(v0), pthreads.Duration(s.Stats().FDBlockedNS - b0)}
+			switch {
+			case rung.parked > 0:
+			case rung.spans:
+				on = got
+			default:
+				off = got
+			}
+			if !rung.spans && n != 0 {
+				t.Errorf("echo round trip beside %d parked readers allocates %.0f times, want 0", rung.parked, n)
 			}
 		})
+	}
+	if off.elapsed == 0 || off != on {
+		t.Errorf("the same echo rounds took %v (%v blocked) with spans off and %v (%v blocked) with spans on, want equal",
+			off.elapsed, off.blocked, on.elapsed, on.blocked)
 	}
 }
 

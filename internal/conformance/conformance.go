@@ -4,7 +4,7 @@
 // paper's own description of its implementation — and verifies it in a
 // fresh thread system. The paper reports its implementation "passes
 // validation tests for tasking"; this package is the equivalent artifact
-// for the reproduction, runnable as one report (cmd/ptconform).
+// for the reproduction, runnable as one report (`ptreport conform`).
 package conformance
 
 import (

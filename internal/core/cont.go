@@ -60,9 +60,6 @@ type Cont struct {
 	Arg any
 	// Ret is the thread's exit status when the last step returns.
 	Ret any
-	// Env is a scratch slot for state a step chain threads through its
-	// steps without a closure; the jacket calls leave it alone.
-	Env any
 }
 
 // Self returns the continuation's thread handle.

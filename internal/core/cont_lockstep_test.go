@@ -244,7 +244,20 @@ func TestLockstepYield(t *testing.T) {
 			s.Yield()
 		}
 	}
-	var contStep ContFunc
+	// yielder is the continuation variant: each thread counts its yields
+	// in its own closure.
+	yielder := func() ContFunc {
+		n := 0
+		var step ContFunc
+		step = func(k *Cont) {
+			if n >= 3 {
+				return
+			}
+			n++
+			k.Yield(step)
+		}
+		return step
+	}
 	lockstepArcs(t, []lockstepArc{{
 		name: "pair",
 		want: "<nil> <nil>; <nil> <nil>",
@@ -255,16 +268,8 @@ func TestLockstepYield(t *testing.T) {
 			joinRec(s, rec, b)
 		},
 		cont: func(s *System, rec func(...any)) {
-			contStep = func(k *Cont) {
-				n, _ := k.Env.(int)
-				if n >= 3 {
-					return
-				}
-				k.Env = n + 1
-				k.Yield(contStep)
-			}
-			a := spawnCont(s, lockstepAttr(s, "a", 1), contStep)
-			b := spawnCont(s, lockstepAttr(s, "b", 1), contStep)
+			a := spawnCont(s, lockstepAttr(s, "a", 1), yielder())
+			b := spawnCont(s, lockstepAttr(s, "b", 1), yielder())
 			joinRec(s, rec, a)
 			joinRec(s, rec, b)
 		},
@@ -733,8 +738,8 @@ func TestLockstepCancelAtCondWait(t *testing.T) {
 // frame holds no wait label, only the descriptor verb, and no system
 // pointer or dispatch flags: those are the TCB's.
 func TestContFrameSize(t *testing.T) {
-	if n := unsafe.Sizeof(Cont{}); n > 192 {
-		t.Errorf("Cont is %d bytes, want at most 192", n)
+	if n := unsafe.Sizeof(Cont{}); n > 176 {
+		t.Errorf("Cont is %d bytes, want at most 176", n)
 	}
 }
 

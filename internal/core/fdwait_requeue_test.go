@@ -52,7 +52,7 @@ func (s *System) fdParkWorker(t *testing.T, fd unixkern.FD, idx, prio int, box *
 func wakeOne(s *System, src *scaleSource, fd unixkern.FD, all bool) {
 	src.ready = src.ready[:0]
 	src.ready = append(src.ready, unixkern.IOReady{FD: fd, R: true, All: all})
-	s.Kernel().NetAfterOp(s.Process(), vtime.Microsecond, src)
+	s.Kernel().NetAfter(s.Process(), vtime.Microsecond, src)
 	s.Sleep(2 * vtime.Microsecond)
 }
 

@@ -118,7 +118,7 @@ func TestFDWaitScaleMixedWaiters(t *testing.T) {
 				tokens[fd]++
 				src.ready[j] = unixkern.IOReady{FD: fd, R: true}
 			}
-			k.NetAfterOp(p, vtime.Microsecond, src)
+			k.NetAfter(p, vtime.Microsecond, src)
 			s.Sleep(2 * vtime.Microsecond)
 		}
 		wakes0 := s.Stats().FDWakeups
@@ -137,7 +137,7 @@ func TestFDWaitScaleMixedWaiters(t *testing.T) {
 			}
 			src.ready[0] = unixkern.IOReady{FD: fd, R: true, All: true}
 			src.comp.Ready = src.ready[:1]
-			k.NetAfterOp(p, vtime.Microsecond, &drainSource{src: src})
+			k.NetAfter(p, vtime.Microsecond, &drainSource{src: src})
 			s.Sleep(2 * vtime.Microsecond)
 		}
 		for _, th := range ths {
@@ -280,7 +280,7 @@ func TestFDWaitScale100K(t *testing.T) {
 				tokens[fd]++
 				src.ready[j] = unixkern.IOReady{FD: fd, R: true}
 			}
-			k.NetAfterOp(p, vtime.Microsecond, src)
+			k.NetAfter(p, vtime.Microsecond, src)
 			s.Sleep(2 * vtime.Microsecond)
 		}
 		wakes0 := s.Stats().FDWakeups
@@ -298,7 +298,7 @@ func TestFDWaitScale100K(t *testing.T) {
 			}
 			src.ready[0] = unixkern.IOReady{FD: fd, R: true, All: true}
 			src.comp.Ready = src.ready[:1]
-			k.NetAfterOp(p, vtime.Microsecond, &drainSource{src: src})
+			k.NetAfter(p, vtime.Microsecond, &drainSource{src: src})
 			s.Sleep(2 * vtime.Microsecond)
 		}
 		for _, th := range ths {
@@ -385,7 +385,7 @@ func TestFDWaitPriorityOrderAcrossShards(t *testing.T) {
 			ready[i] = unixkern.IOReady{FD: fd, R: true}
 		}
 		src := &scaleSource{ready: ready}
-		k.NetAfterOp(p, vtime.Microsecond, src)
+		k.NetAfter(p, vtime.Microsecond, src)
 		s.Sleep(2 * vtime.Microsecond)
 		for _, th := range ths {
 			s.Join(th)
@@ -455,7 +455,7 @@ func TestFDWaitPriorityOrder(t *testing.T) {
 
 		tokens = waiters
 		src := &scaleSource{ready: []unixkern.IOReady{{FD: fd, R: true}}}
-		k.NetAfterOp(p, vtime.Microsecond, src)
+		k.NetAfter(p, vtime.Microsecond, src)
 		s.Sleep(2 * vtime.Microsecond)
 		for _, th := range ths {
 			s.Join(th)

@@ -11,8 +11,8 @@ import (
 // the read's pooled record (connOp). The jacket bookkeeping — span,
 // attempt, error mapping — is Read's own two halves (readStart and
 // readDone), and the caller's step rides in the record, which the
-// completion step reads back from the frame: no closure, no state of its
-// own, and k.Env is left to the caller.
+// completion step reads back from the frame: no closure and no state of
+// its own.
 
 // ContRead declares a blocking read of up to max bytes as the step's
 // continuation op; then runs when the read completes, with k.N holding

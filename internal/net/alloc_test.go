@@ -13,38 +13,62 @@ import (
 // keeps its capacity across fill/drain cycles instead of reallocating.
 
 func TestSteadyStateEchoZeroAlloc(t *testing.T) {
-	k, st := newStack(t, Config{})
-	l, err := st.Listen("srv", 4)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	c, err := st.Dial("srv")
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	pump(k)
+	t.Run("local", func(t *testing.T) {
+		k, st := newStack(t, Config{})
+		l, err := st.Listen("srv", 4)
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		c, err := st.Dial("srv")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		pump(k)
+		echoZeroAlloc(t, l, c, func() { pump(k) })
+	})
+	// Across hosts every message is the same pooled op, minted on the
+	// host whose clock runs it.
+	t.Run("cross-host", func(t *testing.T) {
+		ka, kb, sa, sb := newPair(t, &testWire{delay: wireDelay}, &testWire{delay: wireDelay})
+		l, err := sb.Listen("srv", 4)
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		c, err := sa.Dial("peer:srv")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		pump2(ka, kb)
+		echoZeroAlloc(t, l, c, func() { pump2(ka, kb) })
+	})
+}
+
+// echoZeroAlloc accepts the far end of c from l and requires a warm echo
+// round trip over the pair to allocate nothing; settle runs every
+// pending event.
+func echoZeroAlloc(t *testing.T, l *Listener, c *Conn, settle func()) {
+	t.Helper()
 	sc, err := l.TryAccept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}
-
 	round := func() {
 		if n, err := c.TryWrite(64); n != 64 || err != nil {
 			t.Fatalf("client write: %d, %v", n, err)
 		}
-		pump(k) // delivery + window update
+		settle() // delivery + window update
 		if n, err := sc.TryRead(64); n != 64 || err != nil {
 			t.Fatalf("server read: %d, %v", n, err)
 		}
-		pump(k)
+		settle()
 		if n, err := sc.TryWrite(64); n != 64 || err != nil {
 			t.Fatalf("server write: %d, %v", n, err)
 		}
-		pump(k)
+		settle()
 		if n, err := c.TryRead(64); n != 64 || err != nil {
 			t.Fatalf("client read: %d, %v", n, err)
 		}
-		pump(k)
+		settle()
 	}
 	for i := 0; i < 32; i++ {
 		round() // warm the op/event/SigInfo/timer pools

@@ -167,6 +167,6 @@ func (st *Stack) Dial(addr string) (*Conn, error) {
 	client, _ := newConnection(st, st)
 	client.fd = st.p.AllocFD(client)
 	client.addr = addr
-	st.k.NetAfterOp(st.p, st.cfg.ConnectDelay, st.newOp(opConnect, client, 0))
+	client.send(opConnect, 0)
 	return client, nil
 }

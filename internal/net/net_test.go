@@ -157,6 +157,26 @@ func TestWriteAfterPeerCloseResets(t *testing.T) {
 	if _, err := c.TryWrite(10); err != ErrReset {
 		t.Fatalf("second write: %v (want reset)", err)
 	}
+
+	// A writer that closes behind its segment is not reset: the segment
+	// lands at two closed endpoints and is dropped.
+	c, _ = st.Dial("srv")
+	pump(k)
+	sc, _ = l.TryAccept()
+	sc.Close()
+	pump(k)
+	if n, err := c.TryWrite(10); n != 10 || err != nil {
+		t.Fatalf("write after peer close: %d, %v", n, err)
+	}
+	c.Close()
+	resets := st.Stats().Resets
+	pump(k)
+	if got := st.Stats().Resets; got != resets {
+		t.Fatalf("segment at two closed endpoints reset %d times, want 0", got-resets)
+	}
+	if got := c.out().inflight; got != 0 {
+		t.Fatalf("%d bytes still in flight", got)
+	}
 }
 
 func TestBackpressure(t *testing.T) {

@@ -56,13 +56,7 @@ func (l *Listener) Close() error {
 	for _, c := range l.backlog {
 		c.closed = true
 		l.st.p.CloseFD(c.fd)
-		if c.rem != nil {
-			// The never-accepted endpoint's client lives on another
-			// host: the RST crosses the wire.
-			l.st.xControl(c, rstArrived)
-			continue
-		}
-		l.st.k.NetAfterOp(l.st.p, l.st.cfg.WireSetup, l.st.newOp(opAbort, c, 0))
+		c.send(opAbort, 0)
 	}
 	// Clear without releasing capacity (a closed listener keeps no
 	// references; the slice header is reused if the Listener ever is).
@@ -94,7 +88,8 @@ type Conn struct {
 	st *Stack
 	// addr is the address the connection was dialed to. It is set when
 	// the endpoint gets its descriptor, and with the descriptor it makes
-	// the endpoint's name.
+	// the endpoint's name. A cross-host accepting end holds the
+	// listener's own name for the address until its SYN lands.
 	addr string
 	peer *Conn
 	in   pipe // data flowing toward this endpoint
@@ -249,11 +244,7 @@ func (c *Conn) TryRead(max int) (int, error) {
 	}
 	c.in.buffered -= int32(n)
 	c.st.stats.BytesRecvd += int64(n)
-	if c.rem != nil {
-		c.readRemote(n)
-		return n, nil
-	}
-	c.st.k.NetAfterOp(c.st.p, c.st.cfg.WireSetup, c.st.newOp(opWindow, c, 0))
+	c.send(opWindow, n)
 	return n, nil
 }
 
@@ -288,11 +279,7 @@ func (c *Conn) TryWrite(n int) (int, error) {
 	c.out().inflight += int32(n)
 	c.st.stats.BytesSent += int64(n)
 	c.st.stats.Segments++
-	if c.rem != nil {
-		c.writeRemote(n)
-		return n, nil
-	}
-	c.st.dev.SendOp(c.st.p, n, 0, c.st.newOp(opDeliver, c, n))
+	c.send(opDeliver, n)
 	return n, nil
 }
 
@@ -315,20 +302,17 @@ func (c *Conn) Close() error {
 	}
 	unread := c.in.buffered > 0 || c.in.inflight > 0
 	c.in.buffered = 0
-	if c.rem != nil {
-		c.closeRemote(unread)
-		c.st.p.CloseFD(c.fd)
-		return nil
-	}
 	switch {
 	case c.in.reset || c.out().reset:
 		// Already dead; nothing to announce.
 	case unread:
-		c.st.k.NetAfterOp(c.st.p, c.st.cfg.WireSetup, c.st.newOp(opReset, c, 0))
+		c.send(opReset, 0)
 	default:
 		c.out().finSent = true
 		// FIN rides the wire behind any data still queued ahead of it.
-		c.st.dev.SendOp(c.st.p, 0, 0, c.st.newOp(opFin, c, 0))
+		// Nothing changes at the peer until it lands: in its flight the
+		// peer may keep writing toward the closed endpoint, as TCP allows.
+		c.send(opFin, 0)
 	}
 	c.st.p.CloseFD(c.fd)
 	return nil

@@ -44,8 +44,8 @@ func TestPollCoalescesSameTickReadiness(t *testing.T) {
 	got := sigioRecorder(p)
 	a := &stubOp{ready: []IOReady{{FD: 3, R: true}}}
 	b := &stubOp{ready: []IOReady{{FD: 4, W: true}}}
-	k.NetAfterOp(p, 1000, a)
-	k.NetAfterOp(p, 1000, b)
+	k.NetAfter(p, 1000, a)
+	k.NetAfter(p, 1000, b)
 	k.Clock.Advance(2000)
 	k.Poll()
 	if len(*got) != 1 {
@@ -60,8 +60,8 @@ func TestPollCoalescesSameTickReadiness(t *testing.T) {
 
 	// A second same-tick pair must reuse the pooled batch, not mint one.
 	prev := k.batchFree[0]
-	k.NetAfterOp(p, 1000, a)
-	k.NetAfterOp(p, 1000, b)
+	k.NetAfter(p, 1000, a)
+	k.NetAfter(p, 1000, b)
 	k.Clock.Advance(2000)
 	k.Poll()
 	if len(*got) != 2 || len((*got)[1]) != 2 {
@@ -82,8 +82,8 @@ func TestPollDoesNotCoalesceAcrossProcessesOrTicks(t *testing.T) {
 	b := &stubOp{ready: []IOReady{{FD: 4, R: true}}}
 
 	// Same tick, different processes: one SIGIO each.
-	k.NetAfterOp(pa, 1000, a)
-	k.NetAfterOp(pb, 1000, b)
+	k.NetAfter(pa, 1000, a)
+	k.NetAfter(pb, 1000, b)
 	k.Clock.Advance(2000)
 	k.Poll()
 	if len(*gotA) != 1 || len(*gotB) != 1 {
@@ -95,8 +95,8 @@ func TestPollDoesNotCoalesceAcrossProcessesOrTicks(t *testing.T) {
 
 	// Same process, different ticks drained by one Poll: two SIGIOs in
 	// event order, nothing held across the tick boundary.
-	k.NetAfterOp(pa, 1000, a)
-	k.NetAfterOp(pa, 1500, b)
+	k.NetAfter(pa, 1000, a)
+	k.NetAfter(pa, 1500, b)
 	k.Clock.Advance(2000)
 	k.Poll()
 	if len(*gotA) != 3 {
@@ -115,8 +115,8 @@ func TestPollFlushesWhenPartnerEvaporates(t *testing.T) {
 	p := k.NewProcess("p")
 	got := sigioRecorder(p)
 	a := &stubOp{ready: []IOReady{{FD: 3, R: true}}}
-	k.NetAfterOp(p, 1000, a)
-	k.NetAfterOp(p, 1000, stubNilOp{})
+	k.NetAfter(p, 1000, a)
+	k.NetAfter(p, 1000, stubNilOp{})
 	k.Clock.Advance(2000)
 	k.Poll()
 	if len(*got) != 1 || len((*got)[0]) != 1 || (*got)[0][0].FD != 3 {

@@ -511,12 +511,7 @@ func (k *Kernel) Poll() int {
 			// then announce any descriptors it made ready via SIGIO. The
 			// netEvent is consumed here; recycle it before posting, since
 			// the delivery may schedule further network events.
-			var comp *IOCompletion
-			if pl.applier != nil {
-				comp = pl.applier.ApplyNet()
-			} else {
-				comp = pl.apply()
-			}
+			comp := pl.applier.ApplyNet()
 			p := pl.p
 			k.recycleNetEvent(pl)
 			if comp == nil || len(comp.Ready) == 0 {

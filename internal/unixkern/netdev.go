@@ -49,35 +49,34 @@ func (c *IOCompletion) Release() {
 	}
 }
 
-// NetApplier is the allocation-free form of a deferred network-state
-// transition: a pooled operation struct stored in an interface (no boxing
-// allocation) instead of a fresh closure per event. ApplyNet runs at the
-// event's due time and returns the readiness to announce, or nil for
-// none — in the nil case the applier must have reclaimed itself.
+// NetApplier is a deferred network-state transition: a pooled operation
+// struct stored in an interface (no boxing allocation), so scheduling an
+// event allocates nothing. ApplyNet runs at the event's due time and
+// returns the readiness to announce, or nil for none — in the nil case
+// the applier must have reclaimed itself.
 type NetApplier interface {
 	ApplyNet() *IOCompletion
 }
 
-// netEvent is a deferred network-state transition. Poll runs the applier
-// (or the closure form) at the due time and posts SIGIO for any readiness
-// it returns. netEvents are pooled: each is recycled as soon as Poll has
-// consumed it.
+// netEvent is a scheduled NetApplier and the process its readiness is
+// announced to. Poll runs the applier at the due time and posts SIGIO for
+// any readiness it returns. netEvents are pooled: each is recycled as
+// soon as Poll has consumed it.
 type netEvent struct {
 	p       *Process
-	apply   func() *IOCompletion
 	applier NetApplier
 }
 
 // newNetEvent mints a netEvent from the kernel free list.
-func (k *Kernel) newNetEvent(p *Process, apply func() *IOCompletion, applier NetApplier) *netEvent {
+func (k *Kernel) newNetEvent(p *Process, applier NetApplier) *netEvent {
 	if n := len(k.netEvFree); n > 0 {
 		ev := k.netEvFree[n-1]
 		k.netEvFree[n-1] = nil
 		k.netEvFree = k.netEvFree[:n-1]
-		*ev = netEvent{p: p, apply: apply, applier: applier}
+		*ev = netEvent{p: p, applier: applier}
 		return ev
 	}
-	return &netEvent{p: p, apply: apply, applier: applier}
+	return &netEvent{p: p, applier: applier}
 }
 
 func (k *Kernel) recycleNetEvent(ev *netEvent) {
@@ -113,21 +112,20 @@ func (k *Kernel) newBatch() *batchCompletion {
 	return b
 }
 
-// NetAfterOp schedules op to run after d of virtual time. It models
+// NetAfter schedules op to run after d of virtual time. It models
 // latency-only network events — connect handshakes, receive-window
-// updates, resets — that do not occupy the interface. The op is a
-// pooled operation struct, so no closure is allocated, and the netEvent
-// itself comes from the free list.
-func (k *Kernel) NetAfterOp(p *Process, d vtime.Duration, op NetApplier) vtime.TimerID {
-	return k.Clock.ScheduleAfter(d, k.newNetEvent(p, nil, op))
+// updates, resets — that do not occupy the interface.
+func (k *Kernel) NetAfter(p *Process, d vtime.Duration, op NetApplier) vtime.TimerID {
+	return k.Clock.ScheduleAfter(d, k.newNetEvent(p, op))
 }
 
-// NetAt schedules apply to run at the absolute virtual instant at. The
-// network fabric uses it to land cross-host arrivals computed from the
-// sender's departure time plus wire latency; `at` must not be in this
-// kernel's past (the fabric's lease rule guarantees it never is).
-func (k *Kernel) NetAt(p *Process, at vtime.Time, apply func() *IOCompletion) vtime.TimerID {
-	return k.Clock.ScheduleAt(at, k.newNetEvent(p, apply, nil))
+// NetAt schedules op to run at the absolute virtual instant at: a segment
+// once it has crossed an interface (see Occupy), or a cross-host arrival
+// computed from the sender's departure time plus wire latency. `at` must
+// not be in this kernel's past (the fabric's lease rule guarantees it
+// never is for an arrival).
+func (k *Kernel) NetAt(p *Process, at vtime.Time, op NetApplier) vtime.TimerID {
+	return k.Clock.ScheduleAt(at, k.newNetEvent(p, op))
 }
 
 // NetDevice models a network interface: a fixed per-segment setup cost
@@ -161,31 +159,12 @@ func (k *Kernel) NewNetDevice(name string, setup, perByte vtime.Duration) *NetDe
 	return &NetDevice{Name: name, Setup: setup, PerByte: perByte, k: k}
 }
 
-// SendOp carries a segment of the given size across the interface: the
-// wire is occupied for setup + bytes·perByte after any queued segments,
-// then op runs (delivering the data, or a FIN, at the receiver) and the
-// readiness it returns is posted as SIGIO. extra adds propagation delay
-// that does not occupy the interface. The op is a pooled operation
-// struct (no per-segment closure). It returns the delivery time.
-func (nd *NetDevice) SendOp(p *Process, bytes int, extra vtime.Duration, op NetApplier) vtime.Time {
-	nd.Segments++
-	nd.Bytes += int64(bytes)
-	start := nd.k.Clock.Now()
-	if nd.busyUntil > start {
-		start = nd.busyUntil
-	}
-	done := start.Add(nd.Setup + vtime.Duration(bytes)*nd.PerByte)
-	nd.busyUntil = done
-	at := done.Add(extra)
-	nd.k.Clock.ScheduleAt(at, nd.k.newNetEvent(p, nil, op))
-	return at
-}
-
-// Occupy charges the interface for transmitting a segment without
-// scheduling a local delivery event, and returns the departure time (when
-// the last byte leaves the wire). Cross-host sends use it: the serialization
-// cost lands on the sender's NIC while the delivery event is scheduled on
-// the receiving host's clock by the fabric.
+// Occupy charges the interface for transmitting a segment of the given
+// size: the wire is busy for setup + bytes·perByte after any queued
+// segments. It returns the departure time (when the last byte leaves the
+// wire), at which the caller schedules the delivery with NetAt — on this
+// kernel for a local segment, on the receiving host's for a cross-host
+// one, at the arrival the fabric's wire computes from it.
 func (nd *NetDevice) Occupy(bytes int) vtime.Time {
 	nd.Segments++
 	nd.Bytes += int64(bytes)

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 go build ./...
 go test ./...
 go vet ./...
-go test -race ./internal/core/ ./internal/sched/ ./internal/io/ ./internal/sem/
+go test -race ./internal/core/ ./internal/sched/ ./internal/io/ ./internal/sem/ ./internal/net/ ./internal/unixkern/
 
 # Schedule-exploration smoke: bounded search must find the seeded bugs
 # (deadlock, lost update), shrink them, and replay the minimized token to
@@ -112,9 +112,9 @@ awk '
     exit bad
   }' "$t/c100k.txt"
 
-# The steady-state allocation gate on the echo ladder's endpoints (0
-# allocations per round trip beside 10,000 and beside 100,000 parked
-# readers) is TestEchoLadderZeroAllocs, run by `go test ./...` above.
+# The steady-state allocation gate on the echo ladder (0 allocations
+# per round trip with no parked readers, beside 10,000 and beside
+# 100,000) is TestEchoLadderZeroAllocs, run by `go test ./...` above.
 
 # Resident-footprint smoke (DESIGN.md §15, E32) at a reduced
 # population: RunC1M itself fails unless every thread parks as a
@@ -205,20 +205,9 @@ go run ./cmd/ptprof -fleet fleet-echo -spans -check -q -chrome "$t/fleetspans1.j
 go run ./cmd/ptprof -fleet fleet-echo -spans -q -chrome "$t/fleetspans2.json"
 cmp "$t/fleetspans1.json" "$t/fleetspans2.json"
 
-# Spans-off allocation gate: the echo round trip must stay 0 allocs/op
-# with the recorder absent, and spans-on must not change vus/op — the
-# plane bills host bytes, never virtual time.
-go test -run '^$' -bench 'NetEcho$|NetEchoSpans$' -benchmem -benchtime 200x . > "$t/spanbench.txt"
-cat "$t/spanbench.txt"
-awk '
-  /^BenchmarkNetEcho/ { found++
-    vus[found] = $(NF-5)
-    if ($1 == "BenchmarkNetEcho" && $(NF-1) + 0 != 0) { bad = 1
-      printf "span gate: %s reports %s allocs/op (want 0)\n", $1, $(NF-1) } }
-  END { if (found < 2) { bad = 1; print "span gate: expected both echo benchmarks" }
-    else if (vus[1] != vus[2]) { bad = 1
-      printf "span gate: vus/op differs spans on vs off: %s vs %s\n", vus[1], vus[2] }
-    exit bad }' "$t/spanbench.txt"
+# The spans gate (0 allocations per echo round trip with the recorder
+# absent, and the same rounds taking the same virtual time spans on and
+# off) is TestEchoLadderZeroAllocs, run by `go test ./...` above.
 
 # Perf-regression gate: benchdiff must fail the planted 5-regression
 # fixture (vus/op, allocs/op, ns/op, and the c1m runner-pool and
