@@ -805,12 +805,12 @@ func withEchoParked(tb testing.TB, parked int, spans bool, run func(s *pthreads.
 }
 
 // benchMutexMetrics is Table 2 row 3 (uncontended lock/unlock) with an
-// optional metrics sink attached: the pair pins the cost of the
-// profiling hooks on the hottest path. Both modes must report
-// 0 allocs/op — the off mode because the hooks are nil checks, the on
+// optional tracer attached (the metrics collector): the pair pins the
+// cost of the observer hook on the hottest path. Both modes must report
+// 0 allocs/op — the off mode because each site is a nil check, the on
 // mode because the collector records into pre-sized tables.
-func benchMutexMetrics(b *testing.B, sink pthreads.MetricsSink) {
-	s := pthreads.New(pthreads.Config{Metrics: sink})
+func benchMutexMetrics(b *testing.B, tracer pthreads.Tracer) {
+	s := pthreads.New(pthreads.Config{Tracer: tracer})
 	err := s.Run(func() {
 		m := s.MustMutex(pthreads.MutexAttr{Name: "bench"})
 		m.Lock() // size the collector's mutex table before the timer
@@ -830,8 +830,8 @@ func benchMutexMetrics(b *testing.B, sink pthreads.MetricsSink) {
 	}
 }
 
-// BenchmarkMutexMetricsOff is the uncontended mutex path with the
-// metrics hooks compiled in but no sink attached.
+// BenchmarkMutexMetricsOff is the uncontended mutex path with no
+// tracer attached.
 func BenchmarkMutexMetricsOff(b *testing.B) { benchMutexMetrics(b, nil) }
 
 // BenchmarkMutexMetricsOn is the same path with the collector attached.
@@ -840,10 +840,10 @@ func BenchmarkMutexMetricsOn(b *testing.B) {
 }
 
 // benchDispatchMetrics is the context-switch benchmark (Table 2 row 8)
-// with an optional metrics sink: every yield drives the dispatcher's
-// ThreadState hooks, so this is the per-dispatch hook cost.
-func benchDispatchMetrics(b *testing.B, sink pthreads.MetricsSink) {
-	s := pthreads.New(pthreads.Config{Metrics: sink})
+// with an optional tracer (the metrics collector): every yield drives
+// the dispatcher's state events, so this is the per-dispatch hook cost.
+func benchDispatchMetrics(b *testing.B, tracer pthreads.Tracer) {
+	s := pthreads.New(pthreads.Config{Tracer: tracer})
 	err := s.Run(func() {
 		stop := false
 		attr := pthreads.DefaultAttr()
@@ -870,7 +870,7 @@ func benchDispatchMetrics(b *testing.B, sink pthreads.MetricsSink) {
 	}
 }
 
-// BenchmarkDispatchMetricsOff is two context switches per op, no sink.
+// BenchmarkDispatchMetricsOff is two context switches per op, no tracer.
 func BenchmarkDispatchMetricsOff(b *testing.B) { benchDispatchMetrics(b, nil) }
 
 // BenchmarkDispatchMetricsOn is the same with the collector attached.

@@ -54,7 +54,7 @@ func (s *System) actOnCancel(t *Thread, info *unixkern.SigInfo) {
 		if t.state != StateBlocked {
 			return
 		}
-		switch t.blockReason() {
+		switch t.BlockReason() {
 		case BlockMutex, BlockSuspend:
 			// Not interruption points. For the mutex: "a thread cannot
 			// be cancelled while in controlled interruptibility when it

@@ -100,10 +100,7 @@ func (s *System) condWait(w *waitOp) (parked bool) {
 		c.mutex = m
 		t.waitingCond = c
 		t.wake = wakeNone
-		s.traceObj(EvCond, t, c.name, "wait", "")
-		if s.metrics != nil {
-			s.metrics.CondWaitStart(s.clock.Now(), t, c)
-		}
+		s.traceCond(OpWait, t, c)
 		if w.timed {
 			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, w.d, (*timedWaitTag)(t))
 		}
@@ -218,10 +215,7 @@ func (c *Cond) wakeOneLocked() {
 		s.kern.DisarmInternal(w.waitTimer)
 		w.waitTimer = 0
 	}
-	s.traceObj(EvCond, w, c.name, "signal", "")
-	if s.metrics != nil {
-		s.metrics.CondWaitEnd(s.clock.Now(), w, c)
-	}
+	s.traceCond(OpSignal, w, c)
 	if m == nil || m.owner == nil {
 		// Mutex free (or association already cleared): grant directly.
 		if m != nil {
@@ -242,11 +236,7 @@ func (c *Cond) wakeOneLocked() {
 	}
 	w.verb = verbMutex
 	m.waiters.push(w, int(w.prio))
-	s.traceObj(EvMutex, w, m.name, "block", "reacquire after signal")
-	if s.metrics != nil {
-		// The reason changed while the state stayed Blocked: report the
-		// bucket switch and the (contended) reacquisition attempt.
-		s.metrics.MutexContended(s.clock.Now(), w, m, m.owner)
-		s.mState(w)
-	}
+	// The block reason changed while the state stayed Blocked: the
+	// profiler reads this event as a contention and a state change.
+	s.traceMutex(OpRequeue, w, m, "reacquire after signal")
 }

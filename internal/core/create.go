@@ -61,21 +61,18 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 	s.addThread(t)
 	s.liveCnt++
 	s.stats.ThreadsCreated++
+	if attr.Lazy {
+		// Deferred activation: stays in StateNew, holding only a TCB.
+		// Marked before the created event, so observers can tell it
+		// from a thread that activateLocked readies below.
+		t.verb = verbActivation
+	}
 	s.trace(EvState, t, "created", attr.Name)
 	if s.tracer != nil {
 		// Fork edge for the race checker: creator → child.
-		s.traceObj(EvFork, s.current, t.name, strconv.Itoa(int(t.id)), "")
+		s.emit(TraceEvent{Kind: EvFork, Thread: s.current, Obj: t.name, Arg: strconv.Itoa(int(t.id)), Peer: t})
 	}
-	if s.spans != nil && s.current != nil {
-		s.spans.ThreadForked(s.clock.Now(), int32(s.current.id), int32(t.id),
-			s.current.name, t.name)
-	}
-	if attr.Lazy {
-		// Deferred activation: stays in StateNew, holding only a TCB.
-		t.state = StateNew
-		t.verb = verbActivation
-		s.mState(t)
-	} else {
+	if !attr.Lazy {
 		s.activateLocked(t)
 	}
 	s.leaveKernel()
@@ -168,11 +165,7 @@ func (s *System) joinOp(w *waitOp) (parked bool) {
 	w.Val = t.retval
 	if s.tracer != nil {
 		// Join edge for the race checker: target → joiner.
-		s.traceObj(EvJoin, cur, t.name, strconv.Itoa(int(t.id)), "")
-	}
-	if s.spans != nil {
-		s.spans.ThreadJoined(s.clock.Now(), int32(cur.id), int32(t.id),
-			cur.name, t.name)
+		s.emit(TraceEvent{Kind: EvJoin, Thread: cur, Obj: t.name, Arg: strconv.Itoa(int(t.id)), Peer: t})
 	}
 	s.enterKernel()
 	s.reclaim(t)

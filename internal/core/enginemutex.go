@@ -111,20 +111,13 @@ func (s *System) engineLock(m *Mutex) {
 	if !m.eng.TryLock(s.lockEnv, c) {
 		s.stats.MutexContentions++
 		m.Contentions++
-		if s.tracer != nil {
-			s.traceObj(EvMutex, t, m.name, "block", "spinning")
-		}
+		s.traceMutex(OpBlock, t, m, "spinning")
 		m.eng.Lock(s.lockEnv, c)
 	}
 	m.owner = t
 	m.ownerWord.Store(int64(t.id))
 	t.own(m)
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "lock", "")
-	}
-	if s.metrics != nil {
-		s.metrics.MutexAcquired(s.clock.Now(), t, m, false)
-	}
+	s.traceMutex(OpLock, t, m, "")
 	if s.explorer != nil {
 		s.exploreLockPoint()
 	} else if s.cfg.Pervert == PervertMutexSwitch {
@@ -141,12 +134,7 @@ func (s *System) engineTryLock(m *Mutex) bool {
 	m.owner = t
 	m.ownerWord.Store(int64(t.id))
 	t.own(m)
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "lock", "trylock")
-	}
-	if s.metrics != nil {
-		s.metrics.MutexAcquired(s.clock.Now(), t, m, false)
-	}
+	s.traceMutex(OpLock, t, m, "trylock")
 	return true
 }
 
@@ -160,11 +148,6 @@ func (s *System) engineUnlock(m *Mutex) {
 	s.cpu.ChargeInstr(8)
 	m.owner = nil
 	m.ownerWord.Store(0)
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "unlock", "")
-	}
-	if s.metrics != nil {
-		s.metrics.MutexReleased(s.clock.Now(), t, m)
-	}
+	s.traceMutex(OpUnlock, t, m, "")
 	m.eng.Unlock(s.lockEnv, m.engCtxFor(t))
 }

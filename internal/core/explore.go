@@ -78,7 +78,6 @@ func (s *System) exploreAt(point SwitchPoint) {
 	s.explorePickArmed = true
 	s.dispatcherFlag = true
 	s.trace(EvState, cur, "ready", "explore switch")
-	s.mState(cur)
 }
 
 // exploreLockPoint gives the explorer the post-acquisition switch point.

@@ -68,7 +68,7 @@ func (s *System) pushFakeCall(t *Thread, f *fakeFrame) {
 		// Lazy thread: delivery of a handled signal activates it.
 		s.activateLocked(t)
 	case StateBlocked:
-		switch t.blockReason() {
+		switch t.BlockReason() {
 		case BlockCond:
 			// "If the user handler interrupted a conditional wait, the
 			// mutex is reacquired and the conditional wait terminated."
@@ -151,13 +151,9 @@ func (s *System) runFakeCall(t *Thread, f *fakeFrame) {
 	t.sigMask = t.sigMask.Union(f.mask).Add(f.sig)
 	sc := &SigContext{s: s, t: t, Sig: f.sig, Info: f.info}
 	t.SigsTaken++
-	if s.metrics != nil {
-		s.metrics.HandlerEnter(s.clock.Now(), t)
-	}
+	s.trace(EvHandlerEnter, t, "", "")
 	f.handler(f.sig, f.info, sc)
-	if s.metrics != nil {
-		s.metrics.HandlerExit(s.clock.Now(), t)
-	}
+	s.trace(EvHandlerExit, t, "", "")
 
 	// 4. Restore the thread's error number.
 	t.errno = savedErrno
@@ -176,7 +172,3 @@ func (s *System) runFakeCall(t *Thread, f *fakeFrame) {
 		s.Longjmp(sc.redirect, sc.redirectVal)
 	}
 }
-
-// PendingFakeCalls reports how many fake-call frames are installed on a
-// thread (tests and diagnostics).
-func (s *System) PendingFakeCalls(t *Thread) int { return t.fakeCalls() }

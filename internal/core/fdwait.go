@@ -26,7 +26,7 @@ import (
 // cancellation, per the paper's SIGCANCEL rules.
 
 // FDDir selects the direction of a descriptor wait.
-type FDDir int
+type FDDir uint8
 
 const (
 	// FDRead waits for the descriptor to become readable (data, EOF,
@@ -180,9 +180,10 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 		if w.phase != 0 {
 			// Back from the park at the bottom of the loop.
 			s.fdBlockedNow--
-			s.stats.FDBlockedNS += int64(s.clock.Now().Sub(w.blockedAt))
-			if s.metrics != nil {
-				s.metrics.FDBlocked(w.blockedAt, t, int(fd), dir, s.clock.Now().Sub(w.blockedAt))
+			waited := s.clock.Now().Sub(w.blockedAt)
+			s.stats.FDBlockedNS += int64(waited)
+			if s.tracer != nil {
+				s.emit(TraceEvent{Kind: EvFDDone, Thread: t, FD: fd, Dir: dir, Wait: waited})
 			}
 			if t.waitTimer != 0 {
 				s.kern.DisarmInternal(t.waitTimer)
@@ -203,7 +204,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 				// ran (fake call) and the jacket call reports EINTR.
 				s.stats.FDEINTRs++
 				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "eintr", s.fdWaitLabel(fd, w.verb))
+					s.traceFD(t, fd, dir, "eintr", s.fdWaitLabel(fd, w.verb))
 				}
 				w.Err = EINTR.Or()
 				return false
@@ -240,7 +241,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 			if rem <= 0 {
 				s.stats.FDTimeouts++
 				if s.tracer != nil {
-					s.traceObj(EvIO, t, s.fdLabel(fd, dir), "timeout", s.fdWaitLabel(fd, w.verb))
+					s.traceFD(t, fd, dir, "timeout", s.fdWaitLabel(fd, w.verb))
 				}
 				s.leaveKernel()
 				w.Err = ETIMEDOUT.Or()
@@ -252,7 +253,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 		t.wake = wakeNone
 		s.stats.FDWaits++
 		if s.tracer != nil {
-			s.traceObj(EvIO, t, s.fdLabel(fd, dir), "block", s.fdWaitLabel(fd, w.verb))
+			s.traceFD(t, fd, dir, "block", s.fdWaitLabel(fd, w.verb))
 		}
 		w.blockedAt = s.clock.Now()
 		s.fdBlockedNow++
@@ -307,7 +308,7 @@ func (s *System) fdWake(l *waitList, fd unixkern.FD, dir FDDir, why string) {
 	t.wake = wakeIO
 	s.stats.FDWakeups++
 	if s.tracer != nil {
-		s.traceObj(EvIO, t, s.fdLabel(fd, dir), "wake", why)
+		s.traceFD(t, fd, dir, "wake", why)
 	}
 	s.makeReady(t, false)
 }

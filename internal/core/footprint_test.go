@@ -145,7 +145,7 @@ func TestPRNGBuiltAtFirstDraw(t *testing.T) {
 		if err != nil {
 			t.Fatalf("policy %v: Run: %v", p, err)
 		}
-		draws, _ := s.PrngAudit()
+		draws := s.prngDraws
 		if built := s.prng != nil; built != (draws > 0) {
 			t.Errorf("policy %v: PRNG built = %v after %d draws", p, built, draws)
 		}

@@ -67,7 +67,7 @@ func (s *System) Inspect(t *Thread) (ThreadInfo, error) {
 		ID:           t.id,
 		Name:         t.name,
 		State:        t.state,
-		BlockReason:  t.blockReason(),
+		BlockReason:  t.BlockReason(),
 		WaitingFor:   s.waitLabel(t),
 		Priority:     int(t.prio),
 		BasePriority: int(t.basePrio),
@@ -158,3 +158,13 @@ func (s *System) DumpThreads() string {
 		st.SignalsInternal, st.SignalsExternal, st.FakeCalls)
 	return b.String()
 }
+
+// ReadyDepth returns the number of threads currently in the ready
+// queue. Bare accessor (see the audit above): safe from thread context or
+// while the system is parked under the fabric's turn rule.
+func (s *System) ReadyDepth() int { return s.ready.Len() }
+
+// FDWaitingNow returns the number of threads currently suspended on a
+// per-descriptor wait queue — the fd-wait occupancy gauge the fleet
+// rollup samples. Bare accessor, same contract as ReadyDepth.
+func (s *System) FDWaitingNow() int { return s.fdBlockedNow }

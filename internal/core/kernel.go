@@ -154,7 +154,6 @@ func (s *System) dispatch() {
 			// reaches user code).
 			next.state = StateRunning
 			s.trace(EvState, next, "running", "reselected")
-			s.mState(next)
 			s.cancelSliceTimer()
 		}
 		return
@@ -236,7 +235,6 @@ func (s *System) selectNext() *Thread {
 		s.cpu.ChargeInstr(instrReadyQueueOp)
 		s.ready.EnqueueHead(cur, int(cur.prio))
 		s.trace(EvState, cur, "ready", "preempted")
-		s.mState(cur)
 	}
 	t, _, ok := s.ready.DequeueMax()
 	if !ok {
@@ -278,7 +276,6 @@ func (s *System) contextSwitch(next *Thread) {
 	next.state = StateRunning
 	next.Dispatches++
 	s.trace(EvState, next, "running", "")
-	s.mState(next)
 	// The outgoing quantum dies with the switch; the incoming thread's
 	// quantum is armed when it reaches user code.
 	s.cancelSliceTimer()
@@ -379,7 +376,6 @@ func (s *System) makeReady(t *Thread, atHead bool) {
 	}
 	s.dispatcherFlag = true
 	s.trace(EvState, t, "ready", "")
-	s.mState(t)
 }
 
 // waitOp is the frame of one blocking operation: its operands, its
@@ -440,7 +436,6 @@ func (s *System) block(declared bool, verb waitVerb) (parked bool) {
 	if s.tracer != nil {
 		s.trace(EvState, t, "blocked", s.waitLabel(t))
 	}
-	s.mState(t)
 	s.dispatcherFlag = true
 	return s.leave(declared)
 }
@@ -509,7 +504,7 @@ func (s *System) setPriority(t *Thread, newPrio int, atHead bool) {
 	case StateBlocked:
 		t.prio = int8(newPrio)
 		// Joiners keep their fixed level: they all wake at once.
-		if l := s.waitListOf(t); l != nil && t.blockReason() != BlockJoin {
+		if l := s.waitListOf(t); l != nil && t.BlockReason() != BlockJoin {
 			l.unlink(t)
 			l.push(t, newPrio)
 		}
@@ -577,7 +572,6 @@ func (s *System) yieldOp(w *waitOp) (parked bool) {
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	s.ready.Enqueue(t, int(t.prio))
 	s.trace(EvState, t, "ready", "yield")
-	s.mState(t)
 	s.dispatcherFlag = true
 	w.phase = 1
 	return s.leave(w.declared)

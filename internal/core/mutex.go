@@ -271,12 +271,7 @@ func (s *System) afterAcquire(m *Mutex, t *Thread) {
 		}
 		s.leaveKernel()
 	}
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "lock", "")
-	}
-	if s.metrics != nil {
-		s.metrics.MutexAcquired(s.clock.Now(), t, m, false)
-	}
+	s.traceMutex(OpLock, t, m, "")
 	if s.explorer != nil {
 		s.exploreLockPoint()
 	} else if s.cfg.Pervert == PervertMutexSwitch {
@@ -352,7 +347,7 @@ func (s *System) lockSlow(w *waitOp) (parked bool) {
 		s.stats.MutexContentions++
 		m.Contentions++
 		if s.tracer != nil {
-			s.traceObj(EvMutex, t, m.name, "block", fmt.Sprintf("owner=%v", m.owner))
+			s.traceMutex(OpBlock, t, m, fmt.Sprintf("owner=%v", m.owner))
 		}
 
 		// Re-test under kernel protection: the owner may have released
@@ -366,11 +361,11 @@ func (s *System) lockSlow(w *waitOp) (parked bool) {
 			return false
 		}
 
-		if s.metrics != nil {
-			// Reported before the inheritance boost charges its queue
-			// ops, so the contention timestamp matches the "block" trace
+		if s.tracer != nil {
+			// Emitted before the inheritance boost charges its queue
+			// ops, so the contention timestamp matches the "block"
 			// event above.
-			s.metrics.MutexContended(s.clock.Now(), t, m, m.owner)
+			s.emit(TraceEvent{Kind: EvContend, Thread: t, Mutex: m, Peer: m.owner})
 		}
 		if m.protocol == ProtocolInherit {
 			s.boostOwnerChain(m, int(t.prio))
@@ -392,9 +387,7 @@ func (s *System) lockSlow(w *waitOp) (parked bool) {
 		panic(fmt.Sprintf("core: %v woke from mutex %s without ownership", t, m.name))
 	}
 	t.waitingMutex = nil
-	if s.tracer != nil {
-		s.traceObj(EvMutex, t, m.name, "lock", "after contention")
-	}
+	s.traceMutex(OpRelock, t, m, "after contention")
 	if s.explorer != nil {
 		s.exploreLockPoint()
 	} else if s.cfg.Pervert == PervertMutexSwitch {
@@ -420,12 +413,7 @@ func (s *System) mutexUnlock(m *Mutex) {
 		m.owner = nil
 		m.ownerWord.Store(0)
 		m.lockWord.Store(0)
-		if s.tracer != nil {
-			s.traceObj(EvMutex, t, m.name, "unlock", "")
-		}
-		if s.metrics != nil {
-			s.metrics.MutexReleased(s.clock.Now(), t, m)
-		}
+		s.traceMutex(OpUnlock, t, m, "")
 		return
 	}
 	s.cpu.ChargeInstr(8) // owned-list bookkeeping + attribute check
@@ -497,10 +485,7 @@ func (s *System) releaseLocked(m *Mutex, detail string) {
 		m.ownerWord.Store(0)
 		m.lockWord.Store(0)
 	}
-	s.traceObj(EvMutex, t, m.name, "unlock", detail)
-	if s.metrics != nil {
-		s.metrics.MutexReleased(s.clock.Now(), t, m)
-	}
+	s.traceMutex(OpUnlock, t, m, detail)
 }
 
 // grantLocked transfers mutex ownership to a woken waiter. Runs in the
@@ -524,10 +509,7 @@ func (s *System) grantLocked(m *Mutex, w *Thread) {
 	if w.wake == wakeNone {
 		w.wake = wakeGrant
 	}
-	s.traceObj(EvMutex, w, m.name, "grant", "")
-	if s.metrics != nil {
-		s.metrics.MutexAcquired(s.clock.Now(), w, m, true)
-	}
+	s.traceMutex(OpGrant, w, m, "")
 	s.makeReady(w, false)
 }
 

@@ -59,7 +59,6 @@ func (s *System) pervertKernelExit() {
 		s.ready.Enqueue(cur, sched.MinPrio)
 		s.dispatcherFlag = true
 		s.trace(EvState, cur, "ready", "perverted rr-ordered switch")
-		s.mState(cur)
 	case PervertRandom:
 		// Test for a switch candidate *before* consuming a PRNG bit
 		// (matching PervertRROrdered): drawing a bit when the ready
@@ -84,19 +83,7 @@ func (s *System) pervertKernelExit() {
 		s.randomPick = true
 		s.dispatcherFlag = true
 		s.trace(EvState, cur, "ready", "perverted random switch")
-		s.mState(cur)
 	}
-}
-
-// PrngAudit reports the scheduler's PRNG discipline: draws is how many
-// random values the scheduling machinery has consumed, decisions how
-// many of them were applied to the schedule (a dispatched random pick,
-// or a switch/stay coin flip). The two are equal unless a signal
-// handler invalidated a committed pick by unreadying the chosen thread
-// — any other divergence means a draw leaked without a schedule effect,
-// which silently breaks record/replay token compatibility.
-func (s *System) PrngAudit() (draws, decisions int64) {
-	return s.prngDraws, s.prngDecisions
 }
 
 // pervertMutexSwitch forces the mutex-switch policy's context switch
@@ -111,7 +98,6 @@ func (s *System) pervertMutexSwitch() {
 		s.ready.Enqueue(cur, int(cur.prio))
 		s.dispatcherFlag = true
 		s.trace(EvState, cur, "ready", "perverted mutex switch")
-		s.mState(cur)
 	}
 	s.leaveKernel()
 }

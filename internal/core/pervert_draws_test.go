@@ -13,8 +13,9 @@ import (
 // flip on an empty ready queue); this PR fixed another — the dispatch
 // restart arc used to discard a random pick (and its consumed draw)
 // when a signal landed in the Figure 2 window, re-selecting by plain
-// priority and re-enqueuing the pick at the wrong level. PrngAudit now
-// counts both sides, and the restart arc preserves committed picks.
+// priority and re-enqueuing the pick at the wrong level. prngDraws and
+// prngDecisions now count both sides, and the restart arc preserves
+// committed picks.
 
 // runRandomAudited runs a compute/lock/signal-heavy workload under
 // PervertRandom and returns the audit counters.
@@ -51,7 +52,7 @@ func runRandomAudited(t *testing.T, seed int64, alarms int) (draws, decisions in
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return s.PrngAudit()
+	return s.prngDraws, s.prngDecisions
 }
 
 func TestPrngDrawsAllBecomeDecisions(t *testing.T) {
@@ -85,7 +86,7 @@ func TestPrngAuditZeroWithoutPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if draws, decisions := s.PrngAudit(); draws != 0 || decisions != 0 {
+	if draws, decisions := s.prngDraws, s.prngDecisions; draws != 0 || decisions != 0 {
 		t.Fatalf("plain FIFO run consumed PRNG draws: draws=%d decisions=%d", draws, decisions)
 	}
 }

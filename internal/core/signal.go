@@ -234,7 +234,7 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 		t := (*Thread)(tag)
 		// A stale expiry (the wait it was armed for already ended) finds
 		// the thread out of its cond wait, or in one with no timer armed.
-		if t.state == StateBlocked && t.blockReason() == BlockCond && t.waitTimer != 0 {
+		if t.state == StateBlocked && t.BlockReason() == BlockCond && t.waitTimer != 0 {
 			t.waitTimer = 0 // fired; nothing to disarm
 			s.endWait(t, wakeTimeout)
 		}
@@ -248,7 +248,7 @@ func (s *System) deliverToLibrary(info *unixkern.SigInfo) {
 	// expiry likewise terminates the wait directly.
 	if tag, ok := info.Datum.(*fdWaitTag); ok && info.Cause == unixkern.CauseTimer {
 		t := (*Thread)(tag)
-		if t.state == StateBlocked && t.blockReason() == BlockFD {
+		if t.state == StateBlocked && t.BlockReason() == BlockFD {
 			t.waitTimer = 0 // fired; nothing to disarm
 			s.endWait(t, wakeTimeout)
 		}
@@ -358,12 +358,11 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 				s.ready.Enqueue(t, int(t.prio))
 				s.dispatcherFlag = true
 				s.trace(EvState, t, "ready", "time slice expired")
-				s.mState(t)
 			}
 			s.kern.RecycleSigInfo(info) // terminal: consumed by the slice logic
 			return
 		}
-		if t.state == StateBlocked && t.blockReason() == BlockSleep {
+		if t.state == StateBlocked && t.BlockReason() == BlockSleep {
 			t.waitTimer = 0
 			t.wake = wakeTimer
 			s.makeReady(t, false)
@@ -376,7 +375,7 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 
 	// I/O completion wakes the thread suspended on that request.
 	if sig == unixkern.SIGIO && info.Cause == unixkern.CauseIO &&
-		t.state == StateBlocked && t.blockReason() == BlockIO {
+		t.state == StateBlocked && t.BlockReason() == BlockIO {
 		t.wake = wakeIO
 		s.makeReady(t, false)
 		return
@@ -388,7 +387,7 @@ func (s *System) directAt(t *Thread, info *unixkern.SigInfo) {
 		t.cold.inSigwait = false
 		t.cold.sigwaitGot = sig
 		t.wake = wakeSigwait
-		if t.state == StateBlocked && t.blockReason() == BlockSigwait {
+		if t.state == StateBlocked && t.BlockReason() == BlockSigwait {
 			s.makeReady(t, false)
 		}
 		return

@@ -122,7 +122,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 		if s.CleanupDepth() != 0 {
 			t.Fatal("cleanup depth")
 		}
-		if s.PendingFakeCalls(s.Self()) != 0 {
+		if s.Self().fakeCalls() != 0 {
 			t.Fatal("fake calls")
 		}
 		s.KernelEnterExit()

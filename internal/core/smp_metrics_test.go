@@ -114,7 +114,7 @@ func TestSMPUniprocessorLockstep(t *testing.T) {
 	// The round-robin quantum preempts inside the critical section, so
 	// the workload genuinely contends on both executors.
 	col := metrics.New(metrics.Options{})
-	s := core.New(core.Config{Metrics: col, Quantum: 100 * vtime.Microsecond})
+	s := core.New(core.Config{Tracer: col, Quantum: 100 * vtime.Microsecond})
 	err := s.Run(func() {
 		m := s.MustMutex(core.MutexAttr{Name: "audit"})
 		var ws []*core.Thread

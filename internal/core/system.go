@@ -66,21 +66,16 @@ type Config struct {
 	// MixedProtocolUnlock selects the Table 4 behaviour (see MixMode).
 	MixedProtocolUnlock MixMode
 	// Tracer, when non-nil, receives every scheduling/synchronization
-	// event with its virtual timestamp.
+	// event with its virtual timestamp. It is the one observer hook:
+	// the profiler (internal/metrics) and the span plane's fork/join
+	// half (internal/obs) are tracers too, attached beside a recorder
+	// with trace.Tee.
 	Tracer Tracer
 	// Explorer, when non-nil, drives the schedule-exploration engine: it
 	// is consulted at every switch point and may force the context
 	// switch of its choice (see internal/explore). Mutually exclusive
 	// with Pervert — an active Explorer takes precedence.
 	Explorer Explorer
-	// Metrics, when non-nil, receives the virtual-time profiling events
-	// (see internal/metrics). Like Tracer and Explorer, every call site
-	// is a nil check and the hooks charge no virtual cost.
-	Metrics MetricsSink
-	// Spans, when non-nil, receives thread fork/join span events for the
-	// distributed-trace plane (see internal/obs and span.go). Same
-	// contract as Metrics: nil checks only, zero virtual cost.
-	Spans SpanSink
 	// ExternalEvents declares that events may arrive from outside this
 	// system (another host on a network fabric). An idle system with no
 	// local timer then sleeps on its clock instead of declaring deadlock
@@ -234,8 +229,6 @@ type System struct {
 	keys          []keySlot
 	stats         Stats
 	tracer        Tracer
-	metrics       MetricsSink
-	spans         SpanSink
 	fdBlockedNow  int  // threads currently suspended on fd wait queues
 	pervertArm    bool // set when the active perverted policy wants a switch at kernel exit
 	randomPick    bool // random-switch: pick the next thread at random
@@ -310,8 +303,6 @@ func New(cfg Config) *System {
 		cpu:     k.CPU,
 		quantum: cfg.Quantum,
 		tracer:  cfg.Tracer,
-		metrics: cfg.Metrics,
-		spans:   cfg.Spans,
 		doneCh:  make(chan struct{}),
 	}
 	s.atoms = hw.NewAtomics(s.cpu)
@@ -478,7 +469,6 @@ func (s *System) Run(main func()) error {
 	t.state = StateRunning
 	s.current = t
 	s.trace(EvState, t, "running", "")
-	s.mState(t)
 
 	s.bindRunner(t)
 	s.passBaton(t, nil)
@@ -605,7 +595,6 @@ func (s *System) exitCurrent(status any) {
 	if s.tracer != nil {
 		s.trace(EvState, t, "terminated", fmt.Sprintf("status=%v", status))
 	}
-	s.mState(t)
 	s.cancelSliceTimer()
 
 	// Wake joiners, in arrival order.
@@ -737,7 +726,7 @@ func (s *System) BlockedReport() string {
 			continue
 		}
 		if t.state == StateBlocked || t.state == StateNew {
-			fmt.Fprintf(&b, "  %v: %v %s\n", t, t.blockReason(), s.waitLabel(t))
+			fmt.Fprintf(&b, "  %v: %v %s\n", t, t.BlockReason(), s.waitLabel(t))
 		}
 	}
 	return b.String()

@@ -91,8 +91,13 @@ func (v waitVerb) reason() BlockReason {
 	return BlockFD
 }
 
-// blockReason is why the thread is blocked (BlockNone unless it is).
-func (t *Thread) blockReason() BlockReason { return t.verb.reason() }
+// BlockReason is why the thread is blocked (BlockNone unless it is).
+// Bare accessor (see introspect.go).
+func (t *Thread) BlockReason() BlockReason { return t.verb.reason() }
+
+// Lazy reports whether t was created lazily and still awaits its
+// activation. Bare accessor.
+func (t *Thread) Lazy() bool { return t.verb == verbActivation }
 
 // fdVerb is the descriptor verb of a thread in a descriptor wait.
 func (t *Thread) fdVerb() FDVerb { return FDVerb(t.verb - verbFD) }

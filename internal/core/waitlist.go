@@ -75,7 +75,7 @@ func (l *waitList) pop() *Thread {
 // waitListOf returns the list a blocked thread is queued on, or nil for
 // a wait without one.
 func (s *System) waitListOf(t *Thread) *waitList {
-	switch t.blockReason() {
+	switch t.BlockReason() {
 	case BlockMutex:
 		return &t.waitingMutex.waiters
 	case BlockCond:
@@ -107,10 +107,10 @@ func (s *System) endWait(t *Thread, cause wakeCause) {
 		t.waitTimer = 0
 	}
 	t.wake = cause
-	if c != nil && s.metrics != nil {
+	if c != nil && s.tracer != nil {
 		// The condition wait ends here, however it ended; reported
 		// before makeReady, at the instant the waiter left the queue.
-		s.metrics.CondWaitEnd(s.clock.Now(), t, c)
+		s.emit(TraceEvent{Kind: EvCondEnd, Thread: t, Cond: c})
 	}
 	s.makeReady(t, false)
 }

@@ -37,7 +37,7 @@ func checkWaitLists(s *System) error {
 				return fmt.Errorf("%s: member %v is %v", what, th, th.state)
 			case !member(th):
 				return fmt.Errorf("%s: member %v is blocked on %v (mutex %p, cond %p, join %v, fd %d/%v)",
-					what, th, th.blockReason(), th.waitingMutex, th.waitingCond, th.joinTarget, th.waitFD, th.fdVerb().Dir())
+					what, th, th.BlockReason(), th.waitingMutex, th.waitingCond, th.joinTarget, th.waitFD, th.fdVerb().Dir())
 			case !levelOK(th):
 				return fmt.Errorf("%s: %v queued at level %d, priority %d", what, th, th.qLevel, th.prio)
 			}
@@ -63,7 +63,7 @@ func checkWaitLists(s *System) error {
 		}
 		if m := th.waitingMutex; m != nil {
 			err := walk(&m.waiters, "mutex "+m.name, func(w *Thread) bool {
-				return w.blockReason() == BlockMutex && w.waitingMutex == m
+				return w.BlockReason() == BlockMutex && w.waitingMutex == m
 			}, atPrio)
 			if err != nil {
 				return err
@@ -71,7 +71,7 @@ func checkWaitLists(s *System) error {
 		}
 		if c := th.waitingCond; c != nil {
 			err := walk(&c.waiters, "cond "+c.name, func(w *Thread) bool {
-				return w.blockReason() == BlockCond && w.waitingCond == c
+				return w.BlockReason() == BlockCond && w.waitingCond == c
 			}, atPrio)
 			if err != nil {
 				return err
@@ -82,7 +82,7 @@ func checkWaitLists(s *System) error {
 				continue
 			}
 			err := walk(&tgt.joiners, "joiners of "+tgt.String(), func(w *Thread) bool {
-				return w.blockReason() == BlockJoin && w.joinTarget == tgt
+				return w.BlockReason() == BlockJoin && w.joinTarget == tgt
 			}, atJoinLevel)
 			if err != nil {
 				return err
@@ -94,7 +94,7 @@ func checkWaitLists(s *System) error {
 			for dir := range s.fdShards[si].slots[ri] {
 				fd := si | ri<<fdwShardBits
 				err := walk(&s.fdShards[si].slots[ri][dir], fmt.Sprintf("fd%d/%v", fd, FDDir(dir)), func(w *Thread) bool {
-					return w.blockReason() == BlockFD && int(w.waitFD) == fd && w.fdVerb().Dir() == FDDir(dir)
+					return w.BlockReason() == BlockFD && int(w.waitFD) == fd && w.fdVerb().Dir() == FDDir(dir)
 				}, atPrio)
 				if err != nil {
 					return err
@@ -107,10 +107,10 @@ func checkWaitLists(s *System) error {
 		if th == nil || th.state != StateBlocked {
 			continue
 		}
-		switch th.blockReason() {
+		switch th.BlockReason() {
 		case BlockMutex, BlockCond, BlockJoin, BlockFD:
 			if n := seen[th]; n != 1 {
-				return fmt.Errorf("%v is blocked on %v (%s) and on %d wait lists, want 1", th, th.blockReason(), s.waitLabel(th), n)
+				return fmt.Errorf("%v is blocked on %v (%s) and on %d wait lists, want 1", th, th.BlockReason(), s.waitLabel(th), n)
 			}
 		}
 	}

@@ -389,7 +389,8 @@ func c10kEcho(n int) (C10KPoint, error) {
 // is measured reps times and the minimum host cost kept — the standard
 // noise-robust statistic for a shared host — while the virtual cost
 // must be bit-identical across repetitions (the simulation is
-// deterministic; a drift here is a bug, not noise). The repetitions are
+// deterministic; a drift here is a bug, not noise) and across the
+// ladder (c10kInvariant). The repetitions are
 // rep-major: each pass measures every point once, so a noisy stretch of
 // the host lands on one repetition of many points instead of on every
 // repetition of one.
@@ -440,7 +441,34 @@ func RunC10K(sizes []int, reps int) ([]C10KPoint, error) {
 			}
 		}
 	}
+	if err := c10kInvariant(pts); err != nil {
+		return nil, err
+	}
 	return pts, nil
+}
+
+// c10kInvariant requires every rung's virtual cost — its vus/op and,
+// for the open-loop scenario, its p50 and p99 latency — to equal the
+// first rung of the same scenario: population changes host time, never
+// simulated time.
+func c10kInvariant(pts []C10KPoint) error {
+	first := map[string]C10KPoint{}
+	for _, p := range pts {
+		f, ok := first[p.Scenario]
+		if !ok {
+			first[p.Scenario] = p
+			continue
+		}
+		if p.VUSOp != f.VUSOp {
+			return fmt.Errorf("c10k %s: vus/op varies with population: %.2f at %d threads, %.2f at %d",
+				p.Scenario, f.VUSOp, f.Threads, p.VUSOp, p.Threads)
+		}
+		if p.P50VUS != f.P50VUS || p.P99VUS != f.P99VUS {
+			return fmt.Errorf("c10k %s: latency percentiles vary with population: p50/p99 %.2f/%.2f at %d threads, %.2f/%.2f at %d",
+				p.Scenario, f.P50VUS, f.P99VUS, f.Threads, p.P50VUS, p.P99VUS, p.Threads)
+		}
+	}
+	return nil
 }
 
 // FormatC10K renders the points as a table, with each row's host cost

@@ -87,3 +87,40 @@ func TestC10KReadyQueueCountsFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestC10KInvariantAcrossLadder holds the virtual half of every c10k
+// scenario flat across the ladder: a rung whose vus/op, or whose
+// open-loop p50/p99, differs from the first rung of its scenario fails
+// RunC10K. Synthetic ladders check that the gate fires on each kind of
+// drift and only within a scenario; a real two-rung run must pass it.
+func TestC10KInvariantAcrossLadder(t *testing.T) {
+	clean := []C10KPoint{
+		{Scenario: "dispatch", Threads: 8, VUSOp: 36.7},
+		{Scenario: "dispatch", Threads: 100, VUSOp: 36.7},
+		{Scenario: "mutex", Threads: 8, VUSOp: 1},
+		{Scenario: "mutex", Threads: 100, VUSOp: 1},
+		{Scenario: "openloop", Threads: 8, VUSOp: 3, P50VUS: 995.8, P99VUS: 2596.72},
+		{Scenario: "openloop", Threads: 100, VUSOp: 3, P50VUS: 995.8, P99VUS: 2596.72},
+	}
+	if err := c10kInvariant(clean); err != nil {
+		t.Fatalf("flat ladder flagged: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		i    int
+		mut  func(*C10KPoint)
+	}{
+		{"vus", 3, func(p *C10KPoint) { p.VUSOp = 1.01 }},
+		{"p50", 5, func(p *C10KPoint) { p.P50VUS = 996 }},
+		{"p99", 5, func(p *C10KPoint) { p.P99VUS = 2600 }},
+	} {
+		pts := append([]C10KPoint(nil), clean...)
+		tc.mut(&pts[tc.i])
+		if err := c10kInvariant(pts); err == nil {
+			t.Errorf("%s drift at rung %d not flagged", tc.name, tc.i)
+		}
+	}
+	if _, err := RunC10K([]int{8, 100}, 1); err != nil {
+		t.Fatal(err)
+	}
+}

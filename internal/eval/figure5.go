@@ -59,7 +59,7 @@ func RunFigure5(protocol core.Protocol) (*Fig5Result, error) {
 }
 
 // runFigure5 is RunFigure5 with an optional config modifier, the seam
-// the profiler uses to attach a metrics sink without disturbing the
+// the profiler uses to attach its collector without disturbing the
 // published scenario (mod == nil is byte-identical to RunFigure5).
 func runFigure5(protocol core.Protocol, mod func(*core.Config)) (*Fig5Result, error) {
 	rec := trace.New()

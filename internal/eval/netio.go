@@ -44,7 +44,7 @@ func RunNetScenario(workers, clients int) (*NetScenarioResult, error) {
 }
 
 // runNetScenario is RunNetScenario with an optional config modifier, the
-// seam the profiler uses to attach a tracer and metrics sink (mod == nil
+// seam the profiler uses to attach its recorder and collector (mod == nil
 // is byte-identical to RunNetScenario).
 func runNetScenario(workers, clients int, mod func(*core.Config)) (*NetScenarioResult, error) {
 	cfg := core.Config{

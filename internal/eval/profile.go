@@ -41,14 +41,14 @@ func RunProfiled(workload string, opt metrics.Options) (*ProfiledRun, error) {
 	col := metrics.New(opt)
 	rec := trace.New()
 	mod := func(cfg *core.Config) {
-		cfg.Metrics = col
 		if cfg.Tracer == nil {
 			cfg.Tracer = rec
 		} else {
-			// The scenario brought its own recorder (Figure 5): tee so
-			// both see the stream and export can use either.
+			// The scenario brought its own recorder (Figure 5): export
+			// reads that one.
 			rec = cfg.Tracer.(*trace.Recorder)
 		}
+		cfg.Tracer = trace.Tee{cfg.Tracer, col}
 	}
 
 	out := &ProfiledRun{Workload: workload, Collector: col}
@@ -143,7 +143,7 @@ func runDeadlockScenario(mod func(*core.Config)) (vtime.Time, error) {
 // three Figure 5 protocols.
 func FormatProfile() (string, error) {
 	var b strings.Builder
-	b.WriteString("Virtual-time profiler (internal/metrics over the Config.Metrics hooks)\n\n")
+	b.WriteString("Virtual-time profiler (internal/metrics on the Config.Tracer stream)\n\n")
 
 	run, err := RunProfiled("webserver", metrics.Options{})
 	if err != nil {

@@ -110,17 +110,17 @@ func TestProfiledRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestMetricsSinkDoesNotPerturbRun is the observer-effect check: the
-// same scenario with and without the collector attached ends at the
-// same virtual instant with the same statistics — the hooks charge no
-// virtual cost.
-func TestMetricsSinkDoesNotPerturbRun(t *testing.T) {
+// TestCollectorDoesNotPerturbRun is the observer-effect check: the
+// same scenario with and without the collector attached as its tracer
+// ends at the same virtual instant with the same statistics — trace
+// events charge no virtual cost.
+func TestCollectorDoesNotPerturbRun(t *testing.T) {
 	plain, err := RunNetScenario(4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := metrics.New(metrics.Options{})
-	profiled, err := runNetScenario(4, 16, func(cfg *core.Config) { cfg.Metrics = col })
+	profiled, err := runNetScenario(4, 16, func(cfg *core.Config) { cfg.Tracer = col })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,3 @@ func runSchedule(w Workload, forced []Decision, ch chooser) RunOutcome {
 func Replay(w Workload, sch Schedule) RunOutcome {
 	return runSchedule(w, sch.Decisions, nil)
 }
-
-// RunDefault runs the workload with no forced switches — the baseline
-// interleaving, recording the available branch points.
-func RunDefault(w Workload) RunOutcome {
-	return runSchedule(w, nil, nil)
-}

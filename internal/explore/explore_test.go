@@ -53,7 +53,7 @@ func TestReplayDeterminism(t *testing.T) {
 // decisions.
 func TestDefaultRunStable(t *testing.T) {
 	w := PhilosophersWorkload(false, 3, 1)
-	a, b := RunDefault(w), RunDefault(w)
+	a, b := runSchedule(w, nil, nil), runSchedule(w, nil, nil)
 	if a.TraceHash != b.TraceHash {
 		t.Fatalf("default runs differ: %s vs %s", a.TraceHash, b.TraceHash)
 	}

@@ -142,16 +142,12 @@ func (fc *fleetChecker) step(host int, hostName string, ev *core.TraceEvent) {
 			c.tick(t)
 		}
 	case core.EvFork:
-		if child, err := strconv.Atoi(ev.Arg); err == nil {
-			w := fc.tidOf(host, hostName, core.ThreadID(child), ev.Obj)
-			c.vcs[w] = joinInto(c.vcs[w], c.vcs[t])
-			c.tick(t)
-		}
+		w := fc.tidOf(host, hostName, ev.Peer.ID(), ev.Obj)
+		c.vcs[w] = joinInto(c.vcs[w], c.vcs[t])
+		c.tick(t)
 	case core.EvJoin:
-		if target, err := strconv.Atoi(ev.Arg); err == nil {
-			w := fc.tidOf(host, hostName, core.ThreadID(target), ev.Obj)
-			c.vcs[t] = joinInto(c.vcs[t], c.vcs[w])
-		}
+		w := fc.tidOf(host, hostName, ev.Peer.ID(), ev.Obj)
+		c.vcs[t] = joinInto(c.vcs[t], c.vcs[w])
 	case core.EvNet:
 		switch ev.Arg {
 		case "xmit":

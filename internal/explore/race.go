@@ -169,16 +169,12 @@ func (c *raceChecker) step(ev *core.TraceEvent) {
 			c.tick(t)
 		}
 	case core.EvFork:
-		if child, err := strconv.Atoi(ev.Arg); err == nil {
-			w := c.tidOf(core.ThreadID(child), ev.Obj)
-			c.vcs[w] = joinInto(c.vcs[w], c.vcs[t])
-			c.tick(t)
-		}
+		w := c.tidOf(ev.Peer.ID(), ev.Obj)
+		c.vcs[w] = joinInto(c.vcs[w], c.vcs[t])
+		c.tick(t)
 	case core.EvJoin:
-		if target, err := strconv.Atoi(ev.Arg); err == nil {
-			w := c.tidOf(core.ThreadID(target), ev.Obj)
-			c.vcs[t] = joinInto(c.vcs[t], c.vcs[w])
-		}
+		w := c.tidOf(ev.Peer.ID(), ev.Obj)
+		c.vcs[t] = joinInto(c.vcs[t], c.vcs[w])
 	case core.EvAccess:
 		c.onAccess(t, ev)
 	}

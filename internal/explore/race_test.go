@@ -36,7 +36,7 @@ func TestRaceCheckerFlagsBrokenCounter(t *testing.T) {
 // workers run back-to-back with no synchronization on "counter".
 func TestRaceCheckerFindsLatentRace(t *testing.T) {
 	w := RacyCounterWorkload(true, 3, 4)
-	out := RunDefault(w)
+	out := runSchedule(w, nil, nil)
 	if out.Failure != "" {
 		t.Fatalf("default FIFO run should not lose updates: %s", out.Failure)
 	}
@@ -49,7 +49,7 @@ func TestRaceCheckerFindsLatentRace(t *testing.T) {
 // default run and on explored interleavings alike.
 func TestRaceCheckerCleanOnFixedCounter(t *testing.T) {
 	w := RacyCounterWorkload(false, 3, 4)
-	out := RunDefault(w)
+	out := runSchedule(w, nil, nil)
 	if out.Failure != "" {
 		t.Fatalf("fixed workload failed: %s", out.Failure)
 	}

@@ -78,7 +78,8 @@ type HostSpec struct {
 	// fault scripts. Must be unique and contain no ':'.
 	Name string
 	// Cfg is the host's thread-system configuration. Tracer, Explorer
-	// and ExternalEvents are managed by the fabric.
+	// and ExternalEvents are managed by the fabric: the tracer is the
+	// host's trace recorder, its span recorder, or both on a trace.Tee.
 	Cfg core.Config
 	// Body runs as the host's main thread. A non-nil error brings the
 	// whole fleet down.
@@ -279,7 +280,11 @@ func New(cfg Config) (*Fabric, error) {
 		if f.obs != nil && cfg.Obs.Spans {
 			spanRec = obs.NewRecorder(i)
 			f.obs.recs = append(f.obs.recs, spanRec)
-			hcfg.Spans = spanRec
+			if h.rec != nil {
+				hcfg.Tracer = trace.Tee{h.rec, spanRec}
+			} else {
+				hcfg.Tracer = spanRec
+			}
 		}
 		h.Sys = core.New(hcfg)
 		h.IO = io.New(h.Sys, cfg.Net)

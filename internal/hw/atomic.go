@@ -151,7 +151,3 @@ func (a *Atomics) InterruptRAS() bool {
 	}
 	return false
 }
-
-// InRAS reports whether a restartable sequence is currently open. Only
-// tests use this.
-func (a *Atomics) InRAS() bool { return a.inRAS }

@@ -150,7 +150,7 @@ func TestRASRestart(t *testing.T) {
 	if a.Restarts != 0 {
 		t.Fatalf("Restarts = %d", a.Restarts)
 	}
-	if a.InRAS() {
+	if a.inRAS {
 		t.Fatal("sequence left open")
 	}
 }
@@ -166,8 +166,12 @@ func TestStackPushPop(t *testing.T) {
 	if err := s.Push(Frame{Kind: FrameFakeCall, Size: FakeCallFrameSize}); err != nil {
 		t.Fatal(err)
 	}
-	if s.CountKind(FrameInterrupt) != 1 || s.CountKind(FrameFakeCall) != 1 {
-		t.Fatal("CountKind wrong")
+	kinds := map[FrameKind]int{}
+	for _, f := range s.frames {
+		kinds[f.Kind]++
+	}
+	if kinds[FrameInterrupt] != 1 || kinds[FrameFakeCall] != 1 {
+		t.Fatalf("frame kinds %v", kinds)
 	}
 	f := s.Pop()
 	if f.Kind != FrameFakeCall {

@@ -147,17 +147,3 @@ func (s *Stack) Depth() int { return len(s.frames) }
 
 // Top returns the top frame.
 func (s *Stack) Top() Frame { return s.frames[len(s.frames)-1] }
-
-// CountKind reports how many frames of kind k are on the stack; the test
-// suite uses it to verify that signal handling never stacks more than one
-// interrupt frame per fake call (the paper's bounded-stack-growth
-// argument).
-func (s *Stack) CountKind(k FrameKind) int {
-	n := 0
-	for _, f := range s.frames {
-		if f.Kind == k {
-			n++
-		}
-	}
-	return n
-}

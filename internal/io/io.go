@@ -70,9 +70,6 @@ func (x *IO) Stack() *net.Stack { return x.st }
 // SetSpans attaches the host's span recorder (fleet observability).
 func (x *IO) SetSpans(r *obs.Recorder) { x.spans = r }
 
-// Spans returns the attached recorder (nil when spans are off).
-func (x *IO) Spans() *obs.Recorder { return x.spans }
-
 // openSpan starts a jacket-call span named "<verb> <obj>" on the current
 // thread; NoSpan — a single nil check, no allocation, no name built —
 // with spans off.

@@ -31,7 +31,7 @@ func spanByName(rec *obs.Recorder, prefix string) (obs.Span, bool) {
 func runIOSpans(t *testing.T, cfg net.Config, main func(s *core.System, x *IO)) *obs.Recorder {
 	t.Helper()
 	rec := obs.NewRecorder(0)
-	s := core.New(core.Config{Spans: rec})
+	s := core.New(core.Config{Tracer: rec})
 	if err := s.Run(func() {
 		x := New(s, cfg)
 		x.SetSpans(rec)
@@ -182,7 +182,7 @@ func TestSpanReadResetAnnotated(t *testing.T) {
 // recorder accessor semantics).
 func TestSpansOffRecordsNothing(t *testing.T) {
 	s := runIO(t, net.Config{}, func(s *core.System, x *IO) {
-		if x.Spans() != nil {
+		if x.spans != nil {
 			t.Fatal("fresh jacket has a recorder attached")
 		}
 		l, _ := x.Listen("srv", 4)

@@ -5,12 +5,13 @@
 //
 // The paper's future-work section asks for exactly this ("information
 // could be extracted from the thread control block and made available to
-// the user"); the Collector is the library's answer. It implements
-// core.MetricsSink and attaches through Config.Metrics with the same
-// discipline as the tracer and the exploration engine: with the field
-// nil the kernel pays a nil check per hook and nothing else, and even
-// when attached the hooks charge no virtual cost — the profile is a pure
-// observer of the run it measures.
+// the user"); the Collector is the library's answer. It is a
+// core.Tracer: it attaches through Config.Tracer, beside a recorder with
+// trace.Tee, and selects the events it reads by kind and typed operand.
+// Besides the recorded kinds it reads the profiler-only ones (EvContend,
+// EvHandlerEnter/Exit, EvFDDone, EvCondEnd), which the recorders skip.
+// Events charge no virtual cost, so the profile is a pure observer of
+// the run it measures.
 package metrics
 
 import (
@@ -255,9 +256,9 @@ type openWait struct {
 	runner      string // first lower-priority thread seen running
 }
 
-// Collector implements core.MetricsSink. Create with New, attach via
-// Config.Metrics, run the workload, then call Finalize (or Snapshot) and
-// read the profiles. Not safe for use across Systems.
+// Collector implements core.Tracer. Create with New, attach via
+// Config.Tracer (or a trace.Tee), run the workload, then call Finalize
+// (or Snapshot) and read the profiles. Not safe for use across Systems.
 type Collector struct {
 	opt Options
 
@@ -342,8 +343,55 @@ func (c *Collector) fprof(fd int, dir core.FDDir) *FDProfile {
 	return p
 }
 
-// ThreadState implements core.MetricsSink.
-func (c *Collector) ThreadState(at vtime.Time, t *core.Thread, state core.State, reason core.BlockReason) {
+// Event implements core.Tracer: it dispatches the events the profile
+// reads by kind and typed operand, and ignores the rest.
+func (c *Collector) Event(ev core.TraceEvent) {
+	switch ev.Kind {
+	case core.EvState:
+		// A thread readied at creation opens its profile at its ready
+		// event: makeReady charges virtual time after "created".
+		if ev.Thread.State() != core.StateNew || ev.Thread.Lazy() {
+			c.threadState(ev.At, ev.Thread)
+		}
+	case core.EvMutex:
+		switch ev.Op {
+		case core.OpLock:
+			c.mutexAcquired(ev.At, ev.Thread, ev.Mutex, false)
+		case core.OpGrant:
+			c.mutexAcquired(ev.At, ev.Thread, ev.Mutex, true)
+		case core.OpUnlock:
+			c.mutexReleased(ev.At, ev.Thread, ev.Mutex)
+		case core.OpRequeue:
+			// The waiter's block reason turned from cond to mutex.
+			c.mutexContended(ev.At, ev.Thread, ev.Mutex, ev.Peer)
+			c.threadState(ev.At, ev.Thread)
+		}
+	case core.EvContend:
+		c.mutexContended(ev.At, ev.Thread, ev.Mutex, ev.Peer)
+	case core.EvCond:
+		switch ev.Op {
+		case core.OpWait:
+			c.condWaitStart(ev.At, ev.Thread, ev.Cond)
+		case core.OpSignal:
+			c.condWaitEnd(ev.At, ev.Thread)
+		}
+	case core.EvCondEnd:
+		c.condWaitEnd(ev.At, ev.Thread)
+	case core.EvHandlerEnter:
+		c.handlerEnter(ev.At, ev.Thread)
+	case core.EvHandlerExit:
+		c.handlerExit(ev.At, ev.Thread)
+	case core.EvFDDone:
+		fp := c.fprof(int(ev.FD), ev.Dir)
+		fp.Blocks++
+		fp.Block.Record(ev.Wait)
+	}
+}
+
+// threadState charges t's time through at to its old bucket and moves
+// it to the bucket of its (already updated) state.
+func (c *Collector) threadState(at vtime.Time, t *core.Thread) {
+	state := t.State()
 	p := c.prof(t, at)
 	p.charge(at)
 	switch state {
@@ -371,7 +419,7 @@ func (c *Collector) ThreadState(at vtime.Time, t *core.Thread, state core.State,
 		p.Ended = true
 		p.handlerDepth = 0
 	}
-	p.bucket = classify(state, reason, p.handlerDepth)
+	p.bucket = classify(state, t.BlockReason(), p.handlerDepth)
 }
 
 // scanInversion is the live Figure 5 detector: at every dispatch it
@@ -404,16 +452,14 @@ func (c *Collector) scanInversion(at vtime.Time, runner *core.Thread) {
 	}
 }
 
-// HandlerEnter implements core.MetricsSink.
-func (c *Collector) HandlerEnter(at vtime.Time, t *core.Thread) {
+func (c *Collector) handlerEnter(at vtime.Time, t *core.Thread) {
 	p := c.prof(t, at)
 	p.charge(at)
 	p.handlerDepth++
 	p.bucket = BucketHandler
 }
 
-// HandlerExit implements core.MetricsSink.
-func (c *Collector) HandlerExit(at vtime.Time, t *core.Thread) {
+func (c *Collector) handlerExit(at vtime.Time, t *core.Thread) {
 	p := c.prof(t, at)
 	p.charge(at)
 	if p.handlerDepth > 0 {
@@ -426,8 +472,7 @@ func (c *Collector) HandlerExit(at vtime.Time, t *core.Thread) {
 	}
 }
 
-// MutexContended implements core.MetricsSink.
-func (c *Collector) MutexContended(at vtime.Time, t *core.Thread, m *core.Mutex, owner *core.Thread) {
+func (c *Collector) mutexContended(at vtime.Time, t *core.Thread, m *core.Mutex, owner *core.Thread) {
 	mp := c.mprof(m)
 	mp.Contentions++
 	if owner != nil {
@@ -484,8 +529,7 @@ func (c *Collector) checkDeadlock(at vtime.Time, t *core.Thread, m *core.Mutex) 
 	}
 }
 
-// MutexAcquired implements core.MetricsSink.
-func (c *Collector) MutexAcquired(at vtime.Time, t *core.Thread, m *core.Mutex, contended bool) {
+func (c *Collector) mutexAcquired(at vtime.Time, t *core.Thread, m *core.Mutex, contended bool) {
 	mp := c.mprof(m)
 	mp.Acquisitions++
 	if contended {
@@ -512,8 +556,7 @@ func (c *Collector) MutexAcquired(at vtime.Time, t *core.Thread, m *core.Mutex, 
 	mp.holds[t] = at
 }
 
-// MutexReleased implements core.MetricsSink.
-func (c *Collector) MutexReleased(at vtime.Time, t *core.Thread, m *core.Mutex) {
+func (c *Collector) mutexReleased(at vtime.Time, t *core.Thread, m *core.Mutex) {
 	mp := c.mprof(m)
 	since, ok := mp.holds[t]
 	if !ok {
@@ -530,8 +573,7 @@ func (c *Collector) MutexReleased(at vtime.Time, t *core.Thread, m *core.Mutex) 
 	}
 }
 
-// CondWaitStart implements core.MetricsSink.
-func (c *Collector) CondWaitStart(at vtime.Time, t *core.Thread, cv *core.Cond) {
+func (c *Collector) condWaitStart(at vtime.Time, t *core.Thread, cv *core.Cond) {
 	cp := c.cprof(cv)
 	cp.Waits++
 	p := c.prof(t, at)
@@ -539,21 +581,13 @@ func (c *Collector) CondWaitStart(at vtime.Time, t *core.Thread, cv *core.Cond) 
 	p.condSince = at
 }
 
-// CondWaitEnd implements core.MetricsSink.
-func (c *Collector) CondWaitEnd(at vtime.Time, t *core.Thread, cv *core.Cond) {
+func (c *Collector) condWaitEnd(at vtime.Time, t *core.Thread) {
 	p := c.prof(t, at)
 	if p.condOpen == nil {
 		return
 	}
 	p.condOpen.Wait.Record(at.Sub(p.condSince))
 	p.condOpen = nil
-}
-
-// FDBlocked implements core.MetricsSink.
-func (c *Collector) FDBlocked(at vtime.Time, t *core.Thread, fd int, dir core.FDDir, wait vtime.Duration) {
-	fp := c.fprof(fd, dir)
-	fp.Blocks++
-	fp.Block.Record(wait)
 }
 
 // Finalize closes the books at the end of a run: every live thread's

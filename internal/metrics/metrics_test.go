@@ -7,6 +7,7 @@ import (
 	"pthreads/internal/core"
 	"pthreads/internal/metrics"
 	"pthreads/internal/trace"
+	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
@@ -19,7 +20,7 @@ func runContended(t *testing.T) (*metrics.Collector, *trace.Recorder, vtime.Time
 	rec := trace.New()
 	// Round-robin slicing forces preemption inside the critical section,
 	// so the other threads actually contend for the mutex.
-	s := core.New(core.Config{Tracer: rec, Metrics: col, Quantum: 100 * vtime.Microsecond})
+	s := core.New(core.Config{Tracer: trace.Tee{rec, col}, Quantum: 100 * vtime.Microsecond})
 	err := s.Run(func() {
 		m := s.MustMutex(core.MutexAttr{Name: "M"})
 		var ths []*core.Thread
@@ -120,7 +121,7 @@ func TestHoldAndAcquisitionCounts(t *testing.T) {
 // its full length.
 func TestCancelledCondWaitIsRecorded(t *testing.T) {
 	col := metrics.New(metrics.Options{})
-	s := core.New(core.Config{Metrics: col})
+	s := core.New(core.Config{Tracer: col})
 	err := s.Run(func() {
 		m := s.MustMutex(core.MutexAttr{Name: "m"})
 		c := s.NewCond("c")
@@ -155,24 +156,39 @@ func TestCancelledCondWaitIsRecorded(t *testing.T) {
 	}
 }
 
-// TestCollectorHooksDoNotAllocate drives the hottest hooks through
-// pre-sized tables and asserts zero allocations per event — the on-mode
+// TestCollectorHooksDoNotAllocate drives the hottest events (lock,
+// unlock, ready, dispatch) through the collector's pre-sized tables on
+// a live system and asserts zero allocations per cycle — the on-mode
 // half of the zero-cost contract (the off-mode half is a nil check).
 func TestCollectorHooksDoNotAllocate(t *testing.T) {
-	col, _, _ := runContended(t)
-	tp := col.Threads()[1].T
-	mp := col.MutexByName("M").M
-	at := vtime.Time(1 << 40)
-	if a := testing.AllocsPerRun(1000, func() {
-		col.ThreadState(at, tp, core.StateReady, core.BlockNone)
-		at += 10
-		col.ThreadState(at, tp, core.StateRunning, core.BlockNone)
-		at += 10
-		col.MutexAcquired(at, tp, mp, false)
-		at += 10
-		col.MutexReleased(at, tp, mp)
-	}); a != 0 {
-		t.Fatalf("hot hooks allocate %.2f per cycle, want 0", a)
+	col := metrics.New(metrics.Options{})
+	s := core.New(core.Config{Tracer: col})
+	var allocs float64
+	err := s.Run(func() {
+		m := s.MustMutex(core.MutexAttr{Name: "M"})
+		stop := false
+		partner, _ := s.Create(core.DefaultAttr(), func(any) any {
+			for !stop {
+				s.Yield()
+			}
+			return nil
+		}, nil)
+		allocs = testing.AllocsPerRun(1000, func() {
+			m.Lock()
+			m.Unlock()
+			s.Yield()
+		})
+		stop = true
+		s.Join(partner)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mp := col.MutexByName("M"); mp == nil || mp.Acquisitions < 1000 {
+		t.Fatal("the collector did not see the measured locks")
+	}
+	if allocs != 0 {
+		t.Fatalf("hot events allocate %.2f per cycle, want 0", allocs)
 	}
 }
 
@@ -244,7 +260,7 @@ func TestWatchdogLongHoldAndStarvation(t *testing.T) {
 		LongHold:   5 * vtime.Millisecond,
 		Starvation: 5 * vtime.Millisecond,
 	})
-	s := core.New(core.Config{Metrics: col})
+	s := core.New(core.Config{Tracer: col})
 	err := s.Run(func() {
 		m := s.MustMutex(core.MutexAttr{Name: "M"})
 		attr := core.DefaultAttr()
@@ -274,5 +290,147 @@ func TestWatchdogLongHoldAndStarvation(t *testing.T) {
 	}
 	if len(col.FindingsOfKind("starvation")) == 0 {
 		t.Fatalf("multi-ms mutex-wait dispatch gap unflagged; findings: %v", col.Findings())
+	}
+}
+
+// kindCounter is a tracer that counts the events of each kind.
+type kindCounter map[core.EventKind]int
+
+func (k kindCounter) Event(ev core.TraceEvent) { k[ev.Kind]++ }
+
+// TestRecordersSkipProfilerOnlyKinds runs a workload that produces
+// every profiler-only kind — a contention past the in-kernel re-test, a
+// signal handler, a timed-out descriptor wait and a timed-out condition
+// wait — with both recorders and the collector on one Tee. The
+// recorders store none of those kinds; the tracer stream carries each,
+// and the collector books each.
+func TestRecordersSkipProfilerOnlyKinds(t *testing.T) {
+	rec := trace.New()
+	ring := trace.NewRing(1 << 12)
+	col := metrics.New(metrics.Options{})
+	seen := kindCounter{}
+	s := core.New(core.Config{Tracer: trace.Tee{rec, ring, col, seen}})
+	err := s.Run(func() {
+		m := s.MustMutex(core.MutexAttr{Name: "M"})
+		c := s.NewCond("C")
+		s.Sigaction(unixkern.SIGUSR1, func(unixkern.Signal, *unixkern.SigInfo, *core.SigContext) {
+			s.Compute(100 * vtime.Microsecond)
+		}, 0)
+		m.Lock()
+		attr := core.DefaultAttr()
+		attr.Name = "locker"
+		attr.Priority = s.Self().Priority() + 1
+		th, _ := s.Create(attr, func(any) any {
+			m.Lock() // preempts main and contends
+			m.Unlock()
+			return nil
+		}, nil)
+		m.Unlock()
+		s.Join(th)
+		m.Lock()
+		c.TimedWait(m, vtime.Millisecond)
+		m.Unlock()
+		never := func() (done, more bool) { return false, false }
+		if err := s.FDBlockingCall(3, core.VerbRead, vtime.Millisecond, never); err == nil {
+			t.Error("descriptor wait did not time out")
+		}
+		s.Kill(s.Self(), unixkern.SIGUSR1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Finalize(s.Now())
+
+	var only []core.EventKind
+	for k := core.EventKind(0); k < 255; k++ {
+		if k.ProfilerOnly() {
+			only = append(only, k)
+		}
+	}
+	if len(only) != 5 {
+		t.Fatalf("%d profiler-only kinds, want 5: %v", len(only), only)
+	}
+	for _, k := range only {
+		if seen[k] == 0 {
+			t.Errorf("the workload produced no %v event", k)
+		}
+	}
+	for _, ev := range append(rec.Events, ring.Events()...) {
+		if ev.Kind.ProfilerOnly() {
+			t.Fatalf("a recorder stored a profiler-only %v event", ev.Kind)
+		}
+	}
+	if len(rec.Events) == 0 || len(rec.Events) != ring.Len() {
+		t.Fatalf("recorder kept %d events, ring %d", len(rec.Events), ring.Len())
+	}
+
+	if mp := col.MutexByName("M"); mp == nil || mp.Contentions != 1 || mp.Wait.Count != 1 {
+		t.Errorf("contention not booked: %+v", mp)
+	}
+	if cs := col.Conds(); len(cs) != 1 || cs[0].Wait.Count != 1 || cs[0].Wait.Sum < vtime.Millisecond {
+		t.Errorf("timed-out condition wait not booked")
+	}
+	if fs := col.FDs(); len(fs) != 1 || fs[0].Blocks != 1 || fs[0].Block.Sum < vtime.Millisecond {
+		t.Errorf("descriptor wait not booked")
+	}
+	var handler vtime.Duration
+	for _, tp := range col.Threads() {
+		handler += tp.Buckets[metrics.BucketHandler]
+	}
+	if handler < 100*vtime.Microsecond {
+		t.Errorf("handler time booked %v, want at least 100µs", handler)
+	}
+}
+
+// TestProfileOpensAtCreateOnlyForLazyThreads pins where a thread's
+// profile starts. A lazy thread's starts at its created event, and its
+// dormant time until activation is booked as other. A thread readied
+// at creation starts at its ready event, which makeReady's charge puts
+// after the created event: the collector ignores that created event.
+func TestProfileOpensAtCreateOnlyForLazyThreads(t *testing.T) {
+	rec := trace.New()
+	col := metrics.New(metrics.Options{})
+	s := core.New(core.Config{Tracer: trace.Tee{rec, col}})
+	err := s.Run(func() {
+		body := func(any) any { return nil }
+		attr := core.DefaultAttr()
+		attr.Name = "eager"
+		eager, _ := s.Create(attr, body, nil)
+		attr.Name, attr.Lazy = "lazy", true
+		lazy, _ := s.Create(attr, body, nil)
+		s.Compute(vtime.Millisecond)
+		s.Join(eager)
+		s.Join(lazy) // activates it
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Finalize(s.Now())
+	first := func(name, arg string) vtime.Time {
+		for _, ev := range rec.Events {
+			if ev.Kind == core.EvState && ev.Thread.Name() == name && ev.Arg == arg {
+				return ev.At
+			}
+		}
+		t.Fatalf("no %s event for %s", arg, name)
+		return 0
+	}
+	for _, tp := range col.Threads() {
+		if tp.Total() != tp.Lifetime() {
+			t.Errorf("%s accounts %v of a %v lifetime", tp.Name, tp.Total(), tp.Lifetime())
+		}
+		switch tp.Name {
+		case "eager":
+			if created, ready := first("eager", "created"), first("eager", "ready"); tp.FirstAt != ready || ready <= created {
+				t.Errorf("eager profile opens at %v; created at %v, ready at %v", tp.FirstAt, created, ready)
+			}
+		case "lazy":
+			if created := first("lazy", "created"); tp.FirstAt != created {
+				t.Errorf("lazy profile opens at %v, created at %v", tp.FirstAt, created)
+			}
+			if tp.Buckets[metrics.BucketOther] < vtime.Millisecond {
+				t.Errorf("lazy thread's dormant time booked %v as other, want at least 1ms", tp.Buckets[metrics.BucketOther])
+			}
+		}
 	}
 }

@@ -166,3 +166,35 @@ func TestConnSize(t *testing.T) {
 		t.Errorf("a connection's life allocates %.1f times, want 1", n)
 	}
 }
+
+// TestRemoteConnAllocs holds a cross-host connection's life — Dial, the
+// SYN and its verdict across the wires, the accept, both Closes and the
+// FIN — to the allocations of a local one (TestConnSize): the
+// endpoints' cross-host state rides in the connection object.
+func TestRemoteConnAllocs(t *testing.T) {
+	ka, kb, sa, sb := newPair(t, &testWire{delay: wireDelay}, &testWire{delay: wireDelay})
+	l, err := sb.Listen("srv", 4)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	round := func() {
+		c, err := sa.Dial("peer:srv")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		pump2(ka, kb)
+		sc, err := l.TryAccept()
+		if err != nil {
+			t.Fatalf("accept: %v", err)
+		}
+		c.Close()
+		sc.Close()
+		pump2(ka, kb)
+	}
+	for i := 0; i < 16; i++ {
+		round() // warm the op, event and SigInfo pools and the fd tables
+	}
+	if n := testing.AllocsPerRun(100, round); n != 1 {
+		t.Errorf("a cross-host connection's life allocates %.1f times, want 1 as on one host", n)
+	}
+}

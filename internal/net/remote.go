@@ -47,6 +47,14 @@ type Router interface {
 // SetRouter attaches the cross-host address resolver.
 func (st *Stack) SetRouter(r Router) { st.router = r }
 
+// remoteConnection is a cross-host connection: both endpoints and
+// their cross-host state in one object, made only by dialRemote, so a
+// local connection stays the bare 128 B connection.
+type remoteConnection struct {
+	connection
+	rem [2]remote // the dialing end's, then the accepting end's
+}
+
 // remote is the extra state of a cross-host endpoint.
 type remote struct {
 	peerSt *Stack // stack hosting the peer endpoint
@@ -83,16 +91,17 @@ func (c *Conn) SentBytes() int64 { return c.rem.sent }
 // RcvdBytes returns the cumulative payload bytes this endpoint has read.
 func (c *Conn) RcvdBytes() int64 { return c.rem.rcvd }
 
-// dialRemote is Dial's cross-host path. The connection, both pipes
-// included, is allocated here, like the local path, so window
-// bookkeeping works before the handshake completes. The SYN departs the
-// local NIC and is judged where it lands; until then the accepting end
-// holds the listener's own name for the address, which the router
-// resolved.
+// dialRemote is Dial's cross-host path. The connection, both pipes and
+// both endpoints' remote state included, is allocated here in one
+// object, like the local path, so window bookkeeping works before the
+// handshake completes. The SYN departs the local NIC and is judged
+// where it lands; until then the accepting end holds the listener's
+// own name for the address, which the router resolved.
 func (st *Stack) dialRemote(addr, laddr string, rst *Stack, out, back Wire, flow uint64) (*Conn, error) {
-	client, server := newConnection(st, rst)
-	client.rem = &remote{peerSt: rst, wire: out, flow: flow}
-	server.rem = &remote{peerSt: st, wire: back, flow: flow}
+	rc := new(remoteConnection)
+	client, server := rc.init(st, rst)
+	rc.rem = [2]remote{{peerSt: rst, wire: out, flow: flow}, {peerSt: st, wire: back, flow: flow}}
+	client.rem, server.rem = &rc.rem[0], &rc.rem[1]
 	client.fd = st.p.AllocFD(client)
 	client.addr = addr
 	server.addr = laddr

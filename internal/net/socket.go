@@ -119,10 +119,13 @@ type connection struct {
 // connection crosses hosts), with each end's receive buffer sized by its
 // own stack.
 func newConnection(cst, sst *Stack) (client, server *Conn) {
-	c := &connection{
-		client: Conn{st: cst, in: pipe{cap: int32(cst.cfg.RecvBuf)}, dialed: true},
-		server: Conn{st: sst, in: pipe{cap: int32(sst.cfg.RecvBuf)}},
-	}
+	return new(connection).init(cst, sst)
+}
+
+// init sets up c's two endpoints in place.
+func (c *connection) init(cst, sst *Stack) (client, server *Conn) {
+	c.client = Conn{st: cst, in: pipe{cap: int32(cst.cfg.RecvBuf)}, dialed: true}
+	c.server = Conn{st: sst, in: pipe{cap: int32(sst.cfg.RecvBuf)}}
 	c.client.peer, c.server.peer = &c.server, &c.client
 	return &c.client, &c.server
 }

@@ -8,12 +8,17 @@
 // segment, the receiving host's Recorder remembers the last context
 // delivered per flow, and the next Accept/Read span on that flow adopts
 // it, stitching client span → wire message → server span into one
-// trace. The package observes and never charges: recording has no
+// trace. Spans come from two places: the I/O jacket opens one per
+// blocking call (io.SetSpans), and the Recorder is a core.Tracer that
+// turns the kernel's EvFork and EvJoin events into instant fork and
+// join spans, so a request's spans follow the threads it fans out
+// onto. The package observes and never charges: recording has no
 // effect on any virtual clock, so a run's schedule is byte-identical
 // with spans on or off.
 package obs
 
 import (
+	"pthreads/internal/core"
 	"pthreads/internal/vtime"
 )
 
@@ -101,7 +106,7 @@ const NoSpan SpanRef = -1
 // Recorder accumulates one host's spans. It is driven strictly by
 // virtual events in schedule order (the fleet runs one goroutine at a
 // time), so two runs of the same schedule produce identical records.
-// It implements core.SpanSink for the fork/join hooks.
+// It implements core.Tracer for the fork/join events.
 type Recorder struct {
 	host  int
 	seq   uint64
@@ -242,26 +247,24 @@ func (r *Recorder) Deliver(flow, trace, span, msg uint64) {
 	r.inbounds[flow] = inbound{trace: trace, span: span, msg: msg}
 }
 
-// SetThreadCtx pins a thread's current trace position (fork hands the
-// parent's context to the child).
-func (r *Recorder) SetThreadCtx(tid int32, trace, span uint64) {
-	r.threads[tid] = threadCtx{trace: trace, span: span}
-}
-
-// ThreadForked implements core.SpanSink: an instant fork span on the
-// parent, whose context the child inherits.
-func (r *Recorder) ThreadForked(at vtime.Time, parent, child int32, parentName, childName string) {
-	ref := r.Open(at, parent, parentName, KFork, "fork "+childName)
-	r.Close(ref, at, "")
-	sp := r.spans[ref]
-	r.threads[child] = threadCtx{trace: sp.Trace, span: sp.ID}
-}
-
-// ThreadJoined implements core.SpanSink: an instant join span on the
-// joiner.
-func (r *Recorder) ThreadJoined(at vtime.Time, joiner, target int32, joinerName, targetName string) {
-	ref := r.Open(at, joiner, joinerName, KJoin, "join "+targetName)
-	r.Close(ref, at, "")
+// Event implements core.Tracer for the fork/join half of the plane:
+// an instant fork span on the creator, whose context the child
+// inherits, and an instant join span on the joiner. It reads EvFork and
+// EvJoin and ignores every other kind.
+func (r *Recorder) Event(ev core.TraceEvent) {
+	if ev.Thread == nil {
+		return
+	}
+	switch ev.Kind {
+	case core.EvFork:
+		ref := r.Open(ev.At, int32(ev.Thread.ID()), ev.Thread.Name(), KFork, "fork "+ev.Peer.Name())
+		r.Close(ref, ev.At, "")
+		sp := r.spans[ref]
+		r.threads[int32(ev.Peer.ID())] = threadCtx{trace: sp.Trace, span: sp.ID}
+	case core.EvJoin:
+		ref := r.Open(ev.At, int32(ev.Thread.ID()), ev.Thread.Name(), KJoin, "join "+ev.Peer.Name())
+		r.Close(ref, ev.At, "")
+	}
 }
 
 // CloseDangling closes every span still open at at — teardown kills

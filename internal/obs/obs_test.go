@@ -41,7 +41,7 @@ func TestOpenRootsAndNests(t *testing.T) {
 	if rs.Trace != rs.ID || rs.Parent != 0 {
 		t.Fatalf("first span must root its trace: %+v", rs)
 	}
-	r.SetThreadCtx(1, rs.Trace, rs.ID)
+	r.threads[1] = threadCtx{trace: rs.Trace, span: rs.ID}
 	child := r.Open(150, 1, "w", KWrite, "write")
 	cs := r.Span(child)
 	if cs.Trace != rs.Trace || cs.Parent != rs.ID {

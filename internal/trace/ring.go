@@ -24,8 +24,12 @@ func NewRing(capacity int) *RingRecorder {
 }
 
 // Event implements core.Tracer. When the buffer is full the oldest event
-// is overwritten and the drop counter advances.
+// is overwritten and the drop counter advances. The profiler-only kinds
+// are not stored.
 func (r *RingRecorder) Event(ev core.TraceEvent) {
+	if ev.Kind.ProfilerOnly() {
+		return
+	}
 	if r.n < len(r.buf) {
 		r.buf[(r.head+r.n)%len(r.buf)] = ev
 		r.n++

@@ -43,8 +43,11 @@ func New() *Recorder { return &Recorder{} }
 // NewCapped returns a recorder that keeps at most max events.
 func NewCapped(max int) *Recorder { return &Recorder{MaxEvents: max} }
 
-// Event implements core.Tracer.
+// Event implements core.Tracer. The profiler-only kinds are not stored.
 func (r *Recorder) Event(ev core.TraceEvent) {
+	if ev.Kind.ProfilerOnly() {
+		return
+	}
 	if r.MaxEvents > 0 && len(r.Events) >= r.MaxEvents {
 		r.dropped++
 		return
@@ -188,26 +191,6 @@ func (r *Recorder) RanDuring(name string, iv Interval) bool {
 		}
 	}
 	return false
-}
-
-// TotalRunTime sums the named thread's running intervals.
-func (r *Recorder) TotalRunTime(name string) vtime.Duration {
-	var total vtime.Duration
-	for _, iv := range r.RunIntervals(name) {
-		total += iv.To.Sub(iv.From)
-	}
-	return total
-}
-
-// MarkerTime returns the time of the first user tracepoint with the given
-// label.
-func (r *Recorder) MarkerTime(label string) (vtime.Time, bool) {
-	for _, ev := range r.Events {
-		if ev.Kind == core.EvUser && ev.Arg == label {
-			return ev.At, true
-		}
-	}
-	return 0, false
 }
 
 // MaxPrio returns the highest priority the named thread was ever traced

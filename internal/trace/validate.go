@@ -66,20 +66,16 @@ func (v *SchedValidator) Event(ev core.TraceEvent) {
 	case core.EvFork:
 		// A forked ID begins a fresh life: TCBs are pooled, so a reused
 		// ID is legitimate again after a new fork.
-		var id int64
-		if _, err := fmt.Sscanf(ev.Arg, "%d", &id); err == nil {
-			delete(v.joined, core.ThreadID(id))
-		}
+		delete(v.joined, ev.Peer.ID())
 	case core.EvJoin:
-		var id int64
-		if _, err := fmt.Sscanf(ev.Arg, "%d", &id); err == nil {
-			v.joined[core.ThreadID(id)] = true
-		}
+		v.joined[ev.Peer.ID()] = true
 	case core.EvPrio, core.EvMutex, core.EvCond, core.EvSignal,
 		core.EvCancel, core.EvUser, core.EvAccess, core.EvIO, core.EvNet:
 		// Recognized, no scheduling-state effect.
 	default:
-		v.Unknown++
+		if !ev.Kind.ProfilerOnly() {
+			v.Unknown++
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func TestValidatorFlagsScheduleAfterJoin(t *testing.T) {
 	}
 
 	v := NewSchedValidator()
-	v.Event(core.TraceEvent{At: 1, Kind: core.EvJoin, Thread: victim, Arg: "2", Obj: "w"})
+	v.Event(core.TraceEvent{At: 1, Kind: core.EvJoin, Thread: victim, Peer: victim, Arg: "2", Obj: "w"})
 	v.Event(core.TraceEvent{At: 2, Kind: core.EvState, Thread: victim, Arg: "ready"})
 	if len(v.Violations) == 0 {
 		t.Fatal("scheduling a joined thread went unflagged")
@@ -135,8 +135,8 @@ func TestValidatorFlagsScheduleAfterJoin(t *testing.T) {
 
 	// A fresh fork of the same ID makes it legitimate again (pooled TCB).
 	v2 := NewSchedValidator()
-	v2.Event(core.TraceEvent{At: 1, Kind: core.EvJoin, Thread: victim, Arg: "2", Obj: "w"})
-	v2.Event(core.TraceEvent{At: 2, Kind: core.EvFork, Thread: victim, Arg: "2", Obj: "w"})
+	v2.Event(core.TraceEvent{At: 1, Kind: core.EvJoin, Thread: victim, Peer: victim, Arg: "2", Obj: "w"})
+	v2.Event(core.TraceEvent{At: 2, Kind: core.EvFork, Thread: victim, Peer: victim, Arg: "2", Obj: "w"})
 	v2.Event(core.TraceEvent{At: 3, Kind: core.EvState, Thread: victim, Arg: "ready"})
 	if len(v2.Violations) != 0 {
 		t.Fatalf("re-forked ID flagged: %v", v2.Violations)

@@ -105,16 +105,16 @@ type (
 	State = core.State
 	// TraceEvent is one timestamped scheduling event.
 	TraceEvent = core.TraceEvent
-	// Tracer receives trace events.
+	// Tracer receives trace events. It is the one observer hook: a
+	// trace recorder, the profiler (internal/metrics.Collector) and the
+	// span plane's fork/join half (internal/obs.Recorder) all attach
+	// through Config.Tracer.
 	Tracer = core.Tracer
 	// EventKind classifies trace events.
 	EventKind = core.EventKind
 	// Explorer receives forced-switch decision points during schedule
 	// exploration (record/replay, PCT, bounded search).
 	Explorer = core.Explorer
-	// MetricsSink receives profiling events (internal/metrics.Collector
-	// is the standard implementation; attach via Config.Metrics).
-	MetricsSink = core.MetricsSink
 	// SwitchPoint classifies where an Explorer decision is taken.
 	SwitchPoint = core.SwitchPoint
 	// Cont is a continuation thread's resume descriptor: the handle a
