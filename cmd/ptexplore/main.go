@@ -14,19 +14,22 @@
 //	ptexplore -workload racy-counter -replay v1:3/0 -races
 //	ptexplore -workload racy-counter -check-replay
 //
-// With -fleet, the same verbs run over a whole virtual datacenter: the
-// bounded search explores per-host preemptions of a multi-host
-// scenario, tokens are host-qualified ("f1:h1/2/0"), and the race
-// checker draws happens-before edges across the network fabric.
+// -fleet names a multi-host scenario instead, and every verb above runs
+// over the whole virtual datacenter: switch points are counted per
+// host, a token qualifies decisions off host 0 by host ("f1:h1/2/0"),
+// and the race checker draws happens-before edges across the network
+// fabric.
 //
-//	ptexplore -fleet fleet-lost-wakeup -races
+//	ptexplore -fleet fleet-lost-wakeup -lock-only -races
+//	ptexplore -fleet fleet-lost-wakeup-fixed -bound 2
 //	ptexplore -fleet fleet-echo -check-replay
 //	ptexplore -fleet fleet-lost-wakeup -replay f1:h1/2/0 -races
 //
 // The -expect flag makes the exit status a CI assertion: "found" fails
 // the process unless a bug was found (and its minimized schedule
 // replayed byte-identically); "clean" fails it unless the exploration
-// came back clean.
+// came back clean. A malformed token, or one naming a host the target
+// lacks, exits 2.
 package main
 
 import (
@@ -76,25 +79,7 @@ func main() {
 		return
 	}
 
-	if *fleet != "" {
-		sc := fleetScenario(*fleet)
-		opts := explore.Options{MaxRuns: *maxRuns, Bound: *bound, LockOnly: *lockOnly}
-		switch {
-		case *replay != "":
-			doFleetReplay(sc, *replay, *races)
-		case *check:
-			doFleetCheckReplay(sc)
-		default:
-			doFleetExplore(sc, opts, *races, *expect)
-		}
-		return
-	}
-
-	w, ok := buildWorkload(*workload, *nPhil, *meals, *threads, *iters)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ptexplore: unknown workload %q (try -list)\n", *workload)
-		os.Exit(2)
-	}
+	t, name, desc := target(*workload, *fleet, *nPhil, *meals, *threads, *iters)
 	nw := *parallel
 	if nw == 0 {
 		nw = -1 // Options.Parallel: negative = GOMAXPROCS
@@ -107,12 +92,28 @@ func main() {
 
 	switch {
 	case *replay != "":
-		doReplay(w, *replay, *races)
+		doReplay(t, name, *replay, *races)
 	case *check:
-		doCheckReplay(w, *seedBase, *depth, *horizon)
+		doCheckReplay(t, name, *seedBase, *depth, *horizon)
 	default:
-		doExplore(w, *policy, opts, *races, *expect)
+		doExplore(t, name, desc, *policy, opts, *races, *expect)
 	}
+}
+
+// target resolves -fleet, or else -workload, to what the engine runs,
+// with its name and description.
+func target(workload, fleet string, nPhil, meals, threads, iters int) (explore.Target, string, string) {
+	if fleet != "" {
+		if sc := fabric.FleetScenarioByName(fleet); sc != nil {
+			return *sc, sc.Name, sc.Desc
+		}
+		workload = fleet
+	} else if w, ok := buildWorkload(workload, nPhil, meals, threads, iters); ok {
+		return w, w.Name, w.Desc
+	}
+	fmt.Fprintf(os.Stderr, "ptexplore: unknown workload %q (try -list)\n", workload)
+	os.Exit(2)
+	return nil, "", ""
 }
 
 func buildWorkload(name string, nPhil, meals, threads, iters int) (explore.Workload, bool) {
@@ -145,8 +146,8 @@ func buildWorkload(name string, nPhil, meals, threads, iters int) (explore.Workl
 
 // doExplore runs the chosen policy, then shrinks, replays, and
 // race-checks any finding.
-func doExplore(w explore.Workload, policy string, opts explore.Options, alwaysRaces bool, expect string) {
-	fmt.Printf("workload %s: %s\n", w.Name, w.Desc)
+func doExplore(t explore.Target, name, desc, policy string, opts explore.Options, alwaysRaces bool, expect string) {
+	fmt.Printf("workload %s: %s\n", name, desc)
 	var r explore.Result
 	switch policy {
 	case "bounded":
@@ -155,10 +156,10 @@ func doExplore(w explore.Workload, policy string, opts explore.Options, alwaysRa
 			points = "lock-only"
 		}
 		fmt.Printf("policy bounded: preemption bound %d, %s points, max %d runs\n", opts.Bound, points, opts.MaxRuns)
-		r = explore.ExploreBounded(w, opts)
+		r = explore.ExploreBounded(t, opts)
 	case "pct":
 		fmt.Printf("policy pct: %d seeds from %d, depth %d, horizon %d\n", opts.Seeds, opts.SeedBase, opts.Depth, opts.Horizon)
-		r = explore.ExplorePCT(w, opts)
+		r = explore.ExplorePCT(t, opts)
 	default:
 		fmt.Fprintf(os.Stderr, "ptexplore: unknown policy %q\n", policy)
 		os.Exit(2)
@@ -176,10 +177,10 @@ func doExplore(w explore.Workload, policy string, opts explore.Options, alwaysRa
 	}
 	fmt.Printf("  recorded schedule:  %s (%d preemptions)\n", r.Schedule.Token(), r.Schedule.Len())
 
-	min, shrinkRuns := explore.Shrink(w, r.Schedule)
+	min, shrinkRuns := explore.Shrink(t, r.Schedule)
 	fmt.Printf("  minimized schedule: %s (%d preemptions, %d shrink runs)\n", min.Token(), min.Len(), shrinkRuns)
 
-	a, b := explore.Replay(w, min), explore.Replay(w, min)
+	a, b := explore.Replay(t, min), explore.Replay(t, min)
 	identical := a.TraceHash == b.TraceHash && a.Failure != ""
 	fmt.Printf("  replay: trace %s, failure %q\n", a.TraceHash, a.Failure)
 	if identical {
@@ -187,35 +188,35 @@ func doExplore(w explore.Workload, policy string, opts explore.Options, alwaysRa
 	} else {
 		fmt.Printf("  replay determinism: VIOLATED (%s vs %s, failure %q)\n", a.TraceHash, b.TraceHash, a.Failure)
 	}
-	printRaces(a.Events, alwaysRaces || hasAccess(a.Events))
+	printRaces(a.Hosts, alwaysRaces || hasAccess(a.Hosts))
 	assertExpect(expect, identical, false)
 }
 
 // doReplay replays one token and reports the outcome.
-func doReplay(w explore.Workload, token string, alwaysRaces bool) {
-	sch, err := explore.ParseToken(token)
+func doReplay(t explore.Target, name, token string, alwaysRaces bool) {
+	sch, err := explore.ParseToken(token, t.Hosts())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ptexplore:", err)
 		os.Exit(2)
 	}
-	out := explore.Replay(w, sch)
-	fmt.Printf("workload %s, schedule %s\n", w.Name, sch.Token())
+	out := explore.Replay(t, sch)
+	fmt.Printf("workload %s, schedule %s\n", name, sch.Token())
 	fmt.Printf("  trace %s, decisions taken %s\n", out.TraceHash, out.Schedule.Token())
 	if out.Failure != "" {
 		fmt.Printf("  FAILURE: %s\n", out.Failure)
 	} else {
 		fmt.Println("  clean run")
 	}
-	printRaces(out.Events, alwaysRaces || out.Failure != "")
+	printRaces(out.Hosts, alwaysRaces || out.Failure != "")
 }
 
 // doCheckReplay is the CI determinism check: record (under PCT so the
 // schedule is non-trivial), replay twice, compare hashes.
-func doCheckReplay(w explore.Workload, seed int64, depth, horizon int) {
-	rec := explore.RunPCT(w, seed, depth, horizon)
-	a, b := explore.Replay(w, rec.Schedule), explore.Replay(w, rec.Schedule)
+func doCheckReplay(t explore.Target, name string, seed int64, depth, horizon int) {
+	rec := explore.RunPCT(t, seed, depth, horizon)
+	a, b := explore.Replay(t, rec.Schedule), explore.Replay(t, rec.Schedule)
 	fmt.Printf("workload %s: recorded %s (%d decisions, trace %s)\n",
-		w.Name, rec.Schedule.Token(), rec.Schedule.Len(), rec.TraceHash)
+		name, rec.Schedule.Token(), rec.Schedule.Len(), rec.TraceHash)
 	if a.TraceHash == rec.TraceHash && b.TraceHash == rec.TraceHash {
 		fmt.Println("  replay determinism: byte-identical trace across record + 2 replays")
 		return
@@ -224,14 +225,14 @@ func doCheckReplay(w explore.Workload, seed int64, depth, horizon int) {
 	os.Exit(1)
 }
 
-// printRaces runs the happens-before + lockset checker over a trace and
-// prints the verdict. Traces with no annotated accesses are skipped
-// unless forced (there is nothing for the checker to see).
-func printRaces(events []core.TraceEvent, run bool) {
+// printRaces runs the happens-before + lockset checker over a run's
+// traces and prints the verdict. Traces with no annotated accesses are
+// skipped unless forced (there is nothing for the checker to see).
+func printRaces(hosts []explore.HostTrace, run bool) {
 	if !run {
 		return
 	}
-	races := explore.CheckRaces(events)
+	races := explore.CheckRaces(hosts...)
 	if len(races) == 0 {
 		fmt.Println("  race checker: no data races on annotated accesses")
 		return
@@ -242,12 +243,14 @@ func printRaces(events []core.TraceEvent, run bool) {
 	}
 }
 
-// hasAccess reports whether the trace carries any NoteRead/NoteWrite
+// hasAccess reports whether the traces carry any NoteRead/NoteWrite
 // annotations worth race-checking.
-func hasAccess(events []core.TraceEvent) bool {
-	for _, ev := range events {
-		if ev.Kind == core.EvAccess {
-			return true
+func hasAccess(hosts []explore.HostTrace) bool {
+	for _, h := range hosts {
+		for _, ev := range h.Events {
+			if ev.Kind == core.EvAccess {
+				return true
+			}
 		}
 	}
 	return false

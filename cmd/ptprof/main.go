@@ -130,7 +130,7 @@ func runFleet(name, chrome string, check, spans, quiet bool) {
 	if spans {
 		oc = fabric.ObsConfig{Spans: true, Rollup: true, WaitCycle: true}
 	}
-	out := fabric.RunFleetScheduleObs(*sc, fabric.FleetSchedule{}, oc)
+	out := fabric.Observe(*sc, oc)
 	if out.Failure != "" {
 		fail("fleet %s: %s", name, out.Failure)
 	}
@@ -139,11 +139,11 @@ func runFleet(name, chrome string, check, spans, quiet bool) {
 		fail("fleet chrome export: %v", err)
 	}
 	nev := 0
-	for _, evs := range out.PerHost {
-		nev += len(evs)
+	for _, h := range out.Hosts {
+		nev += len(h.Events)
 	}
 	fmt.Printf("fleet %s: %d hosts, %d trace events, fingerprint %s, trace hash %s\n",
-		name, len(out.HostNames), nev, out.Fingerprint, out.TraceHash)
+		name, len(out.Hosts), nev, out.Fingerprint, out.TraceHash)
 	if out.Obs != nil && !quiet {
 		fmt.Print(out.Obs.Format())
 	}
@@ -154,7 +154,7 @@ func runFleet(name, chrome string, check, spans, quiet bool) {
 		fmt.Fprintf(os.Stderr, "ptprof: wrote %s (%d bytes)\n", chrome, len(data))
 	}
 	if check {
-		second := fabric.RunFleetScheduleObs(*sc, fabric.FleetSchedule{}, oc)
+		second := fabric.Observe(*sc, oc)
 		if second.TraceHash != out.TraceHash || second.Fingerprint != out.Fingerprint {
 			fail("check: fleet run not deterministic: %s/%s vs %s/%s",
 				out.Fingerprint, out.TraceHash, second.Fingerprint, second.TraceHash)
@@ -170,7 +170,7 @@ func runFleet(name, chrome string, check, spans, quiet bool) {
 			// The plane's contract: spans observe, never perturb. A
 			// spans-off run of the same scenario must schedule
 			// identically.
-			bare := fabric.RunFleetSchedule(*sc, fabric.FleetSchedule{})
+			bare := fabric.Observe(*sc, fabric.ObsConfig{})
 			if bare.TraceHash != out.TraceHash || bare.Fingerprint != out.Fingerprint {
 				fail("check: spans perturbed the schedule: %s/%s with, %s/%s without",
 					out.Fingerprint, out.TraceHash, bare.Fingerprint, bare.TraceHash)
@@ -192,8 +192,8 @@ func runFleet(name, chrome string, check, spans, quiet bool) {
 				pids[pid] = true
 			}
 		}
-		if len(pids) != len(out.HostNames) {
-			fail("check: export has %d distinct pids for %d hosts", len(pids), len(out.HostNames))
+		if len(pids) != len(out.Hosts) {
+			fail("check: export has %d distinct pids for %d hosts", len(pids), len(out.Hosts))
 		}
 		fmt.Fprintf(os.Stderr,
 			"ptprof: check ok — fleet deterministic across runs, %d chrome events parse, %d host process groups\n",
@@ -203,9 +203,9 @@ func runFleet(name, chrome string, check, spans, quiet bool) {
 
 // fleetTraces adapts a fleet outcome into the exporter's host slices.
 func fleetTraces(out fabric.FleetOutcome) []metrics.HostTrace {
-	hosts := make([]metrics.HostTrace, len(out.HostNames))
-	for i := range out.HostNames {
-		hosts[i] = metrics.HostTrace{Name: out.HostNames[i], Events: out.PerHost[i], End: out.HostEnds[i]}
+	hosts := make([]metrics.HostTrace, len(out.Hosts))
+	for i, h := range out.Hosts {
+		hosts[i] = metrics.HostTrace{Name: h.Name, Events: h.Events, End: int64(h.End)}
 	}
 	return hosts
 }

@@ -49,7 +49,7 @@ func RunExplore() ([]ExploreResult, error) {
 			a, b := explore.Replay(j.w, min), explore.Replay(j.w, min)
 			res.Failure = r.Failure
 			res.Token = min.Token()
-			res.Races = len(explore.CheckRaces(a.Events))
+			res.Races = len(explore.CheckRaces(a.Hosts...))
 			res.Replayed = a.Failure != "" && a.TraceHash == b.TraceHash
 			if !res.Replayed {
 				return nil, fmt.Errorf("minimized schedule %s for %s did not replay deterministically", res.Token, j.w.Name)

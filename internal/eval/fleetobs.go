@@ -57,12 +57,12 @@ func FormatFleetObs() (string, error) {
 		return "", fmt.Errorf("fleet-echo scenario missing")
 	}
 	oc := fleetObsConfig()
-	first := fabric.RunFleetScheduleObs(*sc, fabric.FleetSchedule{}, oc)
+	first := fabric.Observe(*sc, oc)
 	if first.Failure != "" {
 		return "", fmt.Errorf("fleet-echo under observability: %s", first.Failure)
 	}
-	second := fabric.RunFleetScheduleObs(*sc, fabric.FleetSchedule{}, oc)
-	bare := fabric.RunFleetSchedule(*sc, fabric.FleetSchedule{})
+	second := fabric.Observe(*sc, oc)
+	bare := fabric.Observe(*sc, fabric.ObsConfig{})
 
 	var b strings.Builder
 	b.WriteString("## Fleet observability plane (DESIGN.md §14)\n\n")

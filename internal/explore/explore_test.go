@@ -13,7 +13,7 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 	for _, sch := range cases {
 		tok := sch.Token()
-		back, err := ParseToken(tok)
+		back, err := ParseToken(tok, 1)
 		if err != nil {
 			t.Fatalf("ParseToken(%q): %v", tok, err)
 		}
@@ -22,8 +22,43 @@ func TestTokenRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "v2:1/0", "v1:x/0", "v1:1/0,1/0", "v1:5/0,3/1", "v1:1", "v1:-1/0"} {
-		if _, err := ParseToken(bad); err == nil {
+		if _, err := ParseToken(bad, 1); err == nil {
 			t.Errorf("ParseToken(%q) should fail", bad)
+		}
+	}
+}
+
+// TestTokenChecksPerHost holds both spellings to one parser: indices
+// increase within a host (not across hosts), nothing trails a number,
+// a decision must name a host the target has, and v1: is host 0 of a
+// fleet too.
+func TestTokenChecksPerHost(t *testing.T) {
+	for _, c := range []struct {
+		tok   string
+		hosts int
+		want  string // re-rendered token; "" = must be rejected
+	}{
+		{"f1:h0/5/0,h0/3/0", 3, ""},
+		{"f1:h0/1/0junk", 3, ""},
+		{"f1:h9/1/0", 3, ""},
+		{"f1:h1/2/0", 1, ""},
+		{"f1:1/0", 3, ""},
+		{"f1:h0/1", 3, ""},
+		{"v1:1/0junk", 1, ""},
+		{"f1:h0/5/0,h1/3/0", 3, "f1:h0/5/0,h1/3/0"},
+		{"f1:h1/2/0,h0/1/1", 2, "f1:h1/2/0,h0/1/1"},
+		{"f1:h0/1/0,h0/3/0", 3, "v1:1/0,3/0"},
+		{"v1:3/0", 3, "v1:3/0"},
+		{"f1:", 3, "v1:"},
+	} {
+		sch, err := ParseToken(c.tok, c.hosts)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("ParseToken(%q, %d) accepted %s", c.tok, c.hosts, sch.Token())
+		case c.want != "" && err != nil:
+			t.Errorf("ParseToken(%q, %d): %v", c.tok, c.hosts, err)
+		case c.want != "" && sch.Token() != c.want:
+			t.Errorf("ParseToken(%q, %d) renders %s, want %s", c.tok, c.hosts, sch.Token(), c.want)
 		}
 	}
 }

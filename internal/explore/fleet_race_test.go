@@ -13,35 +13,37 @@ type capTracer struct{ evs []core.TraceEvent }
 
 func (c *capTracer) Event(ev core.TraceEvent) { c.evs = append(c.evs, ev) }
 
-// harvestThread runs a throwaway system to obtain a real *core.Thread
-// (the fleet checker only needs ID and Name, but the trace event field
-// is the concrete type). The same pointer can stand for a thread on any
-// number of hosts: the checker interns by (host, id).
-func harvestThread(t *testing.T) *core.Thread {
+// harvest runs a throwaway system to obtain two real threads (main and
+// a child) and a mutex factory: the trace event fields are concrete
+// types. The checker interns threads by (host, id), so one pointer can
+// stand for a thread on any number of hosts.
+func harvest(t *testing.T) (a, b *core.Thread, mutex func(name string) *core.Mutex) {
 	t.Helper()
 	cap := &capTracer{}
 	sys := core.New(core.Config{Tracer: cap})
-	if err := sys.Run(func() {}); err != nil {
+	if err := sys.Run(func() {
+		th, _ := sys.Create(core.DefaultAttr(), func(any) any { return nil }, nil)
+		sys.Join(th)
+	}); err != nil {
 		t.Fatalf("harvest run: %v", err)
 	}
 	for _, ev := range cap.evs {
-		if ev.Thread != nil {
-			return ev.Thread
+		if ev.Kind == core.EvFork {
+			return ev.Thread, ev.Peer, func(name string) *core.Mutex {
+				return sys.MustMutex(core.MutexAttr{Name: name})
+			}
 		}
 	}
-	t.Fatal("no thread in harvest trace")
-	return nil
+	t.Fatal("no fork in harvest trace")
+	return nil, nil, nil
 }
 
-// Synthetic fleet traces. The first access of a thread can never be the
-// earlier half of a detected race (its own clock component is still
-// zero), so every stream starts with a warm-up access that ticks the
-// thread.
+// Synthetic fleet traces: host A's thread and host B's thread are
+// distinct threads even where they share a pointer.
 
 func TestFleetMessageEdgeOrders(t *testing.T) {
-	th := harvestThread(t)
+	th, _, _ := harvest(t)
 	send := []core.TraceEvent{
-		{At: 5, Kind: core.EvAccess, Thread: th, Obj: "warmA", Arg: "write"},
 		{At: 10, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: "write"},
 		{At: 20, Kind: core.EvNet, Thread: th, Obj: "f1>", Arg: "xmit", Detail: "8"},
 	}
@@ -49,7 +51,7 @@ func TestFleetMessageEdgeOrders(t *testing.T) {
 		{At: 100, Kind: core.EvNet, Thread: th, Obj: "f1>", Arg: "recv", Detail: "8"},
 		{At: 110, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: "read"},
 	}
-	if races := CheckFleetRaces([][]core.TraceEvent{send, recvThenRead}, []string{"A", "B"}); len(races) != 0 {
+	if races := CheckRaces(HostTrace{Name: "A", Events: send}, HostTrace{Name: "B", Events: recvThenRead}); len(races) != 0 {
 		t.Fatalf("message edge did not order the accesses: %v", races)
 	}
 
@@ -57,7 +59,7 @@ func TestFleetMessageEdgeOrders(t *testing.T) {
 		{At: 50, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: "read"},
 		{At: 100, Kind: core.EvNet, Thread: th, Obj: "f1>", Arg: "recv", Detail: "8"},
 	}
-	races := CheckFleetRaces([][]core.TraceEvent{send, readThenRecv}, []string{"A", "B"})
+	races := CheckRaces(HostTrace{Name: "A", Events: send}, HostTrace{Name: "B", Events: readThenRecv})
 	if len(races) != 1 || races[0].Loc != "x" {
 		t.Fatalf("unordered cross-host accesses not flagged: %v", races)
 	}
@@ -68,12 +70,11 @@ func TestFleetMessageEdgeOrders(t *testing.T) {
 }
 
 func TestFleetPartialReceiptEdge(t *testing.T) {
-	th := harvestThread(t)
+	th, _, _ := harvest(t)
 	// The sender writes x between its first and second segment; a reader
 	// that consumed only the first segment is not ordered after the
 	// write, a reader that consumed both is.
 	send := []core.TraceEvent{
-		{At: 5, Kind: core.EvAccess, Thread: th, Obj: "warmA", Arg: "write"},
 		{At: 10, Kind: core.EvNet, Thread: th, Obj: "f1>", Arg: "xmit", Detail: "8"},
 		{At: 15, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: "write"},
 		{At: 20, Kind: core.EvNet, Thread: th, Obj: "f1>", Arg: "xmit", Detail: "16"},
@@ -82,42 +83,44 @@ func TestFleetPartialReceiptEdge(t *testing.T) {
 		{At: 100, Kind: core.EvNet, Thread: th, Obj: "f1>", Arg: "recv", Detail: "8"},
 		{At: 110, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: "read"},
 	}
-	if races := CheckFleetRaces([][]core.TraceEvent{send, readHalf}, []string{"A", "B"}); len(races) != 1 {
+	if races := CheckRaces(HostTrace{Name: "A", Events: send}, HostTrace{Name: "B", Events: readHalf}); len(races) != 1 {
 		t.Fatalf("partial receipt should not order the later write: %v", races)
 	}
 	readAll := []core.TraceEvent{
 		{At: 100, Kind: core.EvNet, Thread: th, Obj: "f1>", Arg: "recv", Detail: "16"},
 		{At: 110, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: "read"},
 	}
-	if races := CheckFleetRaces([][]core.TraceEvent{send, readAll}, []string{"A", "B"}); len(races) != 0 {
+	if races := CheckRaces(HostTrace{Name: "A", Events: send}, HostTrace{Name: "B", Events: readAll}); len(races) != 0 {
 		t.Fatalf("full receipt should order the write before the read: %v", races)
 	}
 }
 
 func TestFleetMutexesAreHostLocal(t *testing.T) {
-	th := harvestThread(t)
-	// Both hosts guard x with "their" mutex m. Same name, different
-	// machines: no common lock exists, so the accesses race and the
-	// lockset check must agree (host-qualified lock identities).
-	mk := func(at vtime.Time, arg string) []core.TraceEvent {
+	th, peer, mutex := harvest(t)
+	// x guarded by a lock section on m: one access, then the release.
+	mk := func(th *core.Thread, m *core.Mutex, at vtime.Time, arg string) []core.TraceEvent {
 		return []core.TraceEvent{
-			{At: at, Kind: core.EvAccess, Thread: th, Obj: "warm" + arg, Arg: "write"},
-			{At: at + 1, Kind: core.EvMutex, Thread: th, Obj: "m", Arg: "lock"},
-			{At: at + 2, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: arg},
-			{At: at + 3, Kind: core.EvMutex, Thread: th, Obj: "m", Arg: "unlock"},
+			{At: at, Kind: core.EvMutex, Op: core.OpLock, Thread: th, Mutex: m, Obj: m.Name(), Arg: "lock"},
+			{At: at + 1, Kind: core.EvAccess, Thread: th, Obj: "x", Arg: arg},
+			{At: at + 2, Kind: core.EvMutex, Op: core.OpUnlock, Thread: th, Mutex: m, Obj: m.Name(), Arg: "unlock"},
 		}
 	}
-	races := CheckFleetRaces([][]core.TraceEvent{mk(10, "write"), mk(100, "read")}, []string{"A", "B"})
+	// Both hosts guard x with "their" mutex m. Same name, different
+	// machines: no common lock exists, so the accesses race and the
+	// lockset check must agree.
+	mA, mB := mutex("m"), mutex("m")
+	races := CheckRaces(HostTrace{Name: "A", Events: mk(th, mA, 10, "write")}, HostTrace{Name: "B", Events: mk(th, mB, 100, "read")})
 	if len(races) != 1 {
 		t.Fatalf("same-named mutexes on different hosts must not order accesses: %v", races)
 	}
 	if !races[0].LocksetEmpty {
-		t.Fatalf("host-qualified locksets should be disjoint: %+v", races[0])
+		t.Fatalf("per-host locksets should be disjoint: %+v", races[0])
 	}
 
-	// Single host, same trace shape: the shared mutex orders them.
-	one := append(append([]core.TraceEvent(nil), mk(10, "write")...), mk(100, "read")...)
-	if races := CheckFleetRaces([][]core.TraceEvent{one}, []string{"A"}); len(races) != 0 {
+	// One host, two threads, one mutex: the release orders the write
+	// before the read.
+	one := append(mk(th, mA, 10, "write"), mk(peer, mA, 100, "read")...)
+	if races := CheckRaces(HostTrace{Name: "A", Events: one}); len(races) != 0 {
 		t.Fatalf("common mutex on one host should order accesses: %v", races)
 	}
 }

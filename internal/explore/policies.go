@@ -17,7 +17,7 @@ import (
 // replayable without the PRNG.
 type pctChooser struct {
 	rng     *rand.Rand
-	prio    map[core.ThreadID]int
+	prio    map[hostThread]int
 	change  map[int]bool
 	idx     int
 	counter int // decreasing priorities handed out at change points
@@ -34,7 +34,7 @@ func newPCT(seed int64, depth, horizon int) *pctChooser {
 	}
 	c := &pctChooser{
 		rng:    rand.New(rand.NewSource(seed)),
-		prio:   make(map[core.ThreadID]int),
+		prio:   make(map[hostThread]int),
 		change: make(map[int]bool),
 	}
 	for i := 0; i < depth-1; i++ {
@@ -43,7 +43,7 @@ func newPCT(seed int64, depth, horizon int) *pctChooser {
 	return c
 }
 
-func (c *pctChooser) prioOf(id core.ThreadID) int {
+func (c *pctChooser) prioOf(id hostThread) int {
 	p, ok := c.prio[id]
 	if !ok {
 		// Random positive priority on first sight; change points hand
@@ -55,17 +55,19 @@ func (c *pctChooser) prioOf(id core.ThreadID) int {
 	return p
 }
 
-// choose implements chooser: run the highest-PCT-priority thread.
-func (c *pctChooser) choose(_ core.SwitchPoint, cur core.ThreadID, ready []core.ThreadID) (int, bool) {
+// choose implements chooser: run the host's highest-PCT-priority
+// thread. One chooser drives every host of a fleet, so change points
+// count switch points fleet-wide.
+func (c *pctChooser) choose(host int, _ core.SwitchPoint, cur core.ThreadID, ready []core.ThreadID) (int, bool) {
 	i := c.idx
 	c.idx++
 	if c.change[i] {
 		c.counter--
-		c.prio[cur] = c.counter
+		c.prio[hostThread{host, cur}] = c.counter
 	}
-	best, bestIdx := c.prioOf(cur), -1
+	best, bestIdx := c.prioOf(hostThread{host, cur}), -1
 	for j, id := range ready {
-		if p := c.prioOf(id); p > best {
+		if p := c.prioOf(hostThread{host, id}); p > best {
 			best, bestIdx = p, j
 		}
 	}
@@ -75,7 +77,7 @@ func (c *pctChooser) choose(_ core.SwitchPoint, cur core.ThreadID, ready []core.
 	return bestIdx, true
 }
 
-// RunPCT runs the workload once under a PCT schedule derived from seed.
-func RunPCT(w Workload, seed int64, depth, horizon int) RunOutcome {
-	return runSchedule(w, nil, newPCT(seed, depth, horizon))
+// RunPCT runs the target once under a PCT schedule derived from seed.
+func RunPCT(t Target, seed int64, depth, horizon int) RunOutcome {
+	return runSchedule(t, nil, newPCT(seed, depth, horizon))
 }

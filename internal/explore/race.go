@@ -14,7 +14,8 @@ import (
 // stamps every event at its charge boundary with the virtual time; the
 // checker rebuilds the partial order from the synchronization events —
 // program order, mutex release→acquire (including direct ownership
-// grants), and fork/join edges — as vector clocks, and tracks the lockset
+// grants), fork/join edges and, across a fleet, message delivery — as
+// vector clocks, and tracks the lockset
 // held around every annotated access (NoteRead/NoteWrite). Two accesses
 // to one location race when they come from different threads, at least
 // one writes, and neither happens before the other; the lockset verdict
@@ -62,17 +63,38 @@ type access struct {
 	write bool
 	at    vtime.Time
 	vc    []int32
-	locks map[string]bool
+	locks map[*core.Mutex]bool
+}
+
+// hostThread keys a thread across a fleet: thread IDs are per host.
+type hostThread struct {
+	host int
+	id   core.ThreadID
+}
+
+// flowSnap is the sender's clock when a transmission started at
+// cumulative offset start (-1 denotes the connection handshake).
+type flowSnap struct {
+	start int64
+	vc    []int32
+}
+
+// flowChan accumulates one flow direction's transmissions.
+type flowChan struct {
+	lastCum int64
+	snaps   []flowSnap
 }
 
 // raceChecker accumulates per-thread vector clocks and locksets.
 type raceChecker struct {
-	tids     map[core.ThreadID]int
+	hosts    []HostTrace
+	tids     map[hostThread]int
 	names    []string
 	vcs      [][]int32
-	locksets []map[string]bool
-	mutexVC  map[string][]int32
-	granted  map[string]int // mutex → tid granted since the last unlock
+	locksets []map[*core.Mutex]bool
+	mutexVC  map[*core.Mutex][]int32
+	granted  map[*core.Mutex]int // mutex → tid granted since the last unlock
+	flows    map[string]*flowChan
 	accesses map[string][]access
 	races    []Race
 	seen     map[string]bool // dedup key: loc + thread pair
@@ -80,35 +102,69 @@ type raceChecker struct {
 
 const maxTrackedAccesses = 1 << 14
 
-// CheckRaces scans a run's trace and returns the detected races, one per
-// (location, thread pair), in detection order.
-func CheckRaces(events []core.TraceEvent) []Race {
+// CheckRaces scans a run's per-host traces and returns the detected
+// races, one per (location, thread pair), in detection order.
+//
+// The traces are merged into one linearization ordered by (timestamp,
+// host, position) — valid because every host is stamped on the one
+// virtual timeline and cross-host wire latency is strictly positive, so
+// every send is stamped before its receive. Threads are qualified by
+// host name when the host has one; access locations are deliberately
+// not: a fleet may model a logically shared datum replicated across
+// hosts, and two unordered conflicting accesses to it race unless a
+// message chain orders them. That chain is the one edge family only
+// remote connections produce: the I/O jacket stamps each transmission
+// with its flow-direction label and cumulative byte count ("f7>" /
+// xmit 256), the checker records the sender's clock at each one and
+// joins it into any reader that has consumed bytes from it.
+func CheckRaces(hosts ...HostTrace) []Race {
 	c := &raceChecker{
-		tids:     make(map[core.ThreadID]int),
-		mutexVC:  make(map[string][]int32),
-		granted:  make(map[string]int),
+		hosts:    hosts,
+		tids:     make(map[hostThread]int),
+		mutexVC:  make(map[*core.Mutex][]int32),
+		granted:  make(map[*core.Mutex]int),
+		flows:    make(map[string]*flowChan),
 		accesses: make(map[string][]access),
 		seen:     make(map[string]bool),
 	}
-	for i := range events {
-		c.step(&events[i])
+	// K-way merge. Strict < keeps the lowest host first on timestamp
+	// ties, so the linearization is total and deterministic.
+	idx := make([]int, len(hosts))
+	for {
+		best := -1
+		for h := range hosts {
+			if idx[h] < len(hosts[h].Events) && (best < 0 || hosts[h].Events[idx[h]].At < hosts[best].Events[idx[best]].At) {
+				best = h
+			}
+		}
+		if best < 0 {
+			return c.races
+		}
+		c.step(best, &hosts[best].Events[idx[best]])
+		idx[best]++
 	}
-	return c.races
 }
 
-// tidOf interns a thread, growing every vector clock to cover it.
-func (c *raceChecker) tidOf(id core.ThreadID, name string) int {
-	if t, ok := c.tids[id]; ok {
+// tidOf interns a thread, growing every vector clock to cover it. A
+// thread's own component starts at 1, so its first access is not
+// mistaken for one every other thread has already seen.
+func (c *raceChecker) tidOf(host int, id core.ThreadID, name string) int {
+	key := hostThread{host, id}
+	if t, ok := c.tids[key]; ok {
 		return t
 	}
 	t := len(c.names)
-	c.tids[id] = t
+	c.tids[key] = t
 	if name == "" {
 		name = "thread#" + strconv.Itoa(int(id))
 	}
+	if h := c.hosts[host].Name; h != "" {
+		name = h + "/" + name
+	}
 	c.names = append(c.names, name)
 	c.vcs = append(c.vcs, make([]int32, t+1))
-	c.locksets = append(c.locksets, make(map[string]bool))
+	c.vcs[t][t] = 1
+	c.locksets = append(c.locksets, make(map[*core.Mutex]bool))
 	return t
 }
 
@@ -133,48 +189,66 @@ func joinInto(dst, src []int32) []int32 {
 	return dst
 }
 
-func threadName(ev *core.TraceEvent) string {
-	if ev.Thread == nil {
-		return ""
-	}
-	return ev.Thread.Name()
-}
-
-func (c *raceChecker) step(ev *core.TraceEvent) {
+func (c *raceChecker) step(host int, ev *core.TraceEvent) {
 	if ev.Thread == nil {
 		return
 	}
-	t := c.tidOf(ev.Thread.ID(), threadName(ev))
+	t := c.tidOf(host, ev.Thread.ID(), ev.Thread.Name())
 	switch ev.Kind {
 	case core.EvMutex:
-		switch ev.Arg {
-		case "lock":
-			c.vcs[t] = joinInto(c.vcs[t], c.mutexVC[ev.Obj])
-			c.locksets[t][ev.Obj] = true
-		case "grant":
-			// Direct ownership transfer: the waiter acquires here, but
-			// in the unlock path the grant is traced *before* the
-			// release event, so the release edge is completed when the
-			// matching unlock arrives (see the "unlock" case).
-			c.vcs[t] = joinInto(c.vcs[t], c.mutexVC[ev.Obj])
-			c.locksets[t][ev.Obj] = true
-			c.granted[ev.Obj] = t
-		case "unlock":
-			delete(c.locksets[t], ev.Obj)
-			c.mutexVC[ev.Obj] = joinInto(c.mutexVC[ev.Obj], c.vcs[t])
-			if w, ok := c.granted[ev.Obj]; ok {
-				c.vcs[w] = joinInto(c.vcs[w], c.mutexVC[ev.Obj])
-				delete(c.granted, ev.Obj)
+		m := ev.Mutex
+		switch ev.Op {
+		case core.OpLock, core.OpRelock, core.OpGrant:
+			// A grant is a direct ownership transfer: the waiter
+			// acquires here, but the grant is traced *before* the
+			// release, so the release edge is completed when the
+			// matching unlock arrives (see OpUnlock).
+			c.vcs[t] = joinInto(c.vcs[t], c.mutexVC[m])
+			c.locksets[t][m] = true
+			if ev.Op == core.OpGrant {
+				c.granted[m] = t
+			}
+		case core.OpUnlock:
+			delete(c.locksets[t], m)
+			c.mutexVC[m] = joinInto(c.mutexVC[m], c.vcs[t])
+			if w, ok := c.granted[m]; ok {
+				c.vcs[w] = joinInto(c.vcs[w], c.mutexVC[m])
+				delete(c.granted, m)
 			}
 			c.tick(t)
 		}
 	case core.EvFork:
-		w := c.tidOf(ev.Peer.ID(), ev.Obj)
+		w := c.tidOf(host, ev.Peer.ID(), ev.Obj)
 		c.vcs[w] = joinInto(c.vcs[w], c.vcs[t])
 		c.tick(t)
 	case core.EvJoin:
-		w := c.tidOf(ev.Peer.ID(), ev.Obj)
+		w := c.tidOf(host, ev.Peer.ID(), ev.Obj)
 		c.vcs[t] = joinInto(c.vcs[t], c.vcs[w])
+	case core.EvNet:
+		cum, err := strconv.ParseInt(ev.Detail, 10, 64)
+		if err != nil || (ev.Arg != "xmit" && ev.Arg != "recv") {
+			return
+		}
+		ch := c.flows[ev.Obj]
+		if ch == nil {
+			ch = &flowChan{lastCum: -1}
+			c.flows[ev.Obj] = ch
+		}
+		switch ev.Arg {
+		case "xmit":
+			ch.snaps = append(ch.snaps, flowSnap{start: ch.lastCum, vc: append([]int32(nil), c.vcs[t]...)})
+			ch.lastCum = cum
+			c.tick(t)
+		case "recv":
+			for _, s := range ch.snaps {
+				// The reader has consumed at least one byte of (or the
+				// handshake preceding) this transmission: the sender's
+				// clock at the send happens before the read.
+				if s.start < cum {
+					c.vcs[t] = joinInto(c.vcs[t], s.vc)
+				}
+			}
+		}
 	case core.EvAccess:
 		c.onAccess(t, ev)
 	}
@@ -225,15 +299,15 @@ func (c *raceChecker) onAccess(t int, ev *core.TraceEvent) {
 	c.tick(t)
 }
 
-func copySet(s map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(s))
+func copySet(s map[*core.Mutex]bool) map[*core.Mutex]bool {
+	out := make(map[*core.Mutex]bool, len(s))
 	for k := range s {
 		out[k] = true
 	}
 	return out
 }
 
-func disjoint(a, b map[string]bool) bool {
+func disjoint(a, b map[*core.Mutex]bool) bool {
 	for k := range a {
 		if b[k] {
 			return false

@@ -1,8 +1,12 @@
 package explore
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"pthreads/internal/core"
+	"pthreads/internal/trace"
 )
 
 // The broken counter workload under a racy interleaving: the checker must
@@ -14,7 +18,7 @@ func TestRaceCheckerFlagsBrokenCounter(t *testing.T) {
 		t.Fatalf("no failing schedule found: %+v", r)
 	}
 	out := Replay(w, r.Schedule)
-	races := CheckRaces(out.Events)
+	races := CheckRaces(out.Hosts...)
 	if len(races) == 0 {
 		t.Fatal("race checker found nothing on a failing interleaving")
 	}
@@ -40,7 +44,7 @@ func TestRaceCheckerFindsLatentRace(t *testing.T) {
 	if out.Failure != "" {
 		t.Fatalf("default FIFO run should not lose updates: %s", out.Failure)
 	}
-	if races := CheckRaces(out.Events); len(races) == 0 {
+	if races := CheckRaces(out.Hosts...); len(races) == 0 {
 		t.Fatal("latent race invisible to the checker on the default run")
 	}
 }
@@ -53,7 +57,7 @@ func TestRaceCheckerCleanOnFixedCounter(t *testing.T) {
 	if out.Failure != "" {
 		t.Fatalf("fixed workload failed: %s", out.Failure)
 	}
-	if races := CheckRaces(out.Events); len(races) != 0 {
+	if races := CheckRaces(out.Hosts...); len(races) != 0 {
 		t.Fatalf("false positives on the fixed variant:\n%s", FormatRaces(races))
 	}
 	r := ExploreBounded(w, Options{Bound: 1, MaxRuns: 100})
@@ -66,8 +70,58 @@ func TestRaceCheckerCleanOnFixedCounter(t *testing.T) {
 // so a create-then-join round trip with unsynchronized (but HB-ordered)
 // accesses is clean.
 func TestRaceCheckerForkJoinEdges(t *testing.T) {
-	races := CheckRaces(forkJoinTrace(t))
+	races := CheckRaces(HostTrace{Events: forkJoinTrace(t)})
 	if len(races) != 0 {
 		t.Fatalf("fork/join-ordered accesses misreported:\n%s", FormatRaces(races))
+	}
+}
+
+// twoLockTrace runs two threads that each write "x" writes times, each
+// thread under its own mutex, named by names ("" leaves it unnamed).
+func twoLockTrace(t *testing.T, names [2]string, writes int) []core.TraceEvent {
+	t.Helper()
+	rec := trace.New()
+	sys := core.New(core.Config{Tracer: rec})
+	err := sys.Run(func() {
+		var ths []*core.Thread
+		for i, name := range names {
+			m := sys.MustMutex(core.MutexAttr{Name: name})
+			attr := core.DefaultAttr()
+			attr.Name = fmt.Sprintf("writer%d", i)
+			th, _ := sys.Create(attr, func(any) any {
+				for j := 0; j < writes; j++ {
+					m.Lock()
+					sys.NoteWrite("x")
+					m.Unlock()
+				}
+				return nil
+			}, nil)
+			ths = append(ths, th)
+		}
+		for _, th := range ths {
+			sys.Join(th)
+		}
+	})
+	if err != nil {
+		t.Fatalf("two-lock program failed: %v", err)
+	}
+	return rec.Events
+}
+
+// A thread's first access is ordered before another thread's only if
+// some edge says so: one write each under unrelated mutexes races.
+func TestRaceCheckerFirstAccessUnordered(t *testing.T) {
+	races := CheckRaces(HostTrace{Events: twoLockTrace(t, [2]string{"m1", "m2"}, 1)})
+	if len(races) != 1 || !races[0].LocksetEmpty {
+		t.Fatalf("want one race with no common lock:\n%s", FormatRaces(races))
+	}
+}
+
+// Two unnamed mutexes share a name, not a lock: neither orders the
+// other's critical sections.
+func TestRaceCheckerUnnamedMutexesDistinct(t *testing.T) {
+	races := CheckRaces(HostTrace{Events: twoLockTrace(t, [2]string{"", ""}, 2)})
+	if len(races) != 1 || !races[0].LocksetEmpty {
+		t.Fatalf("want one race with no common lock:\n%s", FormatRaces(races))
 	}
 }

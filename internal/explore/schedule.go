@@ -4,12 +4,14 @@
 // bounded-preemption search, schedule shrinking, and a happens-before +
 // lockset race checker over trace events.
 //
-// The engine treats one run of a workload as a sequence of scheduling
-// *decisions*: at every switch point (kernel exit, mutex acquisition) the
-// core asks whether to preempt the running thread and which ready thread
-// to dispatch instead. Because the simulation is deterministic, the list
-// of decisions taken — a compact schedule token — reproduces the
-// byte-identical trace, which turns any found bug into a one-line repro.
+// The engine treats one run of a target — a workload on one host, or a
+// fleet of hosts (internal/fabric) — as a sequence of scheduling
+// *decisions*: at every switch point (kernel exit, mutex acquisition)
+// a host's core asks whether to preempt the running thread and which
+// ready thread to dispatch instead. Because the simulation is
+// deterministic, the list of decisions taken — a compact schedule token
+// — reproduces the byte-identical trace, which turns any found bug into
+// a one-line repro.
 package explore
 
 import (
@@ -18,11 +20,13 @@ import (
 	"strings"
 )
 
-// Decision is one forced switch: at the Index'th switch point of the run,
-// preempt the running thread and dispatch the Pick'th ready thread (in
-// dispatch order: descending priority, FIFO within a level). Points where
-// no Decision applies default to "continue the current thread".
+// Decision is one forced switch: at the Index'th switch point host Host
+// observes, preempt the running thread and dispatch the Pick'th ready
+// thread (in dispatch order: descending priority, FIFO within a level).
+// Points where no Decision applies default to "continue the current
+// thread". A workload is host 0.
 type Decision struct {
+	Host  int
 	Index int
 	Pick  int
 }
@@ -34,21 +38,29 @@ type Schedule struct {
 	Decisions []Decision
 }
 
-// tokenPrefix versions the textual encoding.
-const tokenPrefix = "v1:"
-
-// Token renders the schedule as a compact one-line string, e.g.
-// "v1:12/1,40/0" — at point 12 run ready[1], at point 40 run ready[0].
+// Token renders the schedule as a compact one-line string: "v1:12/1,40/0"
+// (at point 12 run ready[1], at point 40 run ready[0]) when every
+// decision is on host 0, and qualified by host, "f1:h0/12/1,h2/40/0",
+// otherwise.
 func (s Schedule) Token() string {
+	fleet := false
+	for _, d := range s.Decisions {
+		fleet = fleet || d.Host != 0
+	}
 	var b strings.Builder
-	b.WriteString(tokenPrefix)
+	if fleet {
+		b.WriteString("f1:")
+	} else {
+		b.WriteString("v1:")
+	}
 	for i, d := range s.Decisions {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(strconv.Itoa(d.Index))
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(d.Pick))
+		if fleet {
+			fmt.Fprintf(&b, "h%d/", d.Host)
+		}
+		fmt.Fprintf(&b, "%d/%d", d.Index, d.Pick)
 	}
 	return b.String()
 }
@@ -56,35 +68,53 @@ func (s Schedule) Token() string {
 // Len returns the number of forced switches.
 func (s Schedule) Len() int { return len(s.Decisions) }
 
-// ParseToken decodes a schedule token produced by Token.
-func ParseToken(tok string) (Schedule, error) {
-	if !strings.HasPrefix(tok, tokenPrefix) {
-		return Schedule{}, fmt.Errorf("explore: schedule token must start with %q", tokenPrefix)
-	}
-	body := strings.TrimPrefix(tok, tokenPrefix)
-	if body == "" {
-		return Schedule{}, nil
+// ParseToken decodes a schedule token produced by Token for a target of
+// the given number of hosts. Within a host, decision indices must
+// strictly increase.
+func ParseToken(tok string, hosts int) (Schedule, error) {
+	body, fleet := strings.CutPrefix(tok, "f1:")
+	if !fleet {
+		var ok bool
+		if body, ok = strings.CutPrefix(tok, "v1:"); !ok {
+			return Schedule{}, fmt.Errorf("explore: schedule token must start with %q or %q", "v1:", "f1:")
+		}
 	}
 	var out Schedule
-	last := -1
+	if body == "" {
+		return out, nil
+	}
+	last := make(map[int]int)
 	for _, part := range strings.Split(body, ",") {
-		idx, pick, ok := strings.Cut(part, "/")
-		if !ok {
-			return Schedule{}, fmt.Errorf("explore: malformed decision %q (want index/pick)", part)
+		fields := strings.Split(part, "/")
+		if fleet {
+			host, ok := strings.CutPrefix(fields[0], "h")
+			if !ok {
+				return Schedule{}, fmt.Errorf("explore: malformed decision %q (want hH/index/pick)", part)
+			}
+			fields[0] = host
+		} else {
+			fields = append([]string{"0"}, fields...)
 		}
-		i, err := strconv.Atoi(idx)
-		if err != nil || i < 0 {
-			return Schedule{}, fmt.Errorf("explore: bad point index in %q", part)
+		if len(fields) != 3 {
+			return Schedule{}, fmt.Errorf("explore: malformed decision %q", part)
 		}
-		p, err := strconv.Atoi(pick)
-		if err != nil || p < 0 {
-			return Schedule{}, fmt.Errorf("explore: bad pick in %q", part)
+		var n [3]int
+		for i, f := range fields {
+			v, err := strconv.Atoi(f)
+			if err != nil || v < 0 {
+				return Schedule{}, fmt.Errorf("explore: bad number %q in %q", f, part)
+			}
+			n[i] = v
 		}
-		if i <= last {
-			return Schedule{}, fmt.Errorf("explore: decision indices must be strictly increasing (%d after %d)", i, last)
+		d := Decision{Host: n[0], Index: n[1], Pick: n[2]}
+		if d.Host >= hosts {
+			return Schedule{}, fmt.Errorf("explore: decision %q names host %d, but the target has %d", part, d.Host, hosts)
 		}
-		last = i
-		out.Decisions = append(out.Decisions, Decision{Index: i, Pick: p})
+		if prev, ok := last[d.Host]; ok && d.Index <= prev {
+			return Schedule{}, fmt.Errorf("explore: decision indices must be strictly increasing within a host (%d after %d)", d.Index, prev)
+		}
+		last[d.Host] = d.Index
+		out.Decisions = append(out.Decisions, d)
 	}
 	return out, nil
 }

@@ -29,8 +29,9 @@ type Options struct {
 	Depth   int
 	Horizon int
 	// Parallel is the number of worker goroutines executing runs
-	// (0 or 1 = sequential; negative = GOMAXPROCS). Every run owns an
-	// isolated System, so the sweep is embarrassingly parallel; results
+	// (0 or 1 = sequential; negative = GOMAXPROCS). Every run owns its
+	// systems (a fleet run its own fabric), so the sweep is
+	// embarrassingly parallel; results
 	// are merged in enumeration order, making the aggregate output
 	// byte-identical to a sequential sweep regardless of worker count.
 	Parallel int
@@ -95,7 +96,7 @@ func (r Result) String() string {
 // exhausted. Seeds are executed in waves of Parallel workers; the first
 // failing seed in seed order wins, and Runs counts its ordinal — so the
 // result is byte-identical to a sequential sweep.
-func ExplorePCT(w Workload, o Options) Result {
+func ExplorePCT(t Target, o Options) Result {
 	o = o.withDefaults()
 	total := o.Seeds
 	if total > o.MaxRuns {
@@ -113,7 +114,7 @@ func ExplorePCT(w Workload, o Options) Result {
 			n = total - base
 		}
 		outs = runIndexed(outs[:0], n, workers, func(j int) RunOutcome {
-			return RunPCT(w, o.SeedBase+int64(base+j), o.Depth, o.Horizon)
+			return RunPCT(t, o.SeedBase+int64(base+j), o.Depth, o.Horizon)
 		})
 		for j, out := range outs {
 			if out.Failure != "" {
@@ -128,14 +129,16 @@ func ExplorePCT(w Workload, o Options) Result {
 // ExploreBounded performs the systematic bounded-preemption search: a
 // stateless enumeration of schedules with at most Bound forced switches.
 // Each run replays a prefix and records the switch points past it; the
-// frontier is extended with every (point, pick) alternative after the
-// prefix's last decision, so each schedule is visited exactly once (the
-// CHESS iteration strategy). The frontier is a FIFO queue processed in
-// chunks of Parallel workers: extensions always append to the back, so
-// the enumeration order — and with it every reported result and run
-// count — is the same for any worker count, including one. The first
-// failure in enumeration order wins.
-func ExploreBounded(w Workload, o Options) Result {
+// frontier is extended with every (host, point, pick) alternative after
+// the prefix's last decision on that host, so each schedule of one host
+// is visited exactly once (the CHESS iteration strategy; a fleet may
+// visit one set of decisions on several hosts in more than one order).
+// The frontier is a FIFO queue processed in chunks of Parallel workers:
+// extensions always append to the back, so the enumeration order — and
+// with it every reported result and run count — is the same for any
+// worker count, including one. The first failure in enumeration order
+// wins.
+func ExploreBounded(t Target, o Options) Result {
 	o = o.withDefaults()
 	queue := [][]Decision{nil} // start from the unperturbed run
 	head := 0
@@ -154,7 +157,7 @@ func ExploreBounded(w Workload, o Options) Result {
 		}
 		batch := queue[head : head+chunk]
 		outs := runIndexed(nil, chunk, workers, func(j int) RunOutcome {
-			return runSchedule(w, batch[j], nil)
+			return runSchedule(t, batch[j], nil)
 		})
 		for j, out := range outs {
 			if out.Failure != "" {
@@ -175,7 +178,7 @@ func ExploreBounded(w Workload, o Options) Result {
 				}
 				for pick := 0; pick < pt.NReady; pick++ {
 					ext := make([]Decision, len(prefix), len(prefix)+1)
-					ext = append(ext[:copy(ext, prefix)], Decision{Index: pt.Index, Pick: pick})
+					ext = append(ext[:copy(ext, prefix)], Decision{Host: pt.Host, Index: pt.Index, Pick: pick})
 					queue = append(queue, ext)
 				}
 			}
@@ -192,8 +195,8 @@ func ExploreBounded(w Workload, o Options) Result {
 
 // runIndexed executes n independent runs, each identified only by its
 // index, and returns the outcomes in index order. With workers > 1 the
-// runs execute concurrently — every run builds its own System, clock,
-// and trace recorder, so nothing is shared — and the deterministic merge
+// runs execute concurrently — every run builds its own systems, clocks,
+// and trace recorders, so nothing is shared — and the deterministic merge
 // is simply the index ordering: worker scheduling cannot affect any
 // observable output. dst (may be nil) is reused as the backing slice.
 func runIndexed(dst []RunOutcome, n, workers int, run func(j int) RunOutcome) []RunOutcome {
@@ -233,7 +236,7 @@ func runIndexed(dst []RunOutcome, n, workers int, run func(j int) RunOutcome) []
 // drop one decision and keeps any candidate that still fails, until no
 // single removal preserves the failure. The result is normalized to the
 // decisions the final failing run actually took.
-func Shrink(w Workload, sch Schedule) (Schedule, int) {
+func Shrink(t Target, sch Schedule) (Schedule, int) {
 	cur := sch.Decisions
 	runs := 0
 	for improved := true; improved; {
@@ -242,7 +245,7 @@ func Shrink(w Workload, sch Schedule) (Schedule, int) {
 			cand := make([]Decision, 0, len(cur)-1)
 			cand = append(cand, cur[:i]...)
 			cand = append(cand, cur[i+1:]...)
-			out := runSchedule(w, cand, nil)
+			out := runSchedule(t, cand, nil)
 			runs++
 			if out.Failure != "" {
 				cur = out.Schedule.Decisions

@@ -157,16 +157,6 @@ func Workloads() []Workload {
 	}
 }
 
-// ByName looks a built-in workload up.
-func ByName(name string) (Workload, bool) {
-	for _, w := range Workloads() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
-}
-
 func firstLine(s string) string {
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\n' {

@@ -77,8 +77,8 @@ type HostSpec struct {
 	// Name identifies the host in addresses ("name:addr"), traces, and
 	// fault scripts. Must be unique and contain no ':'.
 	Name string
-	// Cfg is the host's thread-system configuration. Tracer, Explorer
-	// and ExternalEvents are managed by the fabric: the tracer is the
+	// Cfg is the host's thread-system configuration. Tracer and
+	// ExternalEvents are managed by the fabric: the tracer is the
 	// host's trace recorder, its span recorder, or both on a trace.Tee.
 	Cfg core.Config
 	// Body runs as the host's main thread. A non-nil error brings the
@@ -138,10 +138,6 @@ type Config struct {
 	// Obs configures the fleet observability plane (spans, rollups,
 	// watchdogs — see obs.go). The zero value disables it entirely.
 	Obs ObsConfig
-
-	// explorer, when non-nil, wires a schedule-exploration controller
-	// into every host (see explore.go; fabric-internal).
-	explorer *fleetCtl
 }
 
 // hostKill unwinds a host goroutine blocked in Wait during teardown.
@@ -272,9 +268,6 @@ func New(cfg Config) (*Fabric, error) {
 		if cfg.Trace {
 			h.rec = trace.New()
 			hcfg.Tracer = h.rec
-		}
-		if cfg.explorer != nil {
-			hcfg.Explorer = cfg.explorer.forHost(i)
 		}
 		var spanRec *obs.Recorder
 		if f.obs != nil && cfg.Obs.Spans {

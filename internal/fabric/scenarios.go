@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -171,6 +172,13 @@ func FleetLostWakeupScenario(broken bool) Scenario {
 						// no channel, so only a correctly ordered wakeup
 						// chain on snk keeps the remote read ordered.
 						c, err := h.IO.Dial("snk:data")
+						for errors.Is(err, core.ECONNREFUSED) {
+							// snk listens only once its worker and pacer
+							// exist, so a preemption there lets the dial
+							// arrive first: back off and redial.
+							h.Sys.Sleep(100 * vtime.Microsecond)
+							c, err = h.IO.Dial("snk:data")
+						}
 						if err != nil {
 							return err
 						}

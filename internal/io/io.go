@@ -193,7 +193,7 @@ func (l *Listener) accept(d vtime.Duration) (*Conn, error) {
 		l.x.sys.TraceNet(nc.Name(), "accept", "")
 		if nc.Remote() {
 			// Cross-host happens-before: accepting joins the dialing
-			// host's clock at its connect (see explore.CheckFleetRaces).
+			// host's clock at its connect (see explore.CheckRaces).
 			l.x.sys.TraceNet(nc.FlowIn(), "recv", "0")
 		}
 	}

@@ -53,9 +53,10 @@ p="$(go run ./cmd/ptreport -profile)"
 case "$p" in "$a"*) ;; *) echo "ptreport -profile diverges from the base report" >&2; exit 1 ;; esac
 
 # Parallel-sweep determinism: the sharded ptexplore sweep must be
-# byte-identical to the sequential one, for both search policies (the
-# deterministic-merge property the parallel engine guarantees), and the
-# explore package's worker pool must be race-clean.
+# byte-identical to the sequential one, for both search policies and
+# for a fleet target (the deterministic-merge property the parallel
+# engine guarantees), and the explore package's worker pool must be
+# race-clean.
 go test -race ./internal/explore/
 t="$(mktemp -d)"
 go run ./cmd/ptexplore -workload philosophers-broken -policy bounded -bound 2 -lock-only -parallel 1 > "$t/seq.txt"
@@ -63,6 +64,9 @@ go run ./cmd/ptexplore -workload philosophers-broken -policy bounded -bound 2 -l
 cmp "$t/seq.txt" "$t/par.txt"
 go run ./cmd/ptexplore -workload racy-counter -policy pct -seeds 50 -parallel 1 > "$t/seq.txt"
 go run ./cmd/ptexplore -workload racy-counter -policy pct -seeds 50 -parallel 8 > "$t/par.txt"
+cmp "$t/seq.txt" "$t/par.txt"
+go run ./cmd/ptexplore -fleet fleet-lost-wakeup -policy bounded -bound 2 -parallel 1 > "$t/seq.txt"
+go run ./cmd/ptexplore -fleet fleet-lost-wakeup -policy bounded -bound 2 -parallel 8 > "$t/par.txt"
 cmp "$t/seq.txt" "$t/par.txt"
 
 # C10k smoke at reduced N: the scaling scenarios must run clean, and the
@@ -167,14 +171,16 @@ cmp "$t/dc1.txt" "$t/dc2.txt"
 # Pinned the same way: every rung's makespan, latencies and fingerprint.
 cmp scripts/golden/dc.txt "$t/dc1.txt"
 
-# Cross-host exploration: the bounded search must find the seeded
-# fleet lost wakeup (and replay its host-qualified token to an
-# identical failing trace, with the flag race flagged across the
-# network's happens-before edges); the repaired scenario explores
-# clean; fleet record->replay must be deterministic. The per-host
-# Perfetto export self-checks byte-identity and per-host pids.
+# Cross-host exploration, the same engine over a fleet target: the
+# bounded search must find the seeded fleet lost wakeup (and shrink and
+# replay its host-qualified token to an identical failing trace, with
+# the flag race flagged across the network's happens-before edges);
+# the repaired scenario explores clean at lock points and at every
+# kernel exit; fleet record->replay must be deterministic. The
+# per-host Perfetto export self-checks byte-identity and per-host pids.
 go run ./cmd/ptexplore -fleet fleet-lost-wakeup -lock-only -races -expect found
 go run ./cmd/ptexplore -fleet fleet-lost-wakeup-fixed -lock-only -max-runs 60 -expect clean
+go run ./cmd/ptexplore -fleet fleet-lost-wakeup-fixed -bound 2 -expect clean
 go run ./cmd/ptexplore -fleet fleet-echo -check-replay
 go run ./cmd/ptprof -fleet fleet-echo -check -q
 
