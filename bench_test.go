@@ -686,8 +686,8 @@ func BenchmarkC100KEcho(b *testing.B) {
 
 // BenchmarkC1MEcho is the top rung: the echo pair works beside one
 // million parked readers. Feasible only because each parked reader is
-// a continuation thread — a TCB, an arena-backed read state, and a
-// wait-queue slot, with no goroutine behind it — so the resident
+// a continuation thread — a TCB, a frame holding the read, and a
+// wait-list head, with no goroutine behind it — so the resident
 // population costs memory, not scheduler state. Steady state must stay
 // at 0 allocs/op like the smaller rungs.
 func BenchmarkC1MEcho(b *testing.B) {
@@ -758,8 +758,8 @@ func withEchoParked(tb testing.TB, parked int, spans bool, run func(s *pthreads.
 				if err != nil {
 					panic(err)
 				}
-				// Parks until the held end closes (EOF) — as a TCB plus
-				// read state, no goroutine (see internal/core/cont.go).
+				// Parks until the held end closes (EOF) — as a TCB and
+				// a frame, no goroutine (see internal/core/cont.go).
 				c.ContRead(k, 1, func(k *pthreads.Cont) { c.Close() })
 			}, nil)
 			if err != nil {

@@ -41,7 +41,6 @@ import (
 	"pthreads/internal/core"
 	"pthreads/internal/explore"
 	"pthreads/internal/fabric"
-	"pthreads/internal/lockeng"
 )
 
 func main() {
@@ -62,15 +61,16 @@ func main() {
 		races    = flag.Bool("races", false, "always run the race checker (on by default for failing runs)")
 		expect   = flag.String("expect", "", "CI assertion: found or clean")
 		parallel = flag.Int("parallel", 1, "worker goroutines for the sweep (0 = GOMAXPROCS); results are byte-identical for any value")
-		nPhil    = flag.Int("philosophers", 3, "philosophers workloads: table size")
-		meals    = flag.Int("meals", 1, "philosophers workloads: meals per philosopher")
-		threads  = flag.Int("threads", 3, "counter workloads: worker threads")
-		iters    = flag.Int("iters", 4, "counter workloads: increments per worker")
 	)
+	p := explore.DefaultParams()
+	flag.IntVar(&p.Philosophers, "philosophers", p.Philosophers, "philosophers workloads: table size")
+	flag.IntVar(&p.Meals, "meals", p.Meals, "philosophers workloads: meals per philosopher")
+	flag.IntVar(&p.Threads, "threads", p.Threads, "counter workloads: worker threads")
+	flag.IntVar(&p.Iters, "iters", p.Iters, "counter workloads: increments per worker")
 	flag.Parse()
 
 	if *list {
-		for _, w := range explore.Workloads() {
+		for _, w := range explore.Workloads(p) {
 			fmt.Printf("  %-22s %s\n", w.Name, w.Desc)
 		}
 		for _, sc := range fabric.FleetScenarios() {
@@ -79,7 +79,11 @@ func main() {
 		return
 	}
 
-	t, name, desc := target(*workload, *fleet, *nPhil, *meals, *threads, *iters)
+	t, name, desc, ok := target(*workload, *fleet, p)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "ptexplore: unknown workload %q (try -list)\n", name)
+		os.Exit(2)
+	}
 	nw := *parallel
 	if nw == 0 {
 		nw = -1 // Options.Parallel: negative = GOMAXPROCS
@@ -100,48 +104,22 @@ func main() {
 	}
 }
 
-// target resolves -fleet, or else -workload, to what the engine runs,
-// with its name and description.
-func target(workload, fleet string, nPhil, meals, threads, iters int) (explore.Target, string, string) {
+// target resolves -fleet, or else -workload through the registry sized
+// by p, to what the engine runs, with its name and description; ok is
+// false, with the name looked up, when no target has that name.
+func target(workload, fleet string, p explore.Params) (t explore.Target, name, desc string, ok bool) {
 	if fleet != "" {
 		if sc := fabric.FleetScenarioByName(fleet); sc != nil {
-			return *sc, sc.Name, sc.Desc
+			return *sc, sc.Name, sc.Desc, true
 		}
-		workload = fleet
-	} else if w, ok := buildWorkload(workload, nPhil, meals, threads, iters); ok {
-		return w, w.Name, w.Desc
+		return nil, fleet, "", false
 	}
-	fmt.Fprintf(os.Stderr, "ptexplore: unknown workload %q (try -list)\n", workload)
-	os.Exit(2)
-	return nil, "", ""
-}
-
-func buildWorkload(name string, nPhil, meals, threads, iters int) (explore.Workload, bool) {
-	switch name {
-	case "philosophers-broken":
-		return explore.PhilosophersWorkload(true, nPhil, meals), true
-	case "philosophers-fixed":
-		return explore.PhilosophersWorkload(false, nPhil, meals), true
-	case "racy-counter":
-		return explore.RacyCounterWorkload(true, threads, iters), true
-	case "racy-counter-fixed":
-		return explore.RacyCounterWorkload(false, threads, iters), true
-	case "sock-echo":
-		return explore.SockEchoWorkload(2, 64), true
-	case "sock-lost-wakeup":
-		return explore.SockLostWakeupWorkload(true, 64), true
-	case "sock-lost-wakeup-fixed":
-		return explore.SockLostWakeupWorkload(false, 64), true
-	case "lock-mcs-handoff":
-		return explore.LockEngineWorkload(name, lockeng.KindMCS, threads, 3, 0), true
-	case "lock-ticket-wrap":
-		return explore.LockEngineWorkload(name, lockeng.KindTicket, threads, 4, 0xFFFB), true
-	case "lock-unfair":
-		return explore.LockEngineWorkload(name, lockeng.KindUnfair, threads, 3, 0), true
-	case "lock-unfair-fixed":
-		return explore.LockEngineWorkload(name, lockeng.KindUnfairFixed, threads, 3, 0), true
+	for _, w := range explore.Workloads(p) {
+		if w.Name == workload {
+			return w, w.Name, w.Desc, true
+		}
 	}
-	return explore.Workload{}, false
+	return nil, workload, "", false
 }
 
 // doExplore runs the chosen policy, then shrinks, replays, and

@@ -45,7 +45,7 @@ func (c *Cond) Name() string { return c.name }
 // count is never observed mid-update. It is a snapshot, though: the value
 // can change at the caller's next blocking operation. Must be called from
 // thread context or after Run returns (introspect.go has the audit).
-func (c *Cond) Waiters() int { return c.waiters.depth }
+func (c *Cond) Waiters() int { return int(c.waiters.depth) }
 
 // Wait atomically releases the mutex and suspends the calling thread
 // until the condition variable is signaled, a handler interrupts the wait

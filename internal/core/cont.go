@@ -12,7 +12,11 @@ import (
 // Wakeup binds a pooled runner again and resumes the recorded wait
 // point, so a million parked threads cost a few cache lines each
 // instead of a goroutine stack. A Create thread runs on a runner too,
-// but keeps it until it exits.
+// but keeps it until it exits. The descriptor repeats nothing the TCB
+// holds: the creation argument and the exit status are the TCB's slots,
+// as for a Create thread, and a descriptor operation's object, request
+// and results sit in the frame, so the jacket keeps no record for a
+// parked read.
 //
 // The representation is purely host-side. A declared operation runs the
 // very function a Create thread's call runs (see waitOp): the two
@@ -35,18 +39,19 @@ import (
 type ContFunc func(k *Cont)
 
 // Cont is a continuation thread's resume descriptor: the declared
-// operation and its frame, the step to run when it completes, and the
-// thread's argument, status and scratch slots. Beside the TCB it is the
-// whole host-side cost of a parked thread in the core: the system is
-// the TCB's, the dispatch flags live in the TCB's spare bytes, and the
-// thread has no simulated stack until something pushes a frame on it.
-// Frames are arena-backed and recycled when the thread is reclaimed.
+// operation and its frame, and the step to run when it completes.
+// Beside the TCB it is the whole host-side cost of a parked thread in
+// the core: the system, the creation argument and the exit status are
+// the TCB's (Arg, SetRet), the dispatch flags live in the TCB's spare
+// bytes, and the thread has no simulated stack until something pushes a
+// frame on it. Frames are arena-backed and recycled when the thread is
+// reclaimed.
 //
 // The declared operation's results are the frame's exported fields,
-// promoted here: Err (its error result), N (a byte count, written by
-// the I/O jacket), Rem (Sleep's remaining time) and Val (Join's exit
-// status). Declaring an operation clears all four; a descriptor
-// operation's FDOp stays readable through DeclaredFDOp.
+// promoted here: Err (its error result), N (a descriptor operation's
+// byte count), Rem (Sleep's remaining time) and Val (Join's exit
+// status). Declaring an operation clears all four, so an operation that
+// fails never shows an earlier one's results.
 type Cont struct {
 	t *Thread
 
@@ -55,11 +60,6 @@ type Cont struct {
 	// phase after the park; nil when the step declared none.
 	op func(*System, *waitOp) (parked bool)
 	waitOp
-
-	// Arg is the creation argument (CreateCont's arg).
-	Arg any
-	// Ret is the thread's exit status when the last step returns.
-	Ret any
 }
 
 // Self returns the continuation's thread handle.
@@ -67,6 +67,12 @@ func (k *Cont) Self() *Thread { return k.t }
 
 // Sys returns the owning system.
 func (k *Cont) Sys() *System { return k.t.sys }
+
+// Arg returns the creation argument (CreateCont's arg).
+func (k *Cont) Arg() any { return k.t.arg }
+
+// SetRet sets the thread's exit status for when its last step returns.
+func (k *Cont) SetRet(v any) { k.t.retval = v }
 
 // declare records the step's blocking operation and returns its frame,
 // at phase 0 with every result cleared, so an operation that fails
@@ -120,17 +126,14 @@ func (k *Cont) Join(t *Thread, then ContFunc) {
 	k.declare((*System).joinOp, then).target = t
 }
 
-// FDOp declares a blocking-jacket descriptor operation
-// (System.FDBlockingOp); then runs with k.Err as the jacket result.
-func (k *Cont) FDOp(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, op FDOp, then ContFunc) {
+// FDOp declares a blocking-jacket descriptor operation of up to want
+// bytes (System.FDBlockingOp); then runs with k.N holding the bytes
+// moved and k.Err the result, so the jacket's caller step can be then
+// itself.
+func (k *Cont) FDOp(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, op FDOp, want int, then ContFunc) {
 	w := k.declare((*System).fdOp, then)
-	w.fd, w.verb, w.d, w.fdop = fd, verb, timeout, op
+	w.fd, w.verb, w.d, w.fdop, w.N = fd, verb, timeout, op, want
 }
-
-// DeclaredFDOp returns the op of the step's descriptor operation (FDOp),
-// so the jacket's continuation reads its per-call state back from the
-// frame instead of a slot of its own.
-func (k *Cont) DeclaredFDOp() FDOp { return k.fdop }
 
 // contSteps drives the step machine: run the pending declared operation
 // (if any), then successive steps until one parks or no continuation

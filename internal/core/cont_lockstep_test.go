@@ -187,7 +187,7 @@ func TestLockstepSleep(t *testing.T) {
 		},
 		cont: func(s *System, rec func(...any)) {
 			th := spawnCont(s, lockstepAttr(s, "w", 1), func(k *Cont) {
-				k.Sleep(5*vtime.Millisecond, func(k *Cont) { rec(k.Rem); k.Ret = "done" })
+				k.Sleep(5*vtime.Millisecond, func(k *Cont) { rec(k.Rem); k.SetRet("done") })
 			})
 			joinRec(s, rec, th)
 		},
@@ -684,7 +684,7 @@ func TestLockstepCancelAtSleep(t *testing.T) {
 		},
 		cont: func(s *System, rec func(...any)) {
 			th := spawnCont(s, lockstepAttr(s, "w", 1), func(k *Cont) {
-				k.Sleep(50*vtime.Millisecond, func(k *Cont) { k.Ret = "never" })
+				k.Sleep(50*vtime.Millisecond, func(k *Cont) { k.SetRet("never") })
 			})
 			s.Cancel(th)
 			joinRec(s, rec, th)
@@ -722,7 +722,7 @@ func TestLockstepCancelAtCondWait(t *testing.T) {
 					k.Sys().CleanupPush(func(any) { m.Unlock() }, nil)
 					k.CondWait(c, m, func(k *Cont) {
 						k.Sys().CleanupPop(true)
-						k.Ret = "never"
+						k.SetRet("never")
 					})
 				})
 			})
@@ -735,11 +735,13 @@ func TestLockstepCancelAtCondWait(t *testing.T) {
 
 // TestContFrameSize pins the per-resident cost of a parked
 // continuation's resume descriptor: a million residents pay it each. The
-// frame holds no wait label, only the descriptor verb, and no system
-// pointer or dispatch flags: those are the TCB's.
+// frame holds no wait label, only the descriptor verb; no system
+// pointer, dispatch flags, argument or exit status: those are the TCB's;
+// and no slot of its own for a descriptor operation's request, which
+// rides in N until an attempt completes.
 func TestContFrameSize(t *testing.T) {
-	if n := unsafe.Sizeof(Cont{}); n > 176 {
-		t.Errorf("Cont is %d bytes, want at most 176", n)
+	if n := unsafe.Sizeof(Cont{}); n > 144 {
+		t.Errorf("Cont is %d bytes, want at most 144", n)
 	}
 }
 

@@ -47,16 +47,16 @@ func (s *System) create(attr Attr, fn func(arg any) any, step ContFunc, arg any)
 
 	s.enterKernel()
 	t := s.allocTCB(attr)
+	t.arg = arg
 	if step != nil {
 		k := s.contArena.Get()
-		k.t, k.next, k.Arg = t, step, arg
+		k.t, k.next = t, step
 		k.declared = true
 		t.cont = k
 		t.contFirst = true
 		s.stats.ContThreads++
 	} else {
 		t.fn = fn
-		t.arg = arg
 	}
 	s.addThread(t)
 	s.liveCnt++

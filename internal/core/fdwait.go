@@ -18,12 +18,13 @@ import (
 // around each blocking syscall. Here the two meet: the socket layer
 // (internal/net) exposes non-blocking try-operations and announces
 // readiness through SIGIO completions carrying descriptor sets; this file
-// parks threads on priority-ordered per-(fd, direction) wait lists — the
-// same waitList, threaded through the waiters' TCBs, that mutex, cond and
-// join waiters queue on (waitlist.go) — and wakes them from those
-// completions. A blocked jacket call is interrupted with EINTR by a
-// handled signal (via a fake call) and is an interruption point for
-// cancellation, per the paper's SIGCANCEL rules.
+// parks threads on priority-ordered per-descriptor wait lists, one for
+// both directions — the same waitList, threaded through the waiters'
+// TCBs, that mutex, cond and join waiters queue on (waitlist.go) — and
+// wakes them, one direction at a time, from those completions. A
+// blocked jacket call is interrupted with EINTR by a handled signal (via
+// a fake call) and is an interruption point for cancellation, per the
+// paper's SIGCANCEL rules.
 
 // FDDir selects the direction of a descriptor wait.
 type FDDir uint8
@@ -45,22 +46,34 @@ func (d FDDir) String() string {
 	return "write"
 }
 
-// fdKey identifies one wait list (trace-label interning only; the wait
-// lists themselves live in the fd-hashed shards below).
+// fdKey identifies a descriptor and a direction (trace-label interning
+// only; the wait lists themselves live in the fd-hashed shards below).
 type fdKey struct {
 	fd  unixkern.FD
 	dir FDDir
 }
 
-// The wait lists are sharded by descriptor hash: shard index is the low
-// six bits of the fd, and within a shard the remaining bits index a dense
-// slice of per-descriptor {read, write} list slots. Parking and waking a
-// waiter therefore touch two array slots — no global map insert or
-// delete on the hot path, and no rehashing as the descriptor population
-// grows to 100k and beyond. A slot is only a waitList head: the list
-// itself is threaded through the waiters' TCBs (qPrev/qNext), so a parked
-// waiter costs its descriptor nothing beyond the slot, and a slot whose
-// last waiter left holds nothing but nil links.
+// A descriptor has one wait list, holding the threads that wait to read
+// it and those that wait to write it in one priority order; the list
+// counts its writers, so either direction's depth is known without a
+// walk. A wake in one direction takes the first waiter of that
+// direction, which is the head unless a thread of the other direction
+// waits ahead of it. The waiters of one direction are a subsequence of
+// the list, so they keep exactly the order a list of their own would
+// give them: highest level first, FIFO within a level. A descriptor
+// therefore costs one 24 B list head, not one per direction: a reader
+// parked on a socket it dialed keeps no second head for the handshake it
+// waited out.
+//
+// The heads are sharded by descriptor hash: shard index is the low six
+// bits of the fd, and within a shard the remaining bits index a dense
+// slice of heads. Parking and waking a waiter therefore touch two array
+// slots — no global map insert or delete on the hot path, and no
+// rehashing as the descriptor population grows to 100k and beyond. A
+// head is all a descriptor holds: the list itself is threaded through
+// the waiters' TCBs (qPrev/qNext), so a parked waiter costs its
+// descriptor nothing beyond the head, and a head whose last waiter left
+// holds nothing but nil links.
 const (
 	fdwShardBits  = 6
 	fdwShardCount = 1 << fdwShardBits
@@ -68,30 +81,47 @@ const (
 )
 
 type fdwShard struct {
-	slots [][2]waitList // indexed by fd >> fdwShardBits
+	lists []waitList // indexed by fd >> fdwShardBits
 }
 
-// fdList returns the wait list of (fd, dir), or nil if its slot row was
-// never grown. The pointer aliases the shard's row table: callers must
-// not hold it across a call that can grow the table (fdListEnsure).
-func (s *System) fdList(fd unixkern.FD, dir FDDir) *waitList {
+// fdList returns the wait list of fd, or nil if its shard's slice was
+// never grown to it. The pointer aliases the slice: callers must not
+// hold it across a call that can grow it (fdListEnsure).
+func (s *System) fdList(fd unixkern.FD) *waitList {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
-	if idx >= len(sh.slots) {
+	if idx >= len(sh.lists) {
 		return nil
 	}
-	return &sh.slots[idx][dir]
+	return &sh.lists[idx]
 }
 
-// fdListEnsure returns the wait list of (fd, dir), growing the shard's
-// row table to cover the descriptor first.
-func (s *System) fdListEnsure(fd unixkern.FD, dir FDDir) *waitList {
+// fdListEnsure returns the wait list of fd, growing its shard's slice to
+// cover the descriptor first.
+func (s *System) fdListEnsure(fd unixkern.FD) *waitList {
 	sh := &s.fdShards[int(fd)&fdwShardMask]
 	idx := int(fd) >> fdwShardBits
-	for idx >= len(sh.slots) {
-		sh.slots = append(sh.slots, [2]waitList{})
+	for idx >= len(sh.lists) {
+		sh.lists = append(sh.lists, waitList{})
 	}
-	return &sh.slots[idx][dir]
+	return &sh.lists[idx]
+}
+
+// fdDepth is how many threads on a descriptor's list l wait in
+// direction dir.
+func fdDepth(l *waitList, dir FDDir) int {
+	if dir == FDWrite {
+		return int(l.writers)
+	}
+	return int(l.depth - l.writers)
+}
+
+// fdUnlink takes a descriptor waiter t off its descriptor's list l.
+func fdUnlink(l *waitList, t *Thread) {
+	l.unlink(t)
+	if t.fdVerb().Dir() == FDWrite {
+		l.writers--
+	}
 }
 
 // fdWaitTag is the timer datum of a timed descriptor wait, a typed view
@@ -141,21 +171,28 @@ func (s *System) FDBlockingCall(fd unixkern.FD, verb FDVerb, timeout vtime.Durat
 	return w.Err
 }
 
-// FDOp is the allocation-free form of a jacket attempt: a reusable
-// operation struct stored in an interface instead of a fresh closure per
-// call. Attempt has the same contract as FDBlockingCall's attempt.
+// FDOp is the record-free form of a jacket attempt: the object the
+// call works on (the jacket's endpoint) stored in an interface, with the
+// call's operand and results in the caller's frame, so a blocking call
+// needs neither a closure nor a per-call record. Attempt tries the
+// verb's operation once for up to want bytes. It reports done and more
+// as FDBlockingCall's attempt does and, once done, the bytes it moved
+// and the operation's error, already in the errno form a blocking call
+// returns.
 type FDOp interface {
-	Attempt() (done, more bool)
+	Attempt(verb FDVerb, want int) (n int, done, more bool, err error)
 }
 
-// FDBlockingOp is FDBlockingCall for pooled operation structs. The jacket
-// layer (internal/io) keeps a free list of these, so a steady-state
-// read/write loop allocates nothing.
-func (s *System) FDBlockingOp(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, op FDOp) error {
+// FDBlockingOp is FDBlockingCall over an FDOp, for a transfer of up to
+// want bytes. It returns the completed attempt's count and error, or 0
+// and the wait's own error (ETIMEDOUT, EINTR) when no attempt
+// completed. A steady-state read/write loop through it allocates
+// nothing: its frame is on the caller's stack.
+func (s *System) FDBlockingOp(fd unixkern.FD, verb FDVerb, timeout vtime.Duration, op FDOp, want int) (int, error) {
 	var w waitOp
-	w.fd, w.verb, w.d, w.fdop = fd, verb, timeout, op
+	w.fd, w.verb, w.d, w.fdop, w.N = fd, verb, timeout, op, want
 	s.fdWait(&w, nil)
-	return w.Err
+	return w.N, w.Err
 }
 
 // fdOp is fdWait in the form a continuation declares: the attempt is the
@@ -166,6 +203,9 @@ func (s *System) fdOp(w *waitOp) (parked bool) { return s.fdWait(w, nil) }
 // attempt when it is non-nil and w.fdop otherwise; the virtual costs
 // charged are identical for both forms. attempt stays a parameter, out
 // of the frame, so the closures FDBlockingCall is handed do not escape.
+// For w.fdop, w.N is the request until an attempt completes and the
+// count moved after; a wait that ends without one moved nothing, so
+// every such exit leaves N at 0.
 func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked bool) {
 	t := s.current
 	fd, dir := w.fd, w.verb.Dir()
@@ -197,7 +237,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 				s.enterKernel()
 			case wakeTimeout:
 				s.stats.FDTimeouts++
-				w.Err = ETIMEDOUT.Or()
+				w.N, w.Err = 0, ETIMEDOUT.Or()
 				return false
 			case wakeInterrupt:
 				// A user signal handler interrupted the wait; it already
@@ -206,11 +246,11 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 				if s.tracer != nil {
 					s.traceFD(t, fd, dir, "eintr", s.fdWaitLabel(fd, w.verb))
 				}
-				w.Err = EINTR.Or()
+				w.N, w.Err = 0, EINTR.Or()
 				return false
 			case wakeCancel:
 				s.TestCancel() // exits via the cancellation machinery
-				w.Err = EINTR.Or()
+				w.N, w.Err = 0, EINTR.Or()
 				return false
 			default:
 				panic("core: fd wait woke with unexpected cause")
@@ -220,7 +260,11 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 		if attempt != nil {
 			done, more = attempt()
 		} else {
-			done, more = w.fdop.Attempt()
+			var n int
+			var err error
+			if n, done, more, err = w.fdop.Attempt(w.verb, w.N); done {
+				w.N, w.Err = n, err
+			}
 		}
 		if done {
 			if more {
@@ -244,7 +288,7 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 					s.traceFD(t, fd, dir, "timeout", s.fdWaitLabel(fd, w.verb))
 				}
 				s.leaveKernel()
-				w.Err = ETIMEDOUT.Or()
+				w.N, w.Err = 0, ETIMEDOUT.Or()
 				return false
 			}
 			t.waitTimer = s.kern.SetTimerInternal(s.proc, sigalrm, rem, (*fdWaitTag)(t))
@@ -264,14 +308,18 @@ func (s *System) fdWait(w *waitOp, attempt func() (done, more bool)) (parked boo
 	}
 }
 
-// fdEnqueue parks a thread on the (fd, dir) wait list, priority-ordered
-// like every other wait queue in the library. Runs in the kernel.
+// fdEnqueue parks a thread on fd's wait list to wait in direction dir,
+// priority-ordered like every other wait queue in the library. Runs in
+// the kernel.
 func (s *System) fdEnqueue(fd unixkern.FD, dir FDDir, t *Thread) {
-	l := s.fdListEnsure(fd, dir)
+	l := s.fdListEnsure(fd)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	l.push(t, int(t.prio))
+	if dir == FDWrite {
+		l.writers++
+	}
 	t.waitFD = fd
-	if d := int64(l.depth); d > s.stats.FDMaxWaitDepth {
+	if d := int64(fdDepth(l, dir)); d > s.stats.FDMaxWaitDepth {
 		s.stats.FDMaxWaitDepth = d
 	}
 }
@@ -282,7 +330,7 @@ func (s *System) fdEnqueue(fd unixkern.FD, dir FDDir, t *Thread) {
 // so no completion is ever fanned out to waiters that would find nothing.
 // Runs in the kernel.
 func (s *System) fdWakeTop(fd unixkern.FD, dir FDDir, why string) {
-	if l := s.fdList(fd, dir); l != nil && l.head != nil {
+	if l := s.fdList(fd); l != nil && fdDepth(l, dir) > 0 {
 		s.fdWake(l, fd, dir, why)
 	}
 }
@@ -293,17 +341,22 @@ func (s *System) fdWakeAll(fd unixkern.FD, dir FDDir, why string) {
 	// The list is looked up afresh for every waiter rather than held
 	// across makeReady.
 	for {
-		l := s.fdList(fd, dir)
-		if l == nil || l.head == nil {
+		l := s.fdList(fd)
+		if l == nil || fdDepth(l, dir) == 0 {
 			return
 		}
 		s.fdWake(l, fd, dir, why)
 	}
 }
 
-// fdWake dequeues the head of a non-empty wait list and makes it ready.
+// fdWake dequeues the first waiter in direction dir of a list that has
+// one and makes it ready.
 func (s *System) fdWake(l *waitList, fd unixkern.FD, dir FDDir, why string) {
-	t := l.pop()
+	t := l.head
+	for t.fdVerb().Dir() != dir {
+		t = t.qNext
+	}
+	fdUnlink(l, t)
 	s.cpu.ChargeInstr(instrReadyQueueOp)
 	t.wake = wakeIO
 	s.stats.FDWakeups++
@@ -352,8 +405,8 @@ func (s *System) FDKickAll(fd unixkern.FD) {
 // FDWaitDepth reports how many threads wait on (fd, dir) right now.
 // Bare accessor (see introspect.go): thread context or post-Run only.
 func (s *System) FDWaitDepth(fd unixkern.FD, dir FDDir) int {
-	if l := s.fdList(fd, dir); l != nil {
-		return l.depth
+	if l := s.fdList(fd); l != nil {
+		return fdDepth(l, dir)
 	}
 	return 0
 }

@@ -53,7 +53,9 @@ func TestFDWaitEqualPriorityArrivalOrder(t *testing.T) {
 // fdGate is a jacket attempt that completes once the gate is open.
 type fdGate struct{ open bool }
 
-func (g *fdGate) Attempt() (done, more bool) { return g.open, false }
+func (g *fdGate) Attempt(FDVerb, int) (n int, done, more bool, err error) {
+	return 0, g.open, false, nil
+}
 
 // fdFreshParkers allocates n descriptors and creates n continuation
 // threads; thread i sleeps until start + i·step and then parks on
@@ -74,7 +76,7 @@ func (s *System) fdFreshParkers(n int, gate *fdGate, step vtime.Duration) (fds [
 	var rows fdGate
 	var rowThs []*Thread
 	for _, fd := range fds[n:] {
-		th, err := s.CreateCont(attr, func(k *Cont) { k.FDOp(fd, VerbRead, 0, &rows, nil) }, nil)
+		th, err := s.CreateCont(attr, func(k *Cont) { k.FDOp(fd, VerbRead, 0, &rows, 0, nil) }, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -90,9 +92,9 @@ func (s *System) fdFreshParkers(n int, gate *fdGate, step vtime.Duration) (fds [
 
 	// One pair of steps for all threads, indexed by Arg, so no per-thread
 	// closure is freed while the callers measure the heap.
-	park := func(k *Cont) { k.FDOp(fds[k.Arg.(int)], VerbRead, 0, gate, nil) }
+	park := func(k *Cont) { k.FDOp(fds[k.Arg().(int)], VerbRead, 0, gate, 0, nil) }
 	sleep := func(k *Cont) {
-		k.Sleep(start.Add(vtime.Duration(k.Arg.(int))*step).Sub(s.Now()), park)
+		k.Sleep(start.Add(vtime.Duration(k.Arg().(int))*step).Sub(s.Now()), park)
 	}
 	ths = make([]*Thread, n)
 	for i := range ths {

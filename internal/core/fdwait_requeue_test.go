@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pthreads/internal/sched"
@@ -9,7 +10,7 @@ import (
 )
 
 // Regression coverage for setPriority's interaction with the sharded
-// per-(fd, dir) wait queues: a re-prioritized thread parked on a
+// per-descriptor wait queues: a re-prioritized thread parked on a
 // descriptor wait must move within its own queue (never surface in a
 // different shard's dense table), completions must honor the *updated*
 // priority order, chain wakes must designate each waiter exactly once,
@@ -189,11 +190,9 @@ func TestFDWaitRequeueCrossShardCollisions(t *testing.T) {
 		// No stale dense-table entries anywhere: every list was drained,
 		// so every shard slot must be empty again.
 		for si := range s.fdShards {
-			for ri, row := range s.fdShards[si].slots {
-				for dir, l := range row {
-					if l != (waitList{}) {
-						t.Errorf("shard %d row %d dir %d: stale list (depth %d) after drain", si, ri, dir, l.depth)
-					}
+			for ri, l := range s.fdShards[si].lists {
+				if l != (waitList{}) {
+					t.Errorf("shard %d row %d: stale list (depth %d, %d writers) after drain", si, ri, l.depth, l.writers)
 				}
 			}
 		}
@@ -294,6 +293,86 @@ func TestFDWaitRequeueThenTimeout(t *testing.T) {
 		s.Join(other)
 		if len(box.order) != 1 || box.order[0] != 1 {
 			t.Errorf("surviving waiter order %v, want [1]", box.order)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestFDWaitDirectionsShareOneList parks two readers and a writer on one
+// descriptor, the writer's level between the readers', so the
+// descriptor's one list holds reader, writer, reader. Each direction
+// keeps the depth and the wake order a list of its own would give it: a
+// read completion designates the higher reader, the next one skips the
+// writer for the lower reader, and only a write completion designates
+// the writer. The peak depth counted is a direction's, not the list's.
+func TestFDWaitDirectionsShareOneList(t *testing.T) {
+	s := New(Config{})
+	err := s.Run(func() {
+		fd := s.Process().AllocFD(nil)
+		readers, writer := &fdTokenBox{}, &fdTokenBox{}
+		lo := s.fdParkWorker(t, fd, 0, 18, readers)
+		attr := DefaultAttr()
+		attr.Priority = 20
+		w, err := s.Create(attr, func(any) any {
+			attempt := func() (bool, bool) {
+				if writer.tokens > 0 {
+					writer.tokens--
+					writer.order = append(writer.order, 9)
+					return true, false
+				}
+				return false, false
+			}
+			if err := s.FDBlockingCall(fd, VerbWrite, 0, attempt); err != nil {
+				t.Errorf("writer: %v", err)
+			}
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatalf("create writer: %v", err)
+		}
+		hi := s.fdParkWorker(t, fd, 1, 22, readers)
+		for s.Stats().FDWaits < 3 {
+			s.Yield()
+		}
+		if err := checkWaitLists(s); err != nil {
+			t.Fatal(err)
+		}
+		l := s.fdList(fd)
+		if l.head != hi || l.head.qNext != w || l.tail != lo {
+			t.Errorf("list is %v, %v, %v; want %v, %v, %v", l.head, l.head.qNext, l.tail, hi, w, lo)
+		}
+		if r, wr := s.FDWaitDepth(fd, FDRead), s.FDWaitDepth(fd, FDWrite); r != 2 || wr != 1 {
+			t.Errorf("wait depths read %d, write %d; want 2 and 1", r, wr)
+		}
+		if d := s.Stats().FDMaxWaitDepth; d != 2 {
+			t.Errorf("peak wait depth %d, want 2 (the readers')", d)
+		}
+
+		src := &scaleSource{ready: make([]unixkern.IOReady, 0, 1)}
+		for range 2 {
+			readers.tokens++
+			wakeOne(s, src, fd, false)
+		}
+		if !slices.Equal(readers.order, []int{1, 0}) || len(writer.order) != 0 {
+			t.Errorf("read completions served readers %v and the writer %d times, want [1 0] and none", readers.order, len(writer.order))
+		}
+		if r, wr := s.FDWaitDepth(fd, FDRead), s.FDWaitDepth(fd, FDWrite); r != 0 || wr != 1 {
+			t.Errorf("after the reads, wait depths read %d, write %d; want 0 and 1", r, wr)
+		}
+		writer.tokens++
+		src.ready = append(src.ready[:0], unixkern.IOReady{FD: fd, W: true})
+		s.Kernel().NetAfter(s.Process(), vtime.Microsecond, src)
+		s.Sleep(2 * vtime.Microsecond)
+		if len(writer.order) != 1 {
+			t.Errorf("a write completion served the writer %d times, want 1", len(writer.order))
+		}
+		for _, th := range []*Thread{lo, w, hi} {
+			s.Join(th)
+		}
+		if *l != (waitList{}) {
+			t.Errorf("drained list is %+v, want empty", *l)
 		}
 	})
 	if err != nil {

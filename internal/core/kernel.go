@@ -408,7 +408,8 @@ type waitOp struct {
 
 	// Err is the operation's error result.
 	Err error
-	// N is a byte-count result slot (the I/O jacket writes it).
+	// N is a descriptor operation's byte count: its request until an
+	// attempt completes, the bytes moved after (see fdWait).
 	N int
 	// Rem is Sleep's remaining-time result.
 	Rem vtime.Duration

@@ -99,7 +99,7 @@ func TestLazyContThreadDefersStack(t *testing.T) {
 		attr := DefaultAttr()
 		attr.Lazy = true
 		attr.Name = "lazy"
-		th, err := s.CreateCont(attr, func(k *Cont) { k.Ret = "ran" }, nil)
+		th, err := s.CreateCont(attr, func(k *Cont) { k.SetRet("ran") }, nil)
 		if err != nil {
 			t.Fatalf("CreateCont: %v", err)
 		}

@@ -182,5 +182,5 @@ func (s *System) runThread(t *Thread) (status any, exited bool) {
 	if s.contSteps(k) {
 		return nil, false
 	}
-	return k.Ret, true
+	return t.retval, true
 }

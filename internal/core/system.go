@@ -191,10 +191,11 @@ type System struct {
 	processPending [unixkern.NSIGAll]*unixkern.SigInfo
 
 	// Per-descriptor wait lists of the blocking-I/O jackets, sharded by
-	// fd hash (see fdwait.go): each shard holds a dense slice of per-fd
-	// read/write list heads, so the hot park/wake path indexes two
-	// arrays instead of hashing into one global map. The lists are
-	// threaded through the waiters' TCBs, so a slot owns no memory.
+	// fd hash (see fdwait.go): each shard holds a dense slice of list
+	// heads, one per descriptor for both directions, so the hot
+	// park/wake path indexes two arrays instead of hashing into one
+	// global map. The lists are threaded through the waiters' TCBs, so a
+	// head owns no memory.
 	fdShards [fdwShardCount]fdwShard
 	// fdNames interns the per-queue trace labels ("fd3/read"), so a
 	// traced I/O workload formats each label once instead of per event.

@@ -364,7 +364,7 @@ func TestLockstepExitChain(t *testing.T) {
 		},
 		func(s *System, _ func(...any)) {
 			chain(s, func(attr Attr, i int) *Thread {
-				th, _ := s.CreateCont(attr, func(k *Cont) { k.Ret = i }, nil)
+				th, _ := s.CreateCont(attr, func(k *Cont) { k.SetRet(i) }, nil)
 				return th
 			})
 			st = s.Stats()

@@ -1,7 +1,7 @@
 package core
 
 // A suspended thread waits on exactly one object: a mutex, a condition
-// variable, a thread it joins, or one direction of a descriptor. Every
+// variable, a thread it joins, or a descriptor (in one direction). Every
 // such wait queue is a waitList threaded through the waiters' TCBs
 // (qPrev/qNext), as the paper's library keeps its queues in the TCBs, so
 // a queue costs its object only the list head and a parked waiter
@@ -14,7 +14,10 @@ package core
 // whatever its current priority.
 type waitList struct {
 	head, tail *Thread
-	depth      int
+	depth      int32
+	// writers counts the waiters of a descriptor's list that wait to
+	// write it (fdwait.go); every other list leaves it 0.
+	writers int32
 }
 
 // joinLevel is the one level joiners queue at: they wake together when
@@ -83,7 +86,7 @@ func (s *System) waitListOf(t *Thread) *waitList {
 	case BlockJoin:
 		return &t.joinTarget.joiners
 	case BlockFD:
-		return s.fdList(t.waitFD, t.fdVerb().Dir())
+		return s.fdList(t.waitFD)
 	}
 	return nil
 }
@@ -94,7 +97,9 @@ func (s *System) waitListOf(t *Thread) *waitList {
 // handler's fake call, an expired timeout — ends here, and so do the
 // joins that the target's exit completes. Runs in the kernel.
 func (s *System) endWait(t *Thread, cause wakeCause) {
-	if l := s.waitListOf(t); l != nil {
+	if t.BlockReason() == BlockFD {
+		fdUnlink(s.fdList(t.waitFD), t)
+	} else if l := s.waitListOf(t); l != nil {
 		l.unlink(t)
 	}
 	c := t.waitingCond

@@ -7,13 +7,14 @@ import (
 
 // checkWaitLists is the test-only consistency check of the wait lists
 // against the block reasons. It walks every non-empty mutex, cond, join
-// and descriptor list reachable from the roster and the fd shards, and
-// checks each list's back links, tail and depth; that levels never
-// increase from head to tail; and that every member is blocked for the
-// list's object with the matching back-pointer, queued at its priority
-// (joiners: at joinLevel). Then the reverse: every thread blocked on a
-// mutex, cond, descriptor or join target is on that object's list
-// exactly once. It returns the first violation, or nil.
+// and descriptor list reachable from the roster and the descriptor
+// shards, and checks each list's back links, tail and depth; that
+// levels never increase from head to tail; and that every member is
+// blocked for the list's object with the matching back-pointer, queued
+// at its priority (joiners: at joinLevel), and that a descriptor's list
+// counts the waiters that wait to write it. Then the reverse: every
+// thread blocked on a mutex, cond, descriptor or join target is on that
+// object's list exactly once. It returns the first violation, or nil.
 func checkWaitLists(s *System) error {
 	seen := make(map[*Thread]int)
 	walked := make(map[*waitList]bool)
@@ -49,7 +50,7 @@ func checkWaitLists(s *System) error {
 		if l.tail != prev {
 			return fmt.Errorf("%s: tail is not the last member", what)
 		}
-		if l.depth != n {
+		if int(l.depth) != n {
 			return fmt.Errorf("%s: depth %d, but %d members linked", what, l.depth, n)
 		}
 		return nil
@@ -90,15 +91,21 @@ func checkWaitLists(s *System) error {
 		}
 	}
 	for si := range s.fdShards {
-		for ri := range s.fdShards[si].slots {
-			for dir := range s.fdShards[si].slots[ri] {
-				fd := si | ri<<fdwShardBits
-				err := walk(&s.fdShards[si].slots[ri][dir], fmt.Sprintf("fd%d/%v", fd, FDDir(dir)), func(w *Thread) bool {
-					return w.BlockReason() == BlockFD && int(w.waitFD) == fd && w.fdVerb().Dir() == FDDir(dir)
-				}, atPrio)
-				if err != nil {
-					return err
+		for ri := range s.fdShards[si].lists {
+			l := &s.fdShards[si].lists[ri]
+			fd := si | ri<<fdwShardBits
+			writers := int32(0)
+			err := walk(l, fmt.Sprintf("fd%d", fd), func(w *Thread) bool {
+				if w.fdVerb().Dir() == FDWrite {
+					writers++
 				}
+				return w.BlockReason() == BlockFD && int(w.waitFD) == fd
+			}, atPrio)
+			if err != nil {
+				return err
+			}
+			if writers != l.writers {
+				return fmt.Errorf("fd%d: %d waiters wait to write, but the list counts %d", fd, writers, l.writers)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func listItems(t *testing.T, l *waitList) []*Thread {
 	if l.tail != prev {
 		t.Fatalf("tail is not the last item")
 	}
-	if l.depth != len(out) {
+	if int(l.depth) != len(out) {
 		t.Fatalf("depth %d, but %d items linked", l.depth, len(out))
 	}
 	return out

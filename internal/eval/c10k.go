@@ -288,7 +288,7 @@ func c10kTimer(n int) (C10KPoint, error) {
 
 // c10kEcho measures echo round trips through the blocking-I/O jacket
 // while n-2 other threads sit parked in Read on their own connections:
-// the per-(fd, direction) wait map holds thousands of entries, and the
+// the per-descriptor wait table holds thousands of entries, and the
 // active pair's completions must still find their queues in O(1).
 func c10kEcho(n int) (C10KPoint, error) {
 	const rounds = 3000
@@ -337,7 +337,7 @@ func c10kEcho(n int) (C10KPoint, error) {
 					panic(err)
 				}
 				// Parks until the held end closes (EOF) — without a
-				// goroutine: the thread is its TCB plus the read state.
+				// goroutine: the thread is its TCB and its frame.
 				c.ContRead(k, 1, func(k *core.Cont) { c.Close() })
 			}, nil)
 			if err != nil {

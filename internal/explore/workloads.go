@@ -140,20 +140,36 @@ func RacyCounterWorkload(broken bool, threads, iters int) Workload {
 	}
 }
 
-// Workloads returns the built-in workload registry.
-func Workloads() []Workload {
+// Params sizes the built-in workloads that take sizes.
+type Params struct {
+	// Philosophers and Meals size the philosophers workloads: the table
+	// and the meals each philosopher eats.
+	Philosophers, Meals int
+	// Threads and Iters size the counter workloads: the workers and the
+	// increments each makes. Threads also sizes the lock-engine ones.
+	Threads, Iters int
+}
+
+// DefaultParams returns the sizes the built-in workloads are described
+// and gated at.
+func DefaultParams() Params {
+	return Params{Philosophers: 3, Meals: 1, Threads: 3, Iters: 4}
+}
+
+// Workloads returns the built-in workload registry, sized by p.
+func Workloads(p Params) []Workload {
 	return []Workload{
-		PhilosophersWorkload(true, 3, 1),
-		PhilosophersWorkload(false, 3, 1),
-		RacyCounterWorkload(true, 3, 4),
-		RacyCounterWorkload(false, 3, 4),
+		PhilosophersWorkload(true, p.Philosophers, p.Meals),
+		PhilosophersWorkload(false, p.Philosophers, p.Meals),
+		RacyCounterWorkload(true, p.Threads, p.Iters),
+		RacyCounterWorkload(false, p.Threads, p.Iters),
 		SockEchoWorkload(2, 64),
 		SockLostWakeupWorkload(true, 64),
 		SockLostWakeupWorkload(false, 64),
-		LockEngineWorkload("lock-mcs-handoff", lockeng.KindMCS, 3, 3, 0),
-		LockEngineWorkload("lock-ticket-wrap", lockeng.KindTicket, 3, 4, 0xFFFB),
-		LockEngineWorkload("lock-unfair", lockeng.KindUnfair, 3, 3, 0),
-		LockEngineWorkload("lock-unfair-fixed", lockeng.KindUnfairFixed, 3, 3, 0),
+		LockEngineWorkload("lock-mcs-handoff", lockeng.KindMCS, p.Threads, 3, 0),
+		LockEngineWorkload("lock-ticket-wrap", lockeng.KindTicket, p.Threads, 4, 0xFFFB),
+		LockEngineWorkload("lock-unfair", lockeng.KindUnfair, p.Threads, 3, 0),
+		LockEngineWorkload("lock-unfair-fixed", lockeng.KindUnfairFixed, p.Threads, 3, 0),
 	}
 }
 

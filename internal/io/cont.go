@@ -2,17 +2,18 @@ package io
 
 import (
 	"pthreads/internal/core"
+	"pthreads/internal/obs"
 	"pthreads/internal/vtime"
 )
 
 // Continuation entry points for the jacket layer. ContRead is Conn.Read
 // with the suspension expressed as a declared continuation op (k.FDOp):
-// a thread blocked in it holds no goroutine, only its TCB and frame plus
-// the read's pooled record (connOp). The jacket bookkeeping — span,
-// attempt, error mapping — is Read's own two halves (readStart and
-// readDone), and the caller's step rides in the record, which the
-// completion step reads back from the frame: no closure and no state of
-// its own.
+// a thread blocked in it holds no goroutine and no record, only its TCB
+// and frame. The endpoint is the op, the request and the results live
+// in the frame (k.N, k.Err), and the attempt maps the net layer's
+// errors itself, so the caller's step is the frame's next step. Only a
+// read that opened a span has a record (spanOp) and a completion step,
+// which closes the span before the caller's step runs.
 
 // ContRead declares a blocking read of up to max bytes as the step's
 // continuation op; then runs when the read completes, with k.N holding
@@ -33,16 +34,17 @@ func (c *Conn) contRead(k *core.Cont, max int, d vtime.Duration, then core.ContF
 		then(k)
 		return
 	}
-	op := c.readStart(max)
-	op.then = then
-	k.FDOp(c.nc.FD(), core.VerbRead, d, op, contReadDone)
+	op, sp := c.fdOp(obs.KRead, false)
+	if sp != nil {
+		sp.then, then = then, sp.done
+	}
+	k.FDOp(c.nc.FD(), core.VerbRead, d, op, max, then)
 }
 
-// contReadDone is the completion step, shared by every ContRead (no
-// per-call closure): Conn.read's post-park half, then the caller's step.
-func contReadDone(k *core.Cont) {
-	op := k.DeclaredFDOp().(*connOp)
+// contDone is a spanned ContRead's completion step: the read's half
+// after the wait, then the caller's step.
+func (op *spanOp) contDone(k *core.Cont) {
 	then := op.then
-	k.N, k.Err = readDone(op, k.Err)
+	k.N, k.Err = op.readDone(k.N, k.Err)
 	then(k)
 }

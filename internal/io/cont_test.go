@@ -7,14 +7,15 @@ import (
 
 	"pthreads/internal/core"
 	"pthreads/internal/net"
+	"pthreads/internal/obs"
 	"pthreads/internal/unixkern"
 	"pthreads/internal/vtime"
 )
 
 // Lockstep tests for the jacket layer's continuation entry points: a
 // thread parked in ContRead must charge, trace, and schedule exactly
-// like one parked in Read — the representation (TCB + arena-backed
-// read state vs blocked goroutine) is purely host-side. This is the
+// like one parked in Read — the representation (TCB and frame vs
+// blocked goroutine) is purely host-side. This is the
 // fd-wait counterpart of internal/core's cont_lockstep_test.go.
 
 type ioLockstepTracer struct{ lines []string }
@@ -255,5 +256,203 @@ func TestLockstepContReadWakeups(t *testing.T) {
 				t.Errorf("results = %q, want %q", got, a.want)
 			}
 		})
+	}
+}
+
+// readEnd is the scenario of TestLockstepContReadResults: one reader,
+// below main's priority, blocks in a read of max bytes on c (bounded by
+// d when d > 0) and records what the read returned; drive runs once the
+// reader has parked, and main then joins it. SIGUSR1's handler records
+// that it ran; SIGUSR2's also disables cancellation.
+func readEnd(max int, d vtime.Duration, drive func(s *core.System, c, sc *Conn, r *core.Thread), cont bool) func(s *core.System, x *IO, rec func(...any)) {
+	return func(s *core.System, x *IO, rec func(...any)) {
+		s.Sigaction(unixkern.SIGUSR1, func(unixkern.Signal, *unixkern.SigInfo, *core.SigContext) { rec("handler") }, 0)
+		s.Sigaction(unixkern.SIGUSR2, func(unixkern.Signal, *unixkern.SigInfo, *core.SigContext) {
+			s.SetCancelState(core.CancelDisabled)
+			rec("disabled")
+		}, 0)
+		l, _ := x.Listen("srv", 4)
+		c, _ := x.Dial("srv")
+		sc, _ := l.Accept()
+		attr := core.DefaultAttr()
+		attr.Priority = s.Self().Priority() - 1
+		attr.Name = "reader"
+		var r *core.Thread
+		if cont {
+			r, _ = s.CreateCont(attr, func(k *core.Cont) {
+				c.ContReadTimeout(k, max, d, func(k *core.Cont) { rec(k.N, k.Err) })
+			}, nil)
+		} else {
+			r, _ = s.Create(attr, func(any) any { rec(c.ReadTimeout(max, d)); return nil }, nil)
+		}
+		s.Sleep(vtime.Millisecond) // the reader parks
+		if drive != nil {
+			drive(s, c, sc, r)
+		}
+		s.Join(r)
+		c.Close()
+		sc.Close()
+		l.Close()
+	}
+}
+
+// TestLockstepContReadResults holds ContRead's results to Conn.Read's
+// on every way a read ends without data: k.N reads 0 and k.Err is the
+// error Read returns. The frame's N carries the request until an attempt
+// completes, so each wait that ends without one must clear it: a
+// timeout, a handled signal, and a cancellation that a handler, run
+// between the wake and the retry, turned into EINTR by disabling
+// cancellation. The end of stream, a reset and a negative length come
+// from the attempt or the call itself.
+func TestLockstepContReadResults(t *testing.T) {
+	kill := func(s *core.System, _, _ *Conn, r *core.Thread) { s.Kill(r, unixkern.SIGUSR1) }
+	cancel := func(s *core.System, _, _ *Conn, r *core.Thread) {
+		s.Cancel(r)
+		s.Kill(r, unixkern.SIGUSR2)
+	}
+	eof := func(_ *core.System, _, sc *Conn, _ *core.Thread) { sc.Close() }
+	reset := func(s *core.System, c, sc *Conn, _ *core.Thread) {
+		c.Write(4)
+		s.Sleep(vtime.Millisecond) // the bytes sit unread at sc
+		sc.Close()
+	}
+	for _, row := range []struct {
+		name  string
+		max   int
+		d     vtime.Duration
+		drive func(s *core.System, c, sc *Conn, r *core.Thread)
+		want  string
+	}{
+		{"ETIMEDOUT", 8, 5 * vtime.Millisecond, nil, "0 ETIMEDOUT"},
+		{"EINTR", 8, 0, kill, "handler; 0 EINTR"},
+		{"cancel", 8, 0, cancel, "disabled; 0 EINTR"},
+		{"EOF", 8, 0, eof, "0 EOF"},
+		{"ECONNRESET", 8, 0, reset, "0 ECONNRESET"},
+		{"EINVAL", -1, 0, nil, "0 EINVAL"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			got := ioLockstep(t, readEnd(row.max, row.d, row.drive, false), readEnd(row.max, row.d, row.drive, true))
+			if got != row.want {
+				t.Errorf("results = %q, want %q", got, row.want)
+			}
+		})
+	}
+}
+
+// TestSharedEndpointCountsPerCall parks a goroutine Read of 3 bytes and
+// a ContRead of 7 on one endpoint and wakes both with one 16-byte burst:
+// the completion designates the first reader and the chain wake the
+// second. Each read's request and count live in its own frame, not on
+// the shared endpoint, so each gets its own count.
+func TestSharedEndpointCountsPerCall(t *testing.T) {
+	var got []string
+	s := core.New(core.Config{})
+	err := s.Run(func() {
+		x := New(s, net.Config{})
+		l, _ := x.Listen("srv", 4)
+		c, _ := x.Dial("srv")
+		sc, _ := l.Accept()
+		attr := core.DefaultAttr()
+		attr.Priority = s.Self().Priority() + 1
+		rec := func(v ...any) { got = append(got, fmt.Sprint(v...)) }
+		g, _ := s.Create(attr, func(any) any {
+			n, err := c.Read(3)
+			rec("Read ", n, " ", err)
+			return nil
+		}, nil)
+		k, _ := s.CreateCont(attr, func(k *core.Cont) {
+			c.ContRead(k, 7, func(k *core.Cont) { rec("ContRead ", k.N, " ", k.Err) })
+		}, nil)
+		if d := s.FDWaitDepth(c.nc.FD(), core.FDRead); d != 2 {
+			t.Errorf("%d readers wait on the endpoint, want 2", d)
+		}
+		wakes := s.Stats().FDWakeups
+		sc.Write(16)
+		s.Join(g)
+		s.Join(k)
+		if n := s.Stats().FDWakeups - wakes; n != 2 {
+			t.Errorf("one burst made %d fd wakeups, want 2 (the completion and the chain)", n)
+		}
+		c.Close()
+		sc.Close()
+		l.Close()
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := "Read 3 <nil>; ContRead 7 <nil>"; strings.Join(got, "; ") != want {
+		t.Errorf("results = %q, want %q", strings.Join(got, "; "), want)
+	}
+}
+
+// TestParkedContReadsTakeNoRecord parks readers in ContRead and wakes
+// them with EOF, with spans off and on. Spans off, no reader takes a
+// record from io's free list: the endpoint is the read's operation, and
+// the request and results live in each reader's frame. Spans on, each
+// parked reader holds one, and gives it back after closing its read
+// span on the read's result.
+func TestParkedContReadsTakeNoRecord(t *testing.T) {
+	const readers = 64
+	for _, spans := range []bool{false, true} {
+		s := core.New(core.Config{})
+		var rec *obs.Recorder
+		err := s.Run(func() {
+			x := New(s, net.Config{})
+			if spans {
+				rec = obs.NewRecorder(0)
+				x.SetSpans(rec)
+			}
+			l, _ := x.Listen("srv", readers)
+			attr := core.DefaultAttr()
+			attr.Priority = s.Self().Priority() + 1
+			var ths []*core.Thread
+			var ends []*Conn
+			for i := 0; i < readers; i++ {
+				c, _ := x.Dial("srv")
+				sc, _ := l.Accept()
+				ends = append(ends, sc)
+				th, _ := s.CreateCont(attr, func(k *core.Cont) {
+					c.ContRead(k, 1, func(k *core.Cont) {
+						if k.N != 0 || k.Err != EOF {
+							t.Errorf("spans %v: read returned %d, %v; want 0, EOF", spans, k.N, k.Err)
+						}
+						c.Close()
+					})
+				}, nil)
+				ths = append(ths, th)
+			}
+			if st := s.Stats(); st.ContParked != readers {
+				t.Errorf("spans %v: %d of %d readers parked", spans, st.ContParked, readers)
+			}
+			for _, sc := range ends {
+				sc.Close()
+			}
+			for _, th := range ths {
+				s.Join(th)
+			}
+			l.Close()
+			want := 0
+			if spans {
+				want = readers
+			}
+			if len(x.ops) != want {
+				t.Errorf("spans %v: %d readers gave back %d records, want %d", spans, readers, len(x.ops), want)
+			}
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if !spans {
+			continue
+		}
+		closed := 0
+		for _, sp := range rec.Spans() {
+			if sp.Kind == obs.KRead && sp.Done && sp.Err == EOF.Error() {
+				closed++
+			}
+		}
+		if closed != readers {
+			t.Errorf("%d read spans closed on EOF, want %d", closed, readers)
+		}
 	}
 }

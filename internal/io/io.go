@@ -15,12 +15,18 @@
 // handlers. Timed variants return ETIMEDOUT. All of this rides
 // core.FDBlockingCall, whose try-enqueue-suspend sequence is atomic with
 // respect to completion delivery — the lost-wakeup argument lives there.
+//
+// A read or write keeps no record of its own: the endpoint (Conn) is the
+// call's core.FDOp, its attempt maps the net layer's conditions to
+// errnos itself, and the request and the results live in the caller's
+// frame — on the goroutine's stack for Read and Write, in the
+// continuation for ContRead. Only a call that opened a span checks a
+// record out of a pool (spanOp), to carry the span across the wait.
 package io
 
 import (
 	"strconv"
 
-	"pthreads/internal/arena"
 	"pthreads/internal/core"
 	"pthreads/internal/net"
 	"pthreads/internal/obs"
@@ -38,14 +44,12 @@ type IO struct {
 	sys *core.System
 	st  *net.Stack
 
-	// ops pools the jacket's per-call records (see connOp): one is
-	// checked out for the duration of each blocking read/write, a
-	// ContRead's included, and returned when the call completes, so
-	// steady-state I/O allocates nothing. Arena-backed so the per-call
-	// state of many concurrently blocked threads sits in dense chunks
-	// rather than scattered heap objects. Safe without a lock: one
-	// goroutine runs at a time.
-	ops *arena.Arena[connOp]
+	// ops is the free list of the records of spanned reads and writes
+	// (see spanOp): one is taken for the duration of each read or write
+	// that opened a span, and given back when the call completes. With
+	// spans off the endpoint is the call's core.FDOp and none is taken.
+	// Safe without a lock: one goroutine runs at a time.
+	ops []*spanOp
 
 	// spans, when attached, records a span per jacket call (dial,
 	// accept, read, write) for the fleet observability plane. Nil —
@@ -60,7 +64,6 @@ func New(sys *core.System, cfg net.Config) *IO {
 	return &IO{
 		sys: sys,
 		st:  net.NewStack(sys.Kernel(), sys.Process(), cfg),
-		ops: arena.New[connOp](),
 	}
 }
 
@@ -250,44 +253,17 @@ func (c *Conn) spanState() *connSpans {
 	return c.spans
 }
 
-// connOp is one blocking read or write's record, the jacket's pooled
-// core.FDOp: the endpoint, the attempt's operands and outcome, the span
-// the call opened, and — for a ContRead — the caller's step, so a parked
-// read is this one record beside its thread's frame.
-type connOp struct {
-	c     *Conn
-	then  core.ContFunc // ContRead's caller step; nil for a blocking call
-	want  int           // read: max bytes; write: bytes remaining in this step
-	n     int           // bytes moved by the completed attempt
-	opErr error
-	sctx  net.SpanCtx // span context the attempt's wire messages carry
-	ref   obs.SpanRef // the read span (reads only; NoSpan with spans off)
-	write bool
-}
-
-// Attempt implements core.FDOp: with a span open it brackets the try
-// with the stack's span context — so the segments and window updates
-// the try emits carry it across the wire — and otherwise (spans off)
-// it is the bare try after a two-word compare.
-func (op *connOp) Attempt() (bool, bool) {
-	if op.sctx != (net.SpanCtx{}) {
-		st := op.c.x.st
-		st.SetSpanCtx(op.sctx)
-		done, more := op.attempt()
-		st.SetSpanCtx(net.SpanCtx{})
-		return done, more
-	}
-	return op.attempt()
-}
-
-// attempt holds the same logic as the former closures, chain-waking
-// residual readiness.
-func (op *connOp) attempt() (bool, bool) {
-	x, nc := op.c.x, op.c.nc
-	if op.write {
-		k, e := nc.TryWrite(op.want)
+// Attempt implements core.FDOp, so the endpoint is its own blocking
+// read's and write's operation and a call needs no record: one
+// non-blocking try of the verb's transfer for up to want bytes, with
+// the net layer's condition mapped to the errno the call returns, and
+// chain-waking residual readiness.
+func (c *Conn) Attempt(verb core.FDVerb, want int) (n int, done, more bool, err error) {
+	x, nc := c.x, c.nc
+	if verb == core.VerbWrite {
+		k, e := nc.TryWrite(want)
 		if e == net.ErrWouldBlock {
-			return false, false
+			return 0, false, false, nil
 		}
 		if k > 0 {
 			x.sys.CountFDBytes(k)
@@ -295,13 +271,12 @@ func (op *connOp) attempt() (bool, bool) {
 				x.sys.TraceNet(nc.FlowOut(), "xmit", strconv.FormatInt(nc.SentBytes(), 10))
 			}
 		}
-		op.n, op.opErr = k, e
 		// Chain-wake: space the window still has can serve another writer.
-		return true, nc.Writable()
+		return k, true, nc.Writable(), mapErr(e)
 	}
-	k, e := nc.TryRead(op.want)
+	k, e := nc.TryRead(want)
 	if e == net.ErrWouldBlock {
-		return false, false
+		return 0, false, false, nil
 	}
 	if k > 0 {
 		x.sys.CountFDBytes(k)
@@ -309,21 +284,80 @@ func (op *connOp) attempt() (bool, bool) {
 			x.sys.TraceNet(nc.FlowIn(), "recv", strconv.FormatInt(nc.RcvdBytes(), 10))
 		}
 	}
-	op.n, op.opErr = k, e
 	// Chain-wake: leftover buffered data can serve another reader.
-	return true, nc.Readable()
+	return k, true, nc.Readable(), mapErr(e)
 }
 
-// getOp checks an op out of the arena for one blocking call on c.
-func (c *Conn) getOp(write bool, want int) *connOp {
-	op := c.x.ops.Get() // zeroed
-	op.c, op.write, op.want = c, write, want
-	return op
+// spanOp is the record of a read or write that opened a span: the
+// endpoint, the span, the span context the call's wire messages carry,
+// and whether an attempt completed. It is the call's core.FDOp in the
+// endpoint's place, taken from the IO's free list for the call.
+type spanOp struct {
+	c         *Conn
+	sctx      net.SpanCtx
+	ref       obs.SpanRef
+	completed bool
+
+	// then is a spanned ContRead's caller step. done is its completion
+	// step, contDone bound to this record once, when the record is
+	// made: records are reused, so a spanned ContRead allocates nothing.
+	then, done core.ContFunc
 }
 
-// putOp returns a completed op to the arena.
-func (x *IO) putOp(op *connOp) {
-	x.ops.Put(op)
+// Attempt implements core.FDOp: the endpoint's attempt, bracketed with
+// the span context so that the segments and window updates it emits
+// carry it across the wire.
+func (op *spanOp) Attempt(verb core.FDVerb, want int) (n int, done, more bool, err error) {
+	st := op.c.x.st
+	st.SetSpanCtx(op.sctx)
+	n, done, more, err = op.c.Attempt(verb, want)
+	st.SetSpanCtx(net.SpanCtx{})
+	op.completed = done
+	return n, done, more, err
+}
+
+// fdOp opens a read or write span on c and returns the call's FDOp: the
+// endpoint itself, or with a span open a record carrying it (nil when
+// there is none).
+func (c *Conn) fdOp(k obs.Kind, write bool) (core.FDOp, *spanOp) {
+	ref := c.openConnSpan(k, write)
+	if ref == obs.NoSpan {
+		return c, nil
+	}
+	x := c.x
+	var op *spanOp
+	if n := len(x.ops); n > 0 {
+		op = x.ops[n-1]
+		x.ops = x.ops[:n-1]
+	} else {
+		op = new(spanOp)
+		op.done = op.contDone
+	}
+	sp := x.spans.Span(ref)
+	op.c, op.ref, op.sctx, op.completed = c, ref, net.SpanCtx{Trace: sp.Trace, Span: sp.ID}, false
+	return op, op
+}
+
+// put gives the record back to the IO's free list.
+func (op *spanOp) put() {
+	x := op.c.x
+	op.c, op.then = nil, nil
+	x.ops = append(x.ops, op)
+}
+
+// readDone is the half of a spanned read after the wait, shared with
+// ContRead: it gives the record back and closes the span on the read's
+// result.
+func (op *spanOp) readDone(n int, err error) (int, error) {
+	c, ref, completed := op.c, op.ref, op.completed
+	op.put()
+	if completed {
+		// The data (or FIN) this read consumed carried the sender's span
+		// context; adopting it terminates the wire's flow arrow here.
+		c.x.spans.Adopt(ref, c.nc.Flow())
+	}
+	c.x.closeSpan(ref, err)
+	return n, err
 }
 
 // Name labels the endpoint in traces.
@@ -405,41 +439,12 @@ func (c *Conn) read(max int, d vtime.Duration) (int, error) {
 	if max < 0 {
 		return 0, core.EINVAL.Or()
 	}
-	op := c.readStart(max)
-	return readDone(op, c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbRead, d, op))
-}
-
-// readStart is the half of a read before the park, shared with
-// ContRead: it opens the read span and checks out the pooled record,
-// carrying the span and its context.
-func (c *Conn) readStart(max int) *connOp {
-	op := c.getOp(false, max)
-	op.ref = c.openConnSpan(obs.KRead, false)
-	if op.ref != obs.NoSpan {
-		sp := c.x.spans.Span(op.ref)
-		op.sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
+	op, sp := c.fdOp(obs.KRead, false)
+	n, err := c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbRead, d, op, max)
+	if sp != nil {
+		return sp.readDone(n, err)
 	}
-	return op
-}
-
-// readDone is the half of a read after the wake, shared with ContRead:
-// given the jacket call's result err, it recycles the record, closes
-// the span, and maps the attempt's outcome to the read's result.
-func readDone(op *connOp, err error) (int, error) {
-	c, ref, n, opErr := op.c, op.ref, op.n, op.opErr
-	c.x.putOp(op)
-	if err != nil {
-		c.x.closeSpan(ref, err)
-		return 0, err
-	}
-	rerr := mapErr(opErr)
-	if ref != obs.NoSpan {
-		// The data (or FIN) this read consumed carried the sender's span
-		// context; adopting it terminates the wire's flow arrow here.
-		c.x.spans.Adopt(ref, c.nc.Flow())
-		c.x.closeSpan(ref, rerr)
-	}
-	return n, rerr
+	return n, err
 }
 
 // Write blocks until all n bytes have been admitted into flight,
@@ -451,32 +456,20 @@ func (c *Conn) Write(n int) (int, error) {
 	if n < 0 {
 		return 0, core.EINVAL.Or()
 	}
-	ref := c.openConnSpan(obs.KWrite, true)
-	var sctx net.SpanCtx
-	if ref != obs.NoSpan {
-		sp := c.x.spans.Span(ref)
-		sctx = net.SpanCtx{Trace: sp.Trace, Span: sp.ID}
-	}
+	op, sp := c.fdOp(obs.KWrite, true)
 	total := 0
-	for total < n {
-		op := c.getOp(true, n-total)
-		op.sctx = sctx
-		err := c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbWrite, 0, op)
-		k, opErr := op.n, op.opErr
-		c.x.putOp(op)
+	var err error
+	for total < n && err == nil {
+		var k int
+		k, err = c.x.sys.FDBlockingOp(c.nc.FD(), core.VerbWrite, 0, op, n-total)
 		total += k
-		if err != nil {
-			c.x.closeSpan(ref, err)
-			return total, err
-		}
-		if opErr != nil {
-			err = mapErr(opErr)
-			c.x.closeSpan(ref, err)
-			return total, err
-		}
 	}
-	c.x.closeSpan(ref, nil)
-	return total, nil
+	if sp != nil {
+		ref := sp.ref
+		sp.put()
+		c.x.closeSpan(ref, err)
+	}
+	return total, err
 }
 
 // Close shuts the endpoint down. Threads blocked on it are woken: readers

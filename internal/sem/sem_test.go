@@ -276,7 +276,7 @@ func TestContPBlocksAndResumes(t *testing.T) {
 		attr.Priority = s.Self().Priority() + 1
 		attr.Name = "waiter"
 		th, err := s.CreateCont(attr, func(k *core.Cont) {
-			sm.ContP(k, func(k *core.Cont) { k.Ret = k.Err })
+			sm.ContP(k, func(k *core.Cont) { k.SetRet(k.Err) })
 		}, nil)
 		if err != nil {
 			t.Fatalf("CreateCont: %v", err)
@@ -304,7 +304,7 @@ func TestContPCancelReleasesMutex(t *testing.T) {
 		attr := core.DefaultAttr()
 		attr.Priority = s.Self().Priority() + 1
 		th, _ := s.CreateCont(attr, func(k *core.Cont) {
-			sm.ContP(k, func(k *core.Cont) { k.Ret = "never" })
+			sm.ContP(k, func(k *core.Cont) { k.SetRet("never") })
 		}, nil)
 		s.Cancel(th)
 		if v, _ := s.Join(th); v != core.Canceled {

@@ -108,7 +108,7 @@ cat "$t/c100k.txt"
 # population: RunC1M itself fails unless every thread parks as a
 # continuation (no goroutine) with the runner pool and goroutine delta
 # inside the O(pool) budget, so a clean exit is the representation
-# holding at 200k residents. The 768 B bytes/resident tripwire at the
+# holding at 200k residents. The 499 B bytes/resident tripwire at the
 # same population is eval.TestC1MBytesPerResident200K, run by
 # `go test ./...` above.
 go run ./cmd/ptbench -c1m -c1mthreads 200000 -c1mout "" > "$t/c1m.txt"
