@@ -8,7 +8,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// The deterministic paper-vs-measured comparison lives in cmd/ptbench;
+// The deterministic paper-vs-measured comparison is `ptreport table2`;
 // these benchmarks exercise the same code paths under the standard Go
 // harness.
 package pthreads_test

@@ -5,12 +5,16 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"pthreads/internal/eval"
 )
 
 // Perf-regression gate: -diff compares the latest -host run in
 // BENCH_host.json against every run in its history array and fails
-// (non-zero exit) when a benchmark got materially worse. The gate knows
-// the two kinds of metric the suite emits:
+// (non-zero exit) when a benchmark got materially worse. It also holds
+// the c1m point to its budgets and history, and the c10k section to
+// flatness across its rungs. The gate knows the two kinds of metric the
+// suite emits:
 //
 //   - vus/op and allocs/op are pure functions of the simulation — the
 //     virtual clock and the allocator see the same program on every
@@ -40,13 +44,25 @@ var (
 	hostMetrics   = []string{"ns/op"}
 )
 
+// c10kFlatTolerance bounds the c10k section's dispatch and mutex rows:
+// a rung's host ns/op may exceed the scenario's fastest rung by at most
+// this fraction. It is a host-noise tripwire (mutex is a ~25 ns
+// measurement on a shared host), not the regression detector; the exact
+// gates are eval.RunC10K's vus/op and percentile invariance and the
+// per-op count tests.
+const c10kFlatTolerance = 0.4
+
+// c10kFlatScenarios are the c10k scenarios held flat.
+var c10kFlatScenarios = []string{"dispatch", "mutex"}
+
 // diffRegression is one gate violation.
 type diffRegression struct {
-	Bench    string  // pkg-qualified benchmark name
-	Metric   string  // which metric regressed
-	Latest   float64 // value in the latest run
-	Baseline float64 // best comparable history value
-	Against  string  // which history run supplied the baseline
+	Bench     string  // pkg-qualified benchmark name
+	Metric    string  // which metric regressed
+	Latest    float64 // value in the latest run
+	Baseline  float64 // best comparable history value
+	Against   string  // which history run supplied the baseline
+	Tolerance float64 // the fraction forgiven
 }
 
 func (r diffRegression) String() string {
@@ -56,7 +72,7 @@ func (r diffRegression) String() string {
 	}
 	return fmt.Sprintf("%s %s: %g vs %g in %s (+%.0f%%, tolerance %.0f%%)",
 		r.Bench, r.Metric, r.Latest, r.Baseline, r.Against,
-		(r.Latest/r.Baseline-1)*100, diffTolerance*100)
+		(r.Latest/r.Baseline-1)*100, r.Tolerance*100)
 }
 
 // runLabel names a history entry in gate output.
@@ -98,6 +114,7 @@ func diffRuns(latest map[string]hostBench, i int, old hostRun, metrics []string)
 				regs = append(regs, diffRegression{
 					Bench: benchKey(ob), Metric: m,
 					Latest: cur, Baseline: base, Against: runLabel(i, old),
+					Tolerance: diffTolerance,
 				})
 			}
 		}
@@ -152,6 +169,7 @@ func diffC1M(sec *c1mSection) []diffRegression {
 				regs = append(regs, diffRegression{
 					Bench: bench, Metric: metric,
 					Latest: latest, Baseline: base, Against: against,
+					Tolerance: diffTolerance,
 				})
 			}
 		}
@@ -164,30 +182,59 @@ func diffC1M(sec *c1mSection) []diffRegression {
 	return regs
 }
 
-// runDiff is the -diff entry point: load the report, gate the latest
-// run against history, print the verdict. A regression is an error so
-// the process exits non-zero — verify.sh builds on that.
+// diffC10K holds each flat scenario's rungs within c10kFlatTolerance of
+// its fastest rung, and reports the slowest rung past the bound.
+func diffC10K(sec *c10kSection) []diffRegression {
+	if sec == nil {
+		return nil
+	}
+	var regs []diffRegression
+	for _, sc := range c10kFlatScenarios {
+		var lo, hi *eval.C10KPoint
+		for i := range sec.Points {
+			p := &sec.Points[i]
+			if p.Scenario != sc {
+				continue
+			}
+			if lo == nil || p.HostNSOp < lo.HostNSOp {
+				lo = p
+			}
+			if hi == nil || p.HostNSOp > hi.HostNSOp {
+				hi = p
+			}
+		}
+		if lo != nil && hi.HostNSOp > lo.HostNSOp*(1+c10kFlatTolerance) {
+			regs = append(regs, diffRegression{
+				Bench: fmt.Sprintf("c10k[%s %d threads]", sc, hi.Threads), Metric: "host_ns/op",
+				Latest: hi.HostNSOp, Baseline: lo.HostNSOp,
+				Against:   fmt.Sprintf("c10k[%s %d threads]", sc, lo.Threads),
+				Tolerance: c10kFlatTolerance,
+			})
+		}
+	}
+	return regs
+}
+
+// runDiff is the -diff entry point: load the report, gate its c1m and
+// c10k sections and its latest run against history, print the verdict.
+// A regression is an error so the process exits non-zero — verify.sh
+// builds on that.
 func runDiff(path string) error {
 	report, err := loadHostReport(path)
 	if err != nil {
 		return err
 	}
-	if len(report.Benches) == 0 {
-		return fmt.Errorf("%s has no latest run to gate (run -host first)", path)
+	if len(report.Benches) == 0 && report.C1M == nil && report.C10K == nil {
+		return fmt.Errorf("%q has no host run, c1m point or c10k section to gate", path)
 	}
-	// The c1m budgets are absolute, so that gate runs even when the
-	// host benches have no history yet.
-	regs := diffC1M(report.C1M)
-	if len(report.History) == 0 && len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "ptbench: %s has no history; nothing to gate against\n", path)
-		return nil
-	}
+	// The c1m budgets and the c10k bound are absolute, so those gates
+	// run even when the host benches have no history yet.
+	regs := append(diffC1M(report.C1M), diffC10K(report.C10K)...)
 
 	latest := make(map[string]hostBench, len(report.Benches))
 	for _, b := range report.Benches {
 		latest[benchKey(b)] = b
 	}
-
 	compared, envMatched := 0, 0
 	for i, old := range report.History {
 		regs = append(regs, diffRuns(latest, i, old, strictMetrics)...)
@@ -215,15 +262,24 @@ func runDiff(path string) error {
 
 	if len(keys) > 0 {
 		var b strings.Builder
-		fmt.Fprintf(&b, "%d perf regression(s) past %.0f%% in %s:\n",
-			len(keys), diffTolerance*100, path)
+		fmt.Fprintf(&b, "%d perf regression(s) in %s:\n", len(keys), path)
 		for _, k := range keys {
 			fmt.Fprintf(&b, "  %s\n", worst[k])
 		}
 		return fmt.Errorf("%s", strings.TrimRight(b.String(), "\n"))
 	}
-	fmt.Fprintf(os.Stderr,
-		"ptbench: diff ok — latest run within %.0f%% of %d history run(s) (%d machine-matched for ns/op)\n",
-		diffTolerance*100, compared, envMatched)
+	var ok []string
+	if len(report.Benches) > 0 {
+		ok = append(ok, fmt.Sprintf("latest run within %.0f%% of %d history run(s) (%d machine-matched for ns/op)",
+			diffTolerance*100, compared, envMatched))
+	}
+	if report.C1M != nil {
+		ok = append(ok, "c1m point within its budget and history")
+	}
+	if report.C10K != nil {
+		ok = append(ok, fmt.Sprintf("c10k %s within %.1fx across rungs",
+			strings.Join(c10kFlatScenarios, " and "), 1+c10kFlatTolerance))
+	}
+	fmt.Fprintf(os.Stderr, "ptbench: diff ok — %s\n", strings.Join(ok, "; "))
 	return nil
 }

@@ -1,20 +1,25 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pthreads/internal/eval"
 )
 
-// The synthetic fixture plants five distinct regression shapes — a
+// The synthetic fixture plants six distinct regression shapes — a
 // deterministic vus/op slowdown, an allocs/op creep from zero, an
 // env-matched ns/op blowup, a c1m runner-pool peak past the absolute
-// budget, and a c1m bytes/resident growth against a matched-env
-// footprint record — plus two deltas that must NOT trip the gate: a
-// cross-environment ns/op difference and a cross-environment
-// bytes/resident difference.
+// budget, a c1m bytes/resident growth against a matched-env footprint
+// record, and a c10k dispatch row that is not flat (200 -> 300 ns/op
+// from 8 to 1,000 threads) — plus deltas that must NOT trip the gate: a
+// cross-environment ns/op difference, a cross-environment
+// bytes/resident difference, a flat mutex row and a timer row, which
+// the flatness bound does not cover.
 func TestDiffFlagsSyntheticRegression(t *testing.T) {
 	err := runDiff(filepath.Join("testdata", "regression.json"))
 	if err == nil {
@@ -27,6 +32,7 @@ func TestDiffFlagsSyntheticRegression(t *testing.T) {
 		"BenchmarkContextSwitch ns/op: 900 vs 400",
 		"c1m[1000000 threads] runner_peak: 4096 vs 1",
 		"c1m[1000000 threads] bytes_per_resident: 2600 vs 1150",
+		"c10k[dispatch 1000 threads] host_ns/op: 300 vs 200 in c10k[dispatch 8 threads]",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("gate output missing %q:\n%s", want, msg)
@@ -42,8 +48,11 @@ func TestDiffFlagsSyntheticRegression(t *testing.T) {
 	if strings.Contains(msg, "bytes_per_resident: 2600 vs 100 ") {
 		t.Errorf("gate compared bytes/resident across mismatched host environments:\n%s", msg)
 	}
-	if !strings.Contains(msg, "5 perf regression(s)") {
-		t.Errorf("want exactly 5 deduplicated regressions, got:\n%s", msg)
+	if strings.Contains(msg, "c10k[mutex") || strings.Contains(msg, "c10k[timer") {
+		t.Errorf("gate flagged a flat or ungated c10k scenario:\n%s", msg)
+	}
+	if !strings.Contains(msg, "6 perf regression(s)") {
+		t.Errorf("want exactly 6 deduplicated regressions, got:\n%s", msg)
 	}
 }
 
@@ -78,7 +87,9 @@ func TestDiffC1MAbsoluteBudget(t *testing.T) {
 }
 
 // The clean fixture moves within tolerance, adds a new benchmark with
-// no baseline, and drops an old one — none of which is a regression.
+// no baseline, drops an old one, and carries a c10k section whose
+// dispatch and mutex rows stay within 1.4x — none of which is a
+// regression.
 func TestDiffPassesCleanReport(t *testing.T) {
 	if err := runDiff(filepath.Join("testdata", "clean.json")); err != nil {
 		t.Fatalf("gate failed a clean report: %v", err)
@@ -113,5 +124,37 @@ func TestDiffBadInputs(t *testing.T) {
 	}
 	if err := runDiff(path); err == nil {
 		t.Error("gate passed a report with no latest run")
+	}
+}
+
+// A report holding only a c10k section, as a -c10k run into a fresh
+// -out writes it, is gated on flatness alone: 1.4x passes, and a mutex
+// row past it fails by scenario.
+func TestDiffC10KOnlyReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c10k.json")
+	write := func(mutexHi float64) {
+		r := hostReport{C10K: &c10kSection{Points: []eval.C10KPoint{
+			{Scenario: "dispatch", Threads: 8, HostNSOp: 200},
+			{Scenario: "dispatch", Threads: 1000, HostNSOp: 280},
+			{Scenario: "mutex", Threads: 8, HostNSOp: 20},
+			{Scenario: "mutex", Threads: 100, HostNSOp: mutexHi},
+			{Scenario: "mutex", Threads: 1000, HostNSOp: 21},
+		}}}
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(28)
+	if err := runDiff(path); err != nil {
+		t.Errorf("gate failed rungs within 1.4x: %v", err)
+	}
+	write(29)
+	err := runDiff(path)
+	if err == nil || !strings.Contains(err.Error(), "c10k[mutex 100 threads] host_ns/op: 29 vs 20 in c10k[mutex 8 threads]") {
+		t.Errorf("gate missed a mutex rung at 1.45x: %v", err)
 	}
 }

@@ -18,19 +18,14 @@ import (
 	"pthreads/internal/eval"
 )
 
-// Host-benchmark mode: -host runs the repository's hot-path Go
-// benchmarks on the host machine (real nanoseconds, not virtual time)
-// and writes the parsed results as JSON. The file keeps the latest run
-// at the top level and every previous run in a history array, so the
-// checked-in BENCH_host.json carries the performance trajectory of the
-// reproduction itself across PRs, alongside the virtual-time tables
-// that must never move. -c10k runs the thread-scaling suite and merges
-// its section into the same document.
-//
-// Regenerate with:
-//
-//	go run ./cmd/ptbench -host
-//	go run ./cmd/ptbench -c10k
+// Recording modes: -host runs the repository's hot-path Go benchmarks
+// on the host machine (real nanoseconds, not virtual time); -c10k,
+// -c1m, -smp and -dc run their eval ladders. Each prints its output and
+// merges its section into one JSON report. The report keeps the latest
+// -host run at the top level and every previous one in a history
+// array, so the checked-in BENCH_host.json carries the performance
+// trajectory of the reproduction itself, alongside the virtual-time
+// tables that must never move.
 //
 // The default pattern covers the scheduler-queue and synchronization
 // fast paths plus the core composite latencies; -hostbench overrides it.
@@ -38,7 +33,7 @@ import (
 // cost on the hottest I/O path — and NetEcho's allocs/op staying 0 with
 // spans off is a -diff-gated contract.
 const defaultHostPattern = "EnqueueDequeue|PeekMaxLoaded|Remove$|MutexNoContention|" +
-	"MutexProtocols|ContextSwitch$|ContextSwitchCont$|SemaphoreSync$|ThreadCreate$|RingRecorderEvent|NetEcho$|" +
+	"MutexProtocols|ContextSwitch$|ContextSwitchCont$|SemaphoreSync$|ThreadCreate$|NetEcho$|" +
 	"NetEchoSpans$|MutexMetricsOn$|MutexMetricsOff$|DispatchMetricsOn$|DispatchMetricsOff$"
 
 // hostBench is one parsed benchmark result line.
@@ -162,20 +157,55 @@ func loadHostReport(path string) (hostReport, error) {
 	return r, nil
 }
 
-func writeHostReport(path string, r hostReport) error {
-	out, err := json.MarshalIndent(r, "", "  ")
+// record prints a mode's output, then merges its section into the
+// report at path, keeping every other section and the history; merge
+// returns what it merged, for the log line. An empty path prints only.
+func record(path, out string, merge func(r *hostReport) string) error {
+	fmt.Print(out)
+	if path == "" {
+		return nil
+	}
+	r, err := loadHostReport(path)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	what := merge(&r)
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "ptbench: merged %s into %s\n", what, path)
+	return nil
+}
+
+// stamp is a record's generated_at.
+func stamp() string { return time.Now().UTC().Format(time.RFC3339) }
+
+// splitList parses a comma-separated flag value, skipping empty fields.
+func splitList[T any](flagName, list string, parse func(string) (T, error)) ([]T, error) {
+	var vs []T
+	for _, f := range strings.Split(list, ",") {
+		if f = strings.TrimSpace(f); f == "" {
+			continue
+		}
+		v, err := parse(f)
+		if err != nil {
+			return nil, fmt.Errorf("-%s %q: %w", flagName, list, err)
+		}
+		vs = append(vs, v)
+	}
+	return vs, nil
 }
 
 // benchLine matches "BenchmarkName-8   123456   97.5 ns/op   0 B/op ...".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
-// runHost executes the benchmarks and merges the results into the JSON
-// report at outPath: the previous latest run (if any) is pushed onto
-// the history array, and any recorded C10k section is carried forward.
+// runHost executes the benchmarks, prints their output and records the
+// parsed results as the report's latest run, pushing the previous one
+// onto the history array.
 func runHost(pattern, outPath string) error {
 	args := []string{"test", "-run", "^$", "-bench", pattern, "-benchmem", "-count", "1", "./..."}
 	cmd := exec.Command("go", args...)
@@ -188,7 +218,7 @@ func runHost(pattern, outPath string) error {
 	}
 
 	run := hostRun{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		GeneratedAt: stamp(),
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
@@ -196,9 +226,8 @@ func runHost(pattern, outPath string) error {
 		Pattern:     pattern,
 		Command:     "go " + strings.Join(args, " "),
 	}
-
 	pkg := ""
-	sc := bufio.NewScanner(&buf)
+	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
@@ -230,26 +259,17 @@ func runHost(pattern, outPath string) error {
 	if len(run.Benches) == 0 {
 		return fmt.Errorf("no benchmark lines matched pattern %q", pattern)
 	}
-
-	report, err := loadHostReport(outPath)
-	if err != nil {
-		return err
-	}
-	if len(report.Benches) > 0 {
-		report.History = append(report.History, report.hostRun)
-	}
-	report.hostRun = run
-	if err := writeHostReport(outPath, report); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ptbench: wrote %d results to %s (%d prior runs in history)\n",
-		len(run.Benches), outPath, len(report.History))
-	return nil
+	return record(outPath, buf.String(), func(r *hostReport) string {
+		if len(r.Benches) > 0 {
+			r.History = append(r.History, r.hostRun)
+		}
+		r.hostRun = run
+		return fmt.Sprintf("%d host results (%d prior runs in history)", len(run.Benches), len(r.History))
+	})
 }
 
-// runC10K runs the thread-scaling suite up to maxThreads, prints the
-// table, and merges the points into the report's c10k section (the
-// benches and history are untouched).
+// runC10K runs the thread-scaling suite up to maxThreads and records
+// its points as the report's c10k section.
 func runC10K(maxThreads, reps int, outPath string) error {
 	var sizes []int
 	for _, n := range eval.C10KSizes {
@@ -264,27 +284,19 @@ func runC10K(maxThreads, reps int, outPath string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.FormatC10K(pts))
-
-	report, err := loadHostReport(outPath)
-	if err != nil {
-		return err
-	}
-	report.C10K = &c10kSection{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Command:     fmt.Sprintf("go run ./cmd/ptbench -c10k -c10kmax %d -c10kreps %d", maxThreads, reps),
-		Points:      pts,
-	}
-	if err := writeHostReport(outPath, report); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ptbench: merged %d c10k points into %s\n", len(pts), outPath)
-	return nil
+	return record(outPath, eval.FormatC10K(pts), func(r *hostReport) string {
+		r.C10K = &c10kSection{
+			GeneratedAt: stamp(),
+			Command:     fmt.Sprintf("go run ./cmd/ptbench -c10k -c10kmax %d -c10kreps %d", maxThreads, reps),
+			Points:      pts,
+		}
+		return fmt.Sprintf("%d c10k points", len(pts))
+	})
 }
 
 // runC1M measures the resident-thread footprint at the requested
-// population, prints the point, and merges it into the report's c1m
-// section, pushing the previous point onto the section's history.
+// population and records the point as the report's c1m section,
+// pushing the previous point onto the section's history.
 // eval.RunC1M fails outright when a resource invariant breaks (a
 // parked thread holding a goroutine, the runner pool scaling with the
 // population), so a recorded point is always one where the
@@ -294,134 +306,72 @@ func runC1M(threads int, outPath string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.FormatC1M(pt))
-	if outPath == "" {
-		return nil
-	}
-
-	report, err := loadHostReport(outPath)
-	if err != nil {
-		return err
-	}
-	sec := report.C1M
-	if sec == nil {
-		sec = &c1mSection{}
-	}
-	if sec.Point.Threads != 0 {
-		sec.History = append(sec.History, c1mEntry{
-			GeneratedAt: sec.GeneratedAt,
-			GoVersion:   sec.GoVersion,
-			CPU:         sec.CPU,
-			Point:       sec.Point,
-		})
-	}
-	sec.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
-	sec.Command = fmt.Sprintf("go run ./cmd/ptbench -c1m -c1mthreads %d", threads)
-	sec.GoVersion = runtime.Version()
-	sec.CPU = hostCPU()
-	sec.Point = pt
-	report.C1M = sec
-	if err := writeHostReport(outPath, report); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ptbench: merged c1m point (%d threads) into %s (%d prior points)\n",
-		threads, outPath, len(sec.History))
-	return nil
+	return record(outPath, eval.FormatC1M(pt), func(r *hostReport) string {
+		sec := r.C1M
+		if sec == nil {
+			sec = &c1mSection{}
+		}
+		if sec.Point.Threads != 0 {
+			sec.History = append(sec.History, c1mEntry{
+				GeneratedAt: sec.GeneratedAt,
+				GoVersion:   sec.GoVersion,
+				CPU:         sec.CPU,
+				Point:       sec.Point,
+			})
+		}
+		sec.GeneratedAt = stamp()
+		sec.Command = fmt.Sprintf("go run ./cmd/ptbench -c1m -c1mthreads %d", threads)
+		sec.GoVersion = runtime.Version()
+		sec.CPU = hostCPU()
+		sec.Point = pt
+		r.C1M = sec
+		return fmt.Sprintf("c1m point (%d threads, %d prior points)", threads, len(sec.History))
+	})
 }
 
-// runSMP runs the simulated-SMP contention ladder, prints the
-// deterministic table, and merges the points into the report's smp
-// section. With an empty outPath the table is printed without touching
-// any report — the determinism gate uses that to diff two runs' stdout.
+// runSMP runs the simulated-SMP contention ladder and records its
+// deterministic points as the report's smp section.
 func runSMP(vcpus string, iters int, outPath string) error {
-	var cpus []int
-	for _, f := range strings.Split(vcpus, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return fmt.Errorf("-smpvcpus %q: %w", vcpus, err)
-		}
-		cpus = append(cpus, n)
+	cpus, err := splitList("smpvcpus", vcpus, strconv.Atoi)
+	if err != nil {
+		return err
 	}
 	pts, err := eval.RunSMPLadder(cpus, iters)
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.FormatSMP(pts))
-	if outPath == "" {
-		return nil
-	}
+	return record(outPath, eval.FormatSMP(pts), func(r *hostReport) string {
+		r.SMP = &smpSection{
+			GeneratedAt: stamp(),
+			Command:     fmt.Sprintf("go run ./cmd/ptbench -smp -smpvcpus %s -smpiters %d", vcpus, iters),
+			Points:      pts,
+		}
+		return fmt.Sprintf("%d smp points", len(pts))
+	})
+}
 
-	report, err := loadHostReport(outPath)
+// runDC runs the virtual-datacenter ladder and records its
+// deterministic points as the report's dc section.
+func runDC(replicaList, lossList string, clients int, outPath string) error {
+	replicas, err := splitList("dcreplicas", replicaList, strconv.Atoi)
 	if err != nil {
 		return err
 	}
-	report.SMP = &smpSection{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Command:     fmt.Sprintf("go run ./cmd/ptbench -smp -smpvcpus %s -smpiters %d", vcpus, iters),
-		Points:      pts,
-	}
-	if err := writeHostReport(outPath, report); err != nil {
+	losses, err := splitList("dcloss", lossList, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) })
+	if err != nil {
 		return err
-	}
-	fmt.Fprintf(os.Stderr, "ptbench: merged %d smp points into %s\n", len(pts), outPath)
-	return nil
-}
-
-// runDC runs the virtual-datacenter ladder, prints the deterministic
-// table, and merges the points into the report's dc section. With an
-// empty outPath the table is printed without touching any report — the
-// determinism gate diffs two runs' stdout.
-func runDC(replicaCSV, lossCSV string, clients int, outPath string) error {
-	var replicas []int
-	for _, f := range strings.Split(replicaCSV, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil {
-			return fmt.Errorf("-dcreplicas %q: %w", replicaCSV, err)
-		}
-		replicas = append(replicas, n)
-	}
-	var losses []float64
-	for _, f := range strings.Split(lossCSV, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return fmt.Errorf("-dcloss %q: %w", lossCSV, err)
-		}
-		losses = append(losses, v)
 	}
 	pts, err := eval.RunDCLadder(replicas, losses, clients)
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.FormatDC(pts))
-	if outPath == "" {
-		return nil
-	}
-
-	report, err := loadHostReport(outPath)
-	if err != nil {
-		return err
-	}
-	report.DC = &dcSection{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Command: fmt.Sprintf("go run ./cmd/ptbench -dc -dcreplicas %s -dcloss %s -dcclients %d",
-			replicaCSV, lossCSV, clients),
-		Points: pts,
-	}
-	if err := writeHostReport(outPath, report); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ptbench: merged %d dc points into %s\n", len(pts), outPath)
-	return nil
+	return record(outPath, eval.FormatDC(pts), func(r *hostReport) string {
+		r.DC = &dcSection{
+			GeneratedAt: stamp(),
+			Command: fmt.Sprintf("go run ./cmd/ptbench -dc -dcreplicas %s -dcloss %s -dcclients %d",
+				replicaList, lossList, clients),
+			Points: pts,
+		}
+		return fmt.Sprintf("%d dc points", len(pts))
+	})
 }

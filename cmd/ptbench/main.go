@@ -1,117 +1,69 @@
-// Command ptbench regenerates the paper's evaluation tables against the
-// reproduction: Table 2 (performance metrics), Table 1 (cancellation
-// actions), and the ablation studies (TCB/stack pooling, lock
-// primitives, Ada-layer rendezvous overhead).
+// Command ptbench records the reproduction's host-machine results and
+// gates them: each recording mode prints its table and merges its
+// section into one JSON report (BENCH_host.json), and -diff holds the
+// report to its history and to the c10k flatness bound. The paper's
+// tables are ptreport's.
 //
 // Usage:
 //
-//	ptbench               # Table 2
-//	ptbench -table 1      # Table 1 cancellation matrix
-//	ptbench -ablation     # pooling / lock-primitive / rendezvous ablations
-//	ptbench -attrib       # where the context-switch time goes
-//	ptbench -host         # host-machine Go benchmarks -> BENCH_host.json
+//	ptbench -host         # host-machine Go benchmarks
+//	ptbench -c10k         # thread-scaling suite (-c10kmax 1000000 climbs to C1M)
 //	ptbench -c1m          # resident-thread footprint (parked continuations)
+//	ptbench -smp          # simulated-SMP lock contention ladder
+//	ptbench -dc           # virtual-datacenter replica/loss ladder
 //	ptbench -diff         # perf-regression gate: latest run vs history
+//
+// -out names the report (default BENCH_host.json); -out "" prints
+// without writing.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-
-	"pthreads/internal/eval"
 )
 
 func main() {
-	table := flag.Int("table", 2, "paper table to regenerate (1 or 2)")
-	ablation := flag.Bool("ablation", false, "run the ablation studies")
-	attrib := flag.Bool("attrib", false, "print the context-switch cost attribution")
-	netio := flag.Bool("net", false, "run the blocking-I/O jacket pressure scenario")
-	host := flag.Bool("host", false, "run host-machine Go benchmarks and write JSON")
-	hostOut := flag.String("hostout", "BENCH_host.json", "output path for -host and -c10k results")
+	host := flag.Bool("host", false, "run host-machine Go benchmarks and record them")
 	hostBench := flag.String("hostbench", defaultHostPattern, "benchmark pattern for -host")
-	c10k := flag.Bool("c10k", false, "run the C10k thread-scaling suite and merge into the JSON")
+	c10k := flag.Bool("c10k", false, "run the C10k thread-scaling suite and record it")
 	c10kMax := flag.Int("c10kmax", 10000, "largest thread count for -c10k (1000000 climbs the full C1M ladder)")
 	c10kReps := flag.Int("c10kreps", 3, "repetitions per -c10k point (min host cost kept)")
-	c1m := flag.Bool("c1m", false, "measure the resident-thread footprint and merge into the JSON")
+	c1m := flag.Bool("c1m", false, "measure the resident-thread footprint and record it")
 	c1mThreads := flag.Int("c1mthreads", 1000000, "resident population for -c1m")
-	c1mOut := flag.String("c1mout", "BENCH_host.json", "output path for -c1m results (empty: print only)")
-	smp := flag.Bool("smp", false, "run the simulated-SMP lock contention ladder and merge into the JSON")
+	smp := flag.Bool("smp", false, "run the simulated-SMP lock contention ladder and record it")
 	smpVCPUs := flag.String("smpvcpus", "1,2,4,8", "comma-separated VCPU counts for -smp")
 	smpIters := flag.Int("smpiters", 300, "lock/unlock cycles per thread for -smp")
-	smpOut := flag.String("smpout", "BENCH_host.json", "output path for -smp results (empty: print only)")
-	dc := flag.Bool("dc", false, "run the virtual-datacenter replica/loss ladder and merge into the JSON")
+	dc := flag.Bool("dc", false, "run the virtual-datacenter replica/loss ladder and record it")
 	dcClients := flag.Int("dcclients", 200, "simulated users per -dc point")
 	dcReplicas := flag.String("dcreplicas", "1,2,4", "comma-separated replica counts for -dc")
 	dcLoss := flag.String("dcloss", "0,0.01,0.05", "comma-separated lb->replica loss rates for -dc")
-	dcOut := flag.String("dcout", "BENCH_host.json", "output path for -dc results (empty: print only)")
-	diff := flag.Bool("diff", false, "gate the latest -host run against the report's history (non-zero exit on regression)")
-	diffPath := flag.String("diffpath", "BENCH_host.json", "report to gate with -diff")
+	diff := flag.Bool("diff", false, "gate the report against its history and the c10k flatness bound (non-zero exit on regression)")
+	out := flag.String("out", "BENCH_host.json", "report to record into and to gate with -diff (empty: print only)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "ptbench: unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
 	}
-	if *diff {
-		exitOn(runDiff(*diffPath))
-		return
-	}
-	if *host {
-		exitOn(runHost(*hostBench, *hostOut))
-		return
-	}
-	if *c10k {
-		exitOn(runC10K(*c10kMax, *c10kReps, *hostOut))
-		return
-	}
-	if *c1m {
-		exitOn(runC1M(*c1mThreads, *c1mOut))
-		return
-	}
-	if *smp {
-		exitOn(runSMP(*smpVCPUs, *smpIters, *smpOut))
-		return
-	}
-	if *dc {
-		exitOn(runDC(*dcReplicas, *dcLoss, *dcClients, *dcOut))
-		return
-	}
-	if *ablation {
-		out, err := eval.FormatAblations()
-		exitOn(err)
-		fmt.Print(out)
-		return
-	}
-	if *attrib {
-		out, err := eval.FormatAttribution()
-		exitOn(err)
-		fmt.Print(out)
-		return
-	}
-	if *netio {
-		out, err := eval.FormatIOStats()
-		exitOn(err)
-		fmt.Print(out)
-		return
-	}
-
-	switch *table {
-	case 1:
-		out, err := eval.FormatTable1()
-		exitOn(err)
-		fmt.Print(out)
-	case 2:
-		rows, err := eval.Table2()
-		exitOn(err)
-		fmt.Print(eval.FormatTable2(rows))
+	var err error
+	switch {
+	case *diff:
+		err = runDiff(*out)
+	case *host:
+		err = runHost(*hostBench, *out)
+	case *c10k:
+		err = runC10K(*c10kMax, *c10kReps, *out)
+	case *c1m:
+		err = runC1M(*c1mThreads, *out)
+	case *smp:
+		err = runSMP(*smpVCPUs, *smpIters, *out)
+	case *dc:
+		err = runDC(*dcReplicas, *dcLoss, *dcClients, *out)
 	default:
-		fmt.Fprintf(os.Stderr, "ptbench: no such table %d\n", *table)
+		fmt.Fprintln(os.Stderr, "ptbench: choose -host, -c10k, -c1m, -smp, -dc or -diff (the paper's tables are ptreport's)")
 		os.Exit(2)
 	}
-}
-
-func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ptbench:", err)
 		os.Exit(1)

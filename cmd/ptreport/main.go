@@ -1,131 +1,170 @@
 // Command ptreport regenerates every reproduced artifact of the paper's
-// evaluation in one run — Table 2 on both machines, Table 1, Figure 5
-// with the Table 3 quantification, Table 4 in both unlock modes, the
-// perverted-scheduling experiment, the ablation studies, and the
-// context-switch attribution. Its output is the body of EXPERIMENTS.md.
+// evaluation. The full report is the sections below in order — Table 2
+// on both machines, Table 1, Figure 5 with the Table 3 quantification,
+// Table 4 in both unlock modes, the perverted-scheduling experiment,
+// the ablation studies, the context-switch attribution, the syscall
+// profiles, the utilization sweep, the ready-queue pressure and the
+// blocking-I/O jacket — and its output is the body of EXPERIMENTS.md.
 //
-// Three subcommands print one artifact each:
+// Usage:
 //
-//	ptreport conform             # the POSIX 1003.4a (Draft 6) checklist; exits 1 if a check fails
-//	ptreport inversion           # Figure 5 (a,b,c) + Table 3 quantification
-//	ptreport inversion -table 4  # Table 4 mixing trace
-//	ptreport pervert [-seed N]   # perverted scheduling, random-switch PRNG seed N
+//	ptreport [-explore] [-profile] [-fleet] [-mem]  # the full report; each flag appends its section
+//	ptreport NAME                                   # one section, byte for byte as in the full report
+//	ptreport pervert [-seed N]                      # perverted scheduling, random-switch PRNG seed N
+//	ptreport conform                                # the POSIX 1003.4a (Draft 6) checklist; exits 1 if a check fails
+//	ptreport trace [-scenario rr|prodcons|signals] [-width N] [-dump]
+//
+// NAME is one of table2, table1, inversion, table4, pervert, ablation,
+// attrib, syscalls, utilization, queues, netio, explore, profile, fleet
+// and mem.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"pthreads/internal/conformance"
 	"pthreads/internal/eval"
 )
 
-func main() {
-	if len(os.Args) > 1 {
-		name, args := os.Args[1], os.Args[2:]
-		fs := flag.NewFlagSet("ptreport "+name, flag.ExitOnError)
-		switch name {
-		case "conform":
-			parse(fs, args)
-			results := conformance.RunAll()
-			fmt.Print(conformance.Format(results))
-			for _, r := range results {
-				if !r.Pass() {
-					os.Exit(1)
-				}
-			}
-			return
-		case "inversion":
-			table := fs.Int("table", 3, "4 prints the Table 4 mixing trace")
-			parse(fs, args)
-			if *table == 4 {
-				emit(fs.Name(), eval.FormatTable4)
-			} else {
-				emit(fs.Name(), eval.FormatFigure5)
-			}
-			return
-		case "pervert":
-			seed := fs.Int64("seed", 1, "PRNG seed for the random-switch policy")
-			parse(fs, args)
-			emit(fs.Name(), func() (string, error) { return eval.FormatPervert(*seed) })
-			return
-		}
-	}
-	report()
+// A section is one artifact of the report. run declares the section's
+// flags on fs and returns its renderer; the full report leaves every
+// flag at its default.
+type section struct {
+	name string
+	// optIn, when set, is the usage of the -name flag that appends the
+	// section to the full report; the other sections always print. The
+	// opt-in sections keep the default report byte-stable across
+	// releases that only add experiments.
+	optIn string
+	run   func(fs *flag.FlagSet) func() (string, error)
 }
 
-// parse parses a subcommand's flags and rejects anything left over.
-func parse(fs *flag.FlagSet, args []string) {
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "%s: unexpected arguments: %v\n", fs.Name(), fs.Args())
-		os.Exit(1)
-	}
+// fixed is the run of a section without flags.
+func fixed(render func() (string, error)) func(*flag.FlagSet) func() (string, error) {
+	return func(*flag.FlagSet) func() (string, error) { return render }
 }
 
-// emit prints one artifact, or its error and exits 1.
-func emit(name string, f func() (string, error)) {
-	out, err := f()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		os.Exit(1)
-	}
-	fmt.Print(out)
-}
-
-// report prints the full report.
-func report() {
-	// The exploration and profile sections are opt-in so the default
-	// report stays byte-stable across releases that only add new
-	// experiments.
-	withExplore := flag.Bool("explore", false, "append the schedule-exploration section")
-	withProfile := flag.Bool("profile", false, "append the virtual-time profiler section")
-	withFleet := flag.Bool("fleet", false, "append the fleet observability section")
-	withMem := flag.Bool("mem", false, "append the resident-thread memory section")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "ptreport: unexpected arguments: %v\n", flag.Args())
-		os.Exit(1)
-	}
-	sections := []func() (string, error){
-		func() (string, error) {
-			rows, err := eval.Table2()
-			if err != nil {
-				return "", err
-			}
-			return eval.FormatTable2(rows), nil
-		},
-		eval.FormatTable1,
-		eval.FormatFigure5,
-		eval.FormatTable4,
-		func() (string, error) { return eval.FormatPervert(1) },
-		eval.FormatAblations,
-		eval.FormatAttribution,
-		eval.FormatSyscallProfiles,
-		eval.FormatUtilizationSweep,
-		eval.FormatQueueStats,
-		eval.FormatIOStats,
-	}
-	if *withExplore {
-		sections = append(sections, eval.FormatExplore)
-	}
-	if *withProfile {
-		sections = append(sections, eval.FormatProfile)
-	}
-	if *withFleet {
-		sections = append(sections, eval.FormatFleetObs)
-	}
-	if *withMem {
-		sections = append(sections, eval.FormatMem)
-	}
-	for i, f := range sections {
-		out, err := f()
+var sections = []section{
+	{name: "table2", run: fixed(func() (string, error) {
+		rows, err := eval.Table2()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ptreport: section %d: %v\n", i, err)
-			os.Exit(1)
+			return "", err
 		}
-		fmt.Print(out)
-		fmt.Println()
+		return eval.FormatTable2(rows), nil
+	})},
+	{name: "table1", run: fixed(eval.FormatTable1)},
+	{name: "inversion", run: fixed(eval.FormatFigure5)},
+	{name: "table4", run: fixed(eval.FormatTable4)},
+	{name: "pervert", run: func(fs *flag.FlagSet) func() (string, error) {
+		seed := fs.Int64("seed", 1, "PRNG seed for the random-switch policy")
+		return func() (string, error) { return eval.FormatPervert(*seed) }
+	}},
+	{name: "ablation", run: fixed(eval.FormatAblations)},
+	{name: "attrib", run: fixed(eval.FormatAttribution)},
+	{name: "syscalls", run: fixed(eval.FormatSyscallProfiles)},
+	{name: "utilization", run: fixed(eval.FormatUtilizationSweep)},
+	{name: "queues", run: fixed(eval.FormatQueueStats)},
+	{name: "netio", run: fixed(eval.FormatIOStats)},
+	{name: "explore", optIn: "append the schedule-exploration section", run: fixed(eval.FormatExplore)},
+	{name: "profile", optIn: "append the virtual-time profiler section", run: fixed(eval.FormatProfile)},
+	{name: "fleet", optIn: "append the fleet observability section", run: fixed(eval.FormatFleetObs)},
+	{name: "mem", optIn: "append the resident-thread memory section", run: fixed(eval.FormatMem)},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns the exit status. Output is
+// printed even when the renderer also reports an error, so a failing
+// conformance check still shows the checklist.
+func run(args []string, stdout, stderr io.Writer) int {
+	name := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
+	fs := flag.NewFlagSet(strings.TrimSpace("ptreport "+name), flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var render func() (string, error)
+	switch name {
+	case "":
+		render = report(fs)
+	case "conform":
+		render = conform
+	case "trace":
+		render = traceCommand(fs)
+	default:
+		for _, sec := range sections {
+			if sec.name == name {
+				render = sec.run(fs)
+			}
+		}
+		if render == nil {
+			fmt.Fprintf(stderr, "ptreport: no section %q\n", name)
+			return 2
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "%s: unexpected arguments: %v\n", fs.Name(), fs.Args())
+		return 1
+	}
+	out, err := render()
+	fmt.Fprint(stdout, out)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
+		return 1
+	}
+	return 0
+}
+
+// report declares the opt-in flags on fs and returns the renderer of
+// the full report: the sections in table order, each followed by a
+// blank line.
+func report(fs *flag.FlagSet) func() (string, error) {
+	on := map[string]*bool{}
+	for _, sec := range sections {
+		if sec.optIn != "" {
+			on[sec.name] = fs.Bool(sec.name, false, sec.optIn)
+		}
+	}
+	return func() (string, error) {
+		var b strings.Builder
+		for _, sec := range sections {
+			if sec.optIn != "" && !*on[sec.name] {
+				continue
+			}
+			out, err := sec.run(flag.NewFlagSet(sec.name, flag.ContinueOnError))()
+			if err != nil {
+				return b.String(), fmt.Errorf("section %s: %w", sec.name, err)
+			}
+			b.WriteString(out)
+			b.WriteString("\n")
+		}
+		return b.String(), nil
+	}
+}
+
+// conform runs the POSIX 1003.4a (Draft 6) checklist; a failed check is
+// an error.
+func conform() (string, error) {
+	results := conformance.RunAll()
+	failed := 0
+	for _, r := range results {
+		if !r.Pass() {
+			failed++
+		}
+	}
+	if failed > 0 {
+		return conformance.Format(results), fmt.Errorf("%d of %d checks failed", failed, len(results))
+	}
+	return conformance.Format(results), nil
 }

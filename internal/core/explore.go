@@ -52,26 +52,41 @@ type Explorer interface {
 	ChooseAt(point SwitchPoint, cur ThreadID, ready []ThreadID) (pick int, preempt bool)
 }
 
-// exploreAt consults the explorer at one switch point. Runs inside the
-// kernel with the current thread still running.
+// exploreAt consults the explorer at one switch point and applies its
+// decision. Runs inside the kernel with the current thread still running.
 func (s *System) exploreAt(point SwitchPoint) {
-	cur := s.current
+	if pick, ok := s.exploreChoose(point); ok {
+		s.explorePreempt(pick)
+	}
+}
+
+// exploreChoose reports the running thread and the ready set to the
+// explorer and returns the ready-queue index to dispatch, if it
+// preempts. It only reads scheduling state, so it may run outside the
+// kernel.
+func (s *System) exploreChoose(point SwitchPoint) (pick int, preempt bool) {
 	n := s.ready.Len()
 	s.exploreIDs = s.exploreIDs[:0]
 	for i := 0; i < n; i++ {
 		t, _, _ := s.ready.Nth(i)
 		s.exploreIDs = append(s.exploreIDs, t.id)
 	}
-	pick, preempt := s.explorer.ChooseAt(point, cur.id, s.exploreIDs)
+	pick, preempt = s.explorer.ChooseAt(point, s.current.id, s.exploreIDs)
 	if !preempt || n == 0 {
-		return
+		return 0, false
 	}
 	if pick < 0 || pick >= n {
 		pick = n - 1
 	}
-	// Same repositioning as the kernel-exit perverted policies: the
-	// current thread goes to the tail of the lowest priority level, so
-	// any pick can run regardless of priorities.
+	return pick, true
+}
+
+// explorePreempt applies a preemption inside the kernel: the same
+// repositioning as the kernel-exit perverted policies, so the current
+// thread goes to the tail of the lowest priority level and any pick can
+// run regardless of priorities.
+func (s *System) explorePreempt(pick int) {
+	cur := s.current
 	cur.state = StateReady
 	s.ready.Enqueue(cur, sched.MinPrio)
 	s.explorePick = pick
@@ -81,13 +96,18 @@ func (s *System) exploreAt(point SwitchPoint) {
 }
 
 // exploreLockPoint gives the explorer the post-acquisition switch point.
-// Called outside the kernel, right after a successful lock; the squelch
-// keeps the artificial kernel section from doubling as its own
-// kernel-exit decision point.
+// Called outside the kernel, right after a successful lock. The explorer
+// is asked first and only a preemption enters the kernel, so a run that
+// forces nothing charges what the unexplored run charges. The preempted
+// thread is Ready when leaveKernel checks, so this kernel section is
+// not a kernel-exit decision point of its own.
 func (s *System) exploreLockPoint() {
+	pick, ok := s.exploreChoose(PointLock)
+	if !ok {
+		return
+	}
 	s.enterKernel()
-	s.exploreAt(PointLock)
-	s.exploreSquelch = true
+	s.explorePreempt(pick)
 	s.leaveKernel()
 }
 

@@ -56,11 +56,10 @@ func (s *System) leaveKernel() {
 	if s.current.state == StateRunning {
 		if s.pervertArm {
 			s.pervertKernelExit()
-		} else if s.explorer != nil && !s.exploreSquelch {
+		} else if s.explorer != nil {
 			s.exploreAt(PointKernelExit)
 		}
 	}
-	s.exploreSquelch = false
 	if !s.dispatcherFlag {
 		s.cpu.ChargeInstr(instrKernelExit)
 		s.kernelFlag = false
@@ -338,14 +337,14 @@ func (s *System) unmaskAfterSwitch() {
 func (s *System) idleStep() {
 	at, ok := s.kern.NextEventAt()
 	if !ok {
-		if !s.cfg.ExternalEvents {
+		if !s.clock.Governed() {
 			s.deadlock()
 		}
-		// Another host may still land an event here. Sleep on the
-		// governed clock until something arrives (the governor parks us
-		// and wakes us at the arrival) — or the fabric, having seen
-		// every host asleep like this, declares fleet-wide deadlock and
-		// kills the run.
+		// A governed clock belongs to a fleet host, and another host
+		// may still land an event here. Sleep on the clock until
+		// something arrives (the governor parks us and wakes us at the
+		// arrival) — or the fabric, having seen every host asleep like
+		// this, declares fleet-wide deadlock and kills the run.
 		s.clock.AdvanceTo(vtime.Infinity)
 		s.kern.Poll()
 		return
@@ -457,7 +456,6 @@ func (s *System) leave(declared bool) (parked bool) {
 	r := s.current.runner
 	// The kernel-exit decision hooks never fire here — the thread's
 	// state is not Running at a park point, exactly as in leaveKernel.
-	s.exploreSquelch = false
 	s.contHandoff = true
 	s.dispatch()
 	s.contHandoff = false

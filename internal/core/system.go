@@ -76,11 +76,6 @@ type Config struct {
 	// switch of its choice (see internal/explore). Mutually exclusive
 	// with Pervert — an active Explorer takes precedence.
 	Explorer Explorer
-	// ExternalEvents declares that events may arrive from outside this
-	// system (another host on a network fabric). An idle system with no
-	// local timer then sleeps on its clock instead of declaring deadlock
-	// — the fabric detects fleet-wide deadlock across all hosts.
-	ExternalEvents bool
 }
 
 // Stats aggregates the library-level counters the evaluation harness
@@ -253,7 +248,6 @@ type System struct {
 	exploreIDs       []ThreadID // scratch ready-set snapshot for ChooseAt
 	explorePick      int        // ready-queue index the explorer chose
 	explorePickArmed bool       // explorePick is valid for the next selectNext
-	exploreSquelch   bool       // suppress the next kernel-exit decision point
 	runCalled        bool
 	finished         bool
 	finishErr        error

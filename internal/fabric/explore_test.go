@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"pthreads/internal/core"
 	"pthreads/internal/explore"
+	"pthreads/internal/vtime"
 )
 
 // A fleet token is the engine's token: decisions off host 0 are
@@ -177,6 +179,40 @@ func TestFleetParallelBoundedMatchesSequential(t *testing.T) {
 		par := explore.ExploreBounded(sc, explore.Options{Bound: 1, MaxRuns: 100, Parallel: 4})
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("%s: parallel result diverges\nseq: %+v\npar: %+v", name, seq, par)
+		}
+	}
+}
+
+// With nothing forced, an explored run is the program's own run: the
+// empty-schedule replay of every workload and every fleet scenario ends
+// every host at the same instant with the same trace hash as the run
+// with no explorer attached. Asking the explorer at a lock point must
+// charge nothing; only a preemption enters the kernel.
+func TestEmptyScheduleReplaysUnexploredRun(t *testing.T) {
+	type target struct {
+		name string
+		explore.Target
+	}
+	var targets []target
+	for _, w := range explore.Workloads(explore.DefaultParams()) {
+		targets = append(targets, target{w.Name, w})
+	}
+	for _, sc := range FleetScenarios() {
+		targets = append(targets, target{sc.Name, sc})
+	}
+	ends := func(o explore.RunOutcome) []vtime.Time {
+		var at []vtime.Time
+		for _, h := range o.Hosts {
+			at = append(at, h.End)
+		}
+		return at
+	}
+	for _, tg := range targets {
+		plain := tg.Run(func(int) core.Explorer { return nil })
+		replay := explore.Replay(tg, explore.Schedule{})
+		if plain.TraceHash != replay.TraceHash || !reflect.DeepEqual(ends(plain), ends(replay)) {
+			t.Errorf("%s: unexplored run ends at %v (trace %s), empty-schedule replay at %v (trace %s)",
+				tg.name, ends(plain), plain.TraceHash, ends(replay), replay.TraceHash)
 		}
 	}
 }

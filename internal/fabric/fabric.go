@@ -77,9 +77,9 @@ type HostSpec struct {
 	// Name identifies the host in addresses ("name:addr"), traces, and
 	// fault scripts. Must be unique and contain no ':'.
 	Name string
-	// Cfg is the host's thread-system configuration. Tracer and
-	// ExternalEvents are managed by the fabric: the tracer is the
-	// host's trace recorder, its span recorder, or both on a trace.Tee.
+	// Cfg is the host's thread-system configuration. Its Tracer is
+	// managed by the fabric: the host's trace recorder, its span
+	// recorder, or both on a trace.Tee.
 	Cfg core.Config
 	// Body runs as the host's main thread. A non-nil error brings the
 	// whole fleet down.
@@ -264,7 +264,6 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		h := &Host{ID: i, Name: spec.Name, f: f, spec: spec, grantCh: make(chan bool)}
 		hcfg := spec.Cfg
-		hcfg.ExternalEvents = true
 		if cfg.Trace {
 			h.rec = trace.New()
 			hcfg.Tracer = h.rec

@@ -104,9 +104,9 @@ func classify(state core.State, reason core.BlockReason, handlerDepth int) Bucke
 	return BucketOther
 }
 
-// Options parameterizes the watchdogs. The zero value enables the
-// inversion and deadlock watchdogs (they need no threshold) and disables
-// the threshold-based ones.
+// Options parameterizes the threshold-based watchdogs; the inversion
+// and deadlock watchdogs need no threshold and are always on. The zero
+// value disables the threshold-based ones.
 type Options struct {
 	// LongHold flags any mutex hold of at least this duration; 0
 	// disables the watchdog.
@@ -114,10 +114,6 @@ type Options struct {
 	// Starvation flags any ready→running dispatch latency of at least
 	// this duration; 0 disables the watchdog.
 	Starvation vtime.Duration
-	// NoInversion disables the priority-inversion watchdog.
-	NoInversion bool
-	// NoDeadlock disables the wait-for-cycle watchdog.
-	NoDeadlock bool
 }
 
 // Finding is one structured watchdog report, with virtual timestamps.
@@ -430,9 +426,6 @@ func (c *Collector) threadState(at vtime.Time, t *core.Thread) {
 // with no protocol a medium-priority thread dispatched during the wait
 // opens a window that closes when the waiter finally gets the grant.
 func (c *Collector) scanInversion(at vtime.Time, runner *core.Thread) {
-	if c.opt.NoInversion {
-		return
-	}
 	var rp int
 	loaded := false
 	for i := range c.openWaits {
@@ -498,9 +491,6 @@ func (c *Collector) waitMutexOf(t *core.Thread) *core.Mutex {
 // generalizing the dining-philosophers case (the core's own deadlock
 // report only fires later, when every live thread is blocked).
 func (c *Collector) checkDeadlock(at vtime.Time, t *core.Thread, m *core.Mutex) {
-	if c.opt.NoDeadlock {
-		return
-	}
 	cur := m
 	for hops := 0; cur != nil && hops <= len(c.openWaits); hops++ {
 		o := cur.Owner()

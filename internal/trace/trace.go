@@ -25,38 +25,21 @@ func (iv Interval) Contains(t vtime.Time) bool { return t >= iv.From && t < iv.T
 // Overlaps reports whether two intervals intersect.
 func (iv Interval) Overlaps(o Interval) bool { return iv.From < o.To && o.From < iv.To }
 
-// Recorder implements core.Tracer, accumulating every event. With
-// MaxEvents > 0 the recorder is capped: once full it drops further
-// events and counts them, bounding memory on long runs while keeping an
-// honest record of what was lost (compare RingRecorder, which prefers
-// the newest events instead).
+// Recorder implements core.Tracer, accumulating every event.
 type Recorder struct {
 	Events []core.TraceEvent
-	// MaxEvents caps len(Events); <= 0 means unbounded.
-	MaxEvents int
-	dropped   int64
 }
 
-// New returns an empty, unbounded recorder.
+// New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
-
-// NewCapped returns a recorder that keeps at most max events.
-func NewCapped(max int) *Recorder { return &Recorder{MaxEvents: max} }
 
 // Event implements core.Tracer. The profiler-only kinds are not stored.
 func (r *Recorder) Event(ev core.TraceEvent) {
 	if ev.Kind.ProfilerOnly() {
 		return
 	}
-	if r.MaxEvents > 0 && len(r.Events) >= r.MaxEvents {
-		r.dropped++
-		return
-	}
 	r.Events = append(r.Events, ev)
 }
-
-// Dropped reports how many events the cap discarded.
-func (r *Recorder) Dropped() int64 { return r.dropped }
 
 // threadName renders a stable label for an event's thread.
 func threadName(ev core.TraceEvent) string {

@@ -61,6 +61,10 @@ func (c *Clock) SetGovernor(g Governor) {
 	c.lease = c.now
 }
 
+// Governed reports whether a governor is attached: the clock belongs to
+// one host of a fleet, so events may arrive from the other hosts.
+func (c *Clock) Governed() bool { return c.gov != nil }
+
 // govern runs a governed advance to target: it free-runs within the
 // lease, and otherwise waits on the governor until the advance is done.
 func (c *Clock) govern(charge bool, target Time) {

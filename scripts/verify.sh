@@ -71,8 +71,9 @@ cmp "$t/seq.txt" "$t/par.txt"
 
 # C10k smoke at reduced N: the scaling scenarios must run clean, and the
 # dispatch and uncontended-mutex per-op costs must stay flat (within 40%)
-# as the thread population grows 8 -> 1000. The bound is a host-noise
-# tripwire, not the regression detector: mutex is an ~18 ns measurement
+# as the thread population grows 8 -> 1000: `ptbench -diff` holds the
+# c10k section the run records to that bound. The bound is a host-noise
+# tripwire, not the regression detector: mutex is an ~25 ns measurement
 # on a shared host. Each rung keeps its minimum of 21 reps, taken
 # rep-major (every pass measures every rung once, after a GC), so a
 # noisy stretch of the host cannot land on all reps of one rung — the
@@ -80,25 +81,14 @@ cmp "$t/seq.txt" "$t/par.txt"
 # (every run below fails on a drift) and the per-op ready-queue and
 # timer-wheel counts that eval's C10K*CountsFlat tests hold flat in
 # `go test ./...`.
-go run ./cmd/ptbench -c10k -c10kmax 1000 -c10kreps 21 -hostout "$t/bench.json" > "$t/c10k.txt"
-cat "$t/c10k.txt"
-awk '
-  ($1 == "dispatch" || $1 == "mutex") && $2 ~ /^[0-9]+$/ {
-    if (!($1 in lo) || $4 < lo[$1]) lo[$1] = $4
-    if (!($1 in hi) || $4 > hi[$1]) hi[$1] = $4
-  }
-  END {
-    for (s in lo) if (hi[s] > 1.4 * lo[s]) { bad = 1
-      printf "c10k: %s per-op cost not flat: %.0f..%.0f ns/op\n", s, lo[s], hi[s] }
-    exit bad
-  }' "$t/c10k.txt"
+go run ./cmd/ptbench -c10k -c10kmax 1000 -c10kreps 21 -out "$t/bench.json"
+go run ./cmd/ptbench -diff -out "$t/bench.json"
 
 # C100k smoke at reduced reps: the full ladder to 100,000 threads must
 # run clean. RunC10K fails the run if any rung's vus/op, or the
 # open-loop latency percentiles, differ from the scenario's first rung:
 # population changes host time, never simulated time.
-go run ./cmd/ptbench -c10k -c10kmax 100000 -c10kreps 1 -hostout "$t/bench.json" > "$t/c100k.txt"
-cat "$t/c100k.txt"
+go run ./cmd/ptbench -c10k -c10kmax 100000 -c10kreps 1 -out ""
 
 # The steady-state allocation gate on the echo ladder (0 allocations
 # per round trip with no parked readers, beside 10,000 and beside
@@ -111,8 +101,7 @@ cat "$t/c100k.txt"
 # holding at 200k residents. The 499 B bytes/resident tripwire at the
 # same population is eval.TestC1MBytesPerResident200K, run by
 # `go test ./...` above.
-go run ./cmd/ptbench -c1m -c1mthreads 200000 -c1mout "" > "$t/c1m.txt"
-cat "$t/c1m.txt"
+go run ./cmd/ptbench -c1m -c1mthreads 200000 -out ""
 
 # Batched-SIGIO determinism: two full webserver runs (the workload with
 # the densest same-tick readiness traffic) must be byte-identical on
@@ -125,7 +114,7 @@ cmp "$t/ws1.txt" "$t/ws2.txt"
 # claim: the SMP machinery must leave every uniprocessor artifact — the
 # Table 2 regeneration, the full ptreport, the webserver trace tokens —
 # byte-identical to the checked-in pre-SMP golden outputs.
-go run ./cmd/ptbench > "$t/table2.txt"
+go run ./cmd/ptreport table2 > "$t/table2.txt"
 cmp scripts/golden/table2.txt "$t/table2.txt"
 go run ./cmd/ptreport > "$t/ptreport.txt"
 cmp scripts/golden/ptreport.txt "$t/ptreport.txt"
@@ -133,8 +122,8 @@ cmp scripts/golden/webserver.txt "$t/ws1.txt"
 
 # Multiprocessor determinism: two full contention-ladder runs (every
 # engine, 1..8 VCPUs, schedule hashes included) must be byte-identical.
-go run ./cmd/ptbench -smp -smpout "" > "$t/smp1.txt"
-go run ./cmd/ptbench -smp -smpout "" > "$t/smp2.txt"
+go run ./cmd/ptbench -smp -out "" > "$t/smp1.txt"
+go run ./cmd/ptbench -smp -out "" > "$t/smp2.txt"
 cmp "$t/smp1.txt" "$t/smp2.txt"
 
 # The lock-engine protocols must hold up under the host race detector
@@ -165,8 +154,8 @@ cmp "$t/fleet1.txt" "$t/fleet2.txt"
 # across commits, so a rewrite that reordered grants deterministically
 # still fails here.
 cmp scripts/golden/fleet.txt "$t/fleet1.txt"
-go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -dcout "" > "$t/dc1.txt"
-go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -dcout "" > "$t/dc2.txt"
+go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -out "" > "$t/dc1.txt"
+go run ./cmd/ptbench -dc -dcreplicas 1,2 -dcloss 0,0.05 -dcclients 80 -out "" > "$t/dc2.txt"
 cmp "$t/dc1.txt" "$t/dc2.txt"
 # Pinned the same way: every rung's makespan, latencies and fingerprint.
 cmp scripts/golden/dc.txt "$t/dc1.txt"
@@ -212,10 +201,11 @@ go run ./cmd/ptreport -profile > "$t/ptreport-profile.txt"
 go run ./cmd/ptprof -fleet fleet-echo -spans -q -chrome "$t/fleet-echo-spans.chrome.json"
 (cd "$t" && sha256sum -c --quiet -) < scripts/golden/observers.sha256
 
-# Perf-regression gate: benchdiff must fail the planted 5-regression
-# fixture (vus/op, allocs/op, ns/op, and the c1m runner-pool and
-# bytes-per-resident plants), pass the within-tolerance fixture, and
-# pass the checked-in BENCH_host.json history.
+# Perf-regression gate: benchdiff must fail the planted 6-regression
+# fixture (vus/op, allocs/op, ns/op, the c1m runner-pool and
+# bytes-per-resident plants, and a c10k dispatch row that is not flat),
+# pass the within-tolerance fixture, and pass the checked-in
+# BENCH_host.json history and c10k section.
 if scripts/benchdiff cmd/ptbench/testdata/regression.json; then
   echo "benchdiff: failed to flag the planted regressions" >&2; exit 1
 fi
